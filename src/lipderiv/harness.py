@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +52,7 @@ class CheckResult:
 def _result(name, ok, discrepancy, tolerance, witness=None, detail=""):
     status = "pass" if ok else "fail"
     return CheckResult(name, status, float(discrepancy), float(tolerance),
-                       witness if not ok else witness, detail)
+                       witness, detail)
 
 
 def random_space(rng, n_points, dim=2) -> FiniteMetricSpace:
@@ -612,7 +612,6 @@ class SuiteConfig:
     zoo_resolution: float = 0.02
     random_spaces: int = 50
     matrix: object = None
-    overrides: dict = field(default_factory=dict)
 
 
 SUITE_NAMES = ("chain", "plus_variant", "frechet", "c1_identity",

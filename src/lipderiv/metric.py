@@ -24,6 +24,30 @@ def _norm(diff: np.ndarray, p: float) -> np.ndarray:
     raise InputError(f"unsupported norm order {p!r}")
 
 
+def _block(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
+    """Block of p-norm distances between the rows of a and the rows of b.
+
+    Equal bit for bit to ``_norm(a[:, None, :] - b[None, :, :], p)``: numpy
+    sums a last axis of fewer than 8 terms sequentially, so accumulating one
+    2-d block per coordinate in that order gives the same floats without the
+    3-d intermediate; a running maximum is exact in any order.  From 8
+    coordinates numpy switches to pairwise summation, so the broadcast is
+    kept there.
+    """
+    if not 0 < a.shape[1] < 8 or p not in (1, 2, np.inf):
+        return _norm(a[:, None, :] - b[None, :, :], p)
+    acc = np.maximum if p == np.inf else np.add
+    out = None
+    for ak, bk in zip(a.T, b.T):
+        t = np.subtract.outer(ak, bk)
+        if p == 2:
+            np.multiply(t, t, out=t)
+        else:
+            np.abs(t, out=t)
+        out = t if out is None else acc(out, t, out=out)
+    return np.sqrt(out, out=out) if p == 2 else out
+
+
 class FiniteMetricSpace:
     """A finite set of points with pairwise distances.
 
@@ -42,6 +66,8 @@ class FiniteMetricSpace:
             coords = np.atleast_2d(np.asarray(coords, dtype=float))
             if coords.shape[0] != len(self.ids):
                 raise InputError("one coordinate row per point required")
+            if np.any(np.isnan(coords)):
+                raise InputError("NaN is not a valid coordinate")
         self.coords = coords
         if table is not None:
             table = np.asarray(table, dtype=float)
@@ -97,7 +123,7 @@ class FiniteMetricSpace:
         if self.table is not None:
             return self.table[np.ix_(idx, idx)]
         c = self.coords[idx]
-        return _norm(c[:, None, :] - c[None, :, :], self.p)
+        return _block(c, c, self.p)
 
     def cross(self, rows, cols) -> np.ndarray:
         """Distance block between two index lists."""
@@ -105,8 +131,7 @@ class FiniteMetricSpace:
         cols = np.asarray(cols, dtype=int)
         if self.table is not None:
             return self.table[np.ix_(rows, cols)]
-        return _norm(self.coords[rows][:, None, :] - self.coords[cols][None, :, :],
-                     self.p)
+        return _block(self.coords[rows], self.coords[cols], self.p)
 
     def ball_indices(self, i: int, r: float, closed: bool = False) -> np.ndarray:
         d = self.dist_row(i)

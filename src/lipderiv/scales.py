@@ -10,9 +10,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .metric import FiniteMetricSpace, _norm, validate_metric
+from .metric import FiniteMetricSpace, _block, _norm, validate_metric
 
-#: per-step factor threshold driving the divergence flag (see RadiusGrid docs)
+#: total tail-growth factor driving the divergence flag (see RadiusGrid docs)
 DIVERGENCE_FACTOR = 2.0
 
 
@@ -33,6 +33,8 @@ class SampledMap:
             value_table = np.asarray(value_table, dtype=float)
             if value_table.shape != (domain.n, domain.n):
                 raise InputError("value-distance table must match the domain")
+            if np.any(np.isnan(value_table)):
+                raise InputError("NaN is not a valid value distance")
             if validate_table:
                 probe = FiniteMetricSpace(list(range(domain.n)), table=value_table)
                 bad = [v for v in validate_metric(probe)
@@ -45,6 +47,8 @@ class SampledMap:
         values = np.asarray(values, dtype=float)
         if values.shape[0] != domain.n:
             raise InputError("one value per domain point required")
+        if np.any(np.isnan(values)):
+            raise InputError("NaN is not a valid value")
         self.values = values
 
     @classmethod
@@ -75,7 +79,7 @@ class SampledMap:
         a, b = self.values[rows], self.values[cols]
         if self.values.ndim == 1:
             return np.abs(a[:, None] - b[None, :])
-        return _norm(a[:, None, :] - b[None, :, :], self.codomain_p)
+        return _block(a, b, self.codomain_p)
 
 
 @dataclass(frozen=True)
@@ -206,8 +210,10 @@ def _pair_sup(f: SampledMap, idx) -> float:
         # keep strictly-upper pairs only
         mask = np.arange(m)[None, :] > (s + np.arange(rows.size))[:, None]
         mask &= D > 0
-        if np.any(mask):
-            best = max(best, float(np.max(V[mask] / D[mask])))
+        # pairs at distance 0 divide to inf/NaN and are masked out of the max
+        with np.errstate(divide="ignore", invalid="ignore"):
+            Q = np.divide(V, D, out=V)
+        best = max(best, float(np.max(Q, where=mask, initial=0.0)))
     return best
 
 

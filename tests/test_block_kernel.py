@@ -1,0 +1,123 @@
+"""The distance-block kernel and the pair supremum against their definitions.
+
+Every assertion is exact (``np.array_equal`` / ``==``): the kernel may only
+change how a block is computed, never a float in it.
+"""
+import numpy as np
+import pytest
+
+from lipderiv import FiniteMetricSpace, InputError, SampledMap
+from lipderiv.cli import main
+from lipderiv.metric import _block, _norm
+from lipderiv.scales import loc_lip_r
+
+NORMS = (1.0, 2.0, np.inf)
+DIMS = (1, 2, 3, 7, 8, 9)
+
+
+def by_definition(a, b, p):
+    return _norm(a[:, None, :] - b[None, :, :], p)
+
+
+def pair_sup_by_definition(domain, values, idx):
+    """max |f(u)-f(v)| / d(u,v) over index pairs u < v in idx with d > 0."""
+    best = 0.0
+    c, v = domain.coords[idx], values[idx]
+    for i in range(idx.size - 1):
+        d = _norm(c[i] - c[i + 1:], domain.p)
+        q = np.abs(v[i] - v[i + 1:])[d > 0] / d[d > 0]
+        if q.size:
+            best = max(best, float(np.max(q)))
+    return best
+
+
+@pytest.mark.parametrize("p", NORMS)
+@pytest.mark.parametrize("dim", DIMS)
+def test_blocks_match_definition(p, dim):
+    rng = np.random.default_rng(dim)
+    scales = 10.0 ** rng.integers(-6, 6, 40)[:, None]
+    coords = rng.standard_normal((40, dim)) * scales
+    coords[5] = coords[9]                      # a zero-distance pair
+    rows, cols = np.arange(0, 40, 3), np.arange(1, 40, 2)
+    a, b = coords[rows], coords[cols]
+    assert np.array_equal(_block(a, b, p), by_definition(a, b, p))
+
+    space = FiniteMetricSpace(range(40), coords=coords, p=p)
+    assert np.array_equal(space.cross(rows, cols), by_definition(a, b, p))
+    assert np.array_equal(space.pairwise(rows), by_definition(a, a, p))
+
+    f = SampledMap.vector(space, coords[::-1] * 3.0, p=p)
+    va, vb = f.values[rows], f.values[cols]
+    assert np.array_equal(f.value_cross(rows, cols), by_definition(va, vb, p))
+
+
+def test_table_backed_blocks_read_the_table():
+    rng = np.random.default_rng(3)
+    coords = rng.random((12, 2))
+    table = by_definition(coords, coords, 2.0)
+    space = FiniteMetricSpace.from_table(range(12), table)
+    vals = rng.random(12)
+    vtable = np.abs(vals[:, None] - vals[None, :])
+    f = SampledMap(space, value_table=vtable)
+    rows, cols = [0, 4, 7], [1, 2, 7, 11]
+    assert np.array_equal(space.cross(rows, cols), table[np.ix_(rows, cols)])
+    assert np.array_equal(space.pairwise(rows), table[np.ix_(rows, rows)])
+    assert np.array_equal(f.value_cross(rows, cols), vtable[np.ix_(rows, cols)])
+    embedded = FiniteMetricSpace(range(12), coords=coords)
+    assert loc_lip_r(f, 4, 0.6) == pair_sup_by_definition(
+        embedded, vals, space.ball_indices(4, 0.6))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_loc_skips_coincident_points(seed):
+    rng = np.random.default_rng(seed)
+    coords = rng.random((80, 2))
+    coords[40:50] = coords[:10]                # distinct ids, same place
+    vals = rng.standard_normal(80)             # and different values
+    space = FiniteMetricSpace(range(80), coords=coords)
+    f = SampledMap.real(space, vals)
+    for x, r in [(0, 0.3), (3, 0.5), (45, 2.0)]:
+        got = loc_lip_r(f, x, r)
+        assert np.isfinite(got)
+        assert got == pair_sup_by_definition(space, vals,
+                                             space.ball_indices(x, r))
+
+
+def test_loc_row_blocking_over_several_blocks():
+    # a ball of 2900 points is cut into row blocks of 2**22 // 2900 = 1446;
+    # the steepest pair (2895, 2896) sits in the short last block
+    rng = np.random.default_rng(11)
+    xs = np.sort(rng.random(2900))
+    vals = np.sin(7.0 * xs)
+    vals[2896:] += 1.0
+    space = FiniteMetricSpace(range(2900), coords=xs[:, None])
+    f = SampledMap.real(space, vals)
+    idx = space.ball_indices(0, 2.0)
+    assert idx.size == 2900
+    assert loc_lip_r(f, 0, 2.0) == pair_sup_by_definition(space, vals, idx)
+
+
+def test_nan_inputs_rejected():
+    with pytest.raises(InputError):
+        FiniteMetricSpace([0, 1], coords=[[0.0], [np.nan]])
+    space = FiniteMetricSpace.grid1d(0.0, 1.0, 0.5)
+    with pytest.raises(InputError):
+        SampledMap.real(space, [0.0, np.nan, 1.0])
+    with pytest.raises(InputError):
+        SampledMap.vector(space, [[0.0, 1.0], [np.nan, 0.0], [1.0, 1.0]])
+    vtable = np.ones((3, 3)) - np.eye(3)
+    vtable[0, 2] = vtable[2, 0] = np.nan
+    for validate in (True, False):
+        with pytest.raises(InputError):
+            SampledMap(space, value_table=vtable, validate_table=validate)
+
+
+@pytest.mark.parametrize("row", ["p1,nan,0.5,1.0", "p1,0.5,0.5,nan"])
+def test_cli_profile_rejects_nan(tmp_path, capsys, row):
+    src = tmp_path / "cloud.csv"
+    src.write_text("id,x1,x2,val\np0,0.0,0.0,0.0\n" + row + "\n"
+                   "p2,1.0,0.0,2.0\n")
+    code = main(["profile", "--input", str(src), "--rmax", "0.5",
+                 "--out", str(tmp_path / "prof.csv")])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
