@@ -17,10 +17,9 @@ from .envelopes import ScalarField, baire_upper, lsc_defect, usc_defect
 from .errors import InputError
 from .metric import (FiniteMetricSpace, IntervalUnion, LinearMapSpec,
                      operator_norm)
-from .scales import (RadiusGrid, SampledMap, _sorted_increments,
-                     big_lip_below_r, lip_norm, lip_upper_r,
-                     lip_upper_r_closed, little_lip_below_r, loc_lip_r,
-                     nearest_scale_infimum, scale_profile)
+from .scales import (RadiusGrid, SampledMap, _PointScan, big_lip_below_r,
+                     lip_norm, loc_lip_r, nearest_scale_infimum,
+                     point_scale_values, scale_profile)
 from . import setclass
 from .setclass import FiniteField, SetFamily
 from .zoo import ZooEntry, get_entry, make_zoo
@@ -96,18 +95,14 @@ def check_plus_variant(f: SampledMap, x, r: float, name="plus_variant",
     functional evaluations at the neighbor-distance breakpoints (the exact
     per-segment limits), independently of the ratio formula.
     """
-    i = f.domain.index(x)
-    d, _ = _sorted_increments(f, i)
-    d = d[d < r]
+    scan = _PointScan(f, f.domain.index(x))
+    d = scan.dd[scan.dd < r]
     if d.size == 0:
         return CheckResult(name, "skipped", detail="no neighbor within r")
-    alpha = 0.0
-    beta = 0.0
-    for dk in d:
-        rho = float(dk) * (1.0 + 1e-9)
-        alpha = max(alpha, lip_upper_r(f, x, rho) * rho / float(dk))
-        beta = max(beta, lip_upper_r_closed(f, x, float(dk)))
-    gamma = big_lip_below_r(f, x, r)
+    rho = d * (1.0 + 1e-9)
+    alpha = float(np.max(scan.lip_upper(rho) * rho / d))
+    beta = float(np.max(scan.lip_upper_closed(d)))
+    gamma = float(scan.big_below(r))
     worst = max(abs(alpha - beta), abs(beta - gamma), abs(alpha - gamma))
     return _result(name, worst <= tol, worst, tol,
                    {"point": x, "radius": float(r),
@@ -160,8 +155,8 @@ def check_gamma_lipschitz(f: SampledMap, gamma: float, grid: RadiusGrid,
         return CheckResult(name, "skipped", detail="domain not flagged convex")
     norm = lip_norm(f)
     radii = grid.radii
-    little = np.array([[little_lip_below_r(f, x, float(r)) for r in radii]
-                       for x in f.domain.ids])
+    little = np.array([_PointScan(f, i).little_below(radii)
+                       for i in range(f.domain.n)])
     # rounding allowance so e.g. exact-slope data is not pushed off the
     # hypothesis boundary by one ulp
     eps = 1e-12 * max(1.0, gamma, norm)
@@ -292,9 +287,10 @@ def derivative_fields(f: SampledMap, r_fine: float, r_loc: float):
     little = []
     big = []
     loc = []
-    for x in f.domain.ids:
-        little.append(nearest_scale_infimum(f, x, r_fine))
-        big.append(big_lip_below_r(f, x, r_fine))
+    for i, x in enumerate(f.domain.ids):
+        scan = _PointScan(f, i)
+        little.append(float(scan.nearest_scale_inf(r_fine)))
+        big.append(float(scan.big_below(r_fine)))
         loc.append(loc_lip_r(f, x, r_loc))
     sp = f.domain
     return (ScalarField(sp, little), ScalarField(sp, big),
@@ -378,9 +374,10 @@ def check_semicontinuity_fields(entry: ZooEntry, r: float, h: float,
     little = []
     big = []
     loc = []
-    for x in f.domain.ids:
-        little.append(little_lip_below_r(f, x, r))
-        big.append(big_lip_below_r(f, x, r))
+    for i, x in enumerate(f.domain.ids):
+        scan = _PointScan(f, i)
+        little.append(float(scan.little_below(r)))
+        big.append(float(scan.big_below(r)))
         loc.append(loc_lip_r(f, x, r))
     sp = f.domain
     scale = max(1.0, float(np.max(np.abs(
@@ -541,23 +538,25 @@ def check_scale_oracles(space: FiniteMetricSpace, values, radii,
     (and points just above them), evaluated straight from the definition.
     """
     f = SampledMap.real(space, values)
+    radii = np.asarray(radii, dtype=float)
     worst = 0.0
     witness = None
     for i, x in enumerate(space.ids):
         d = space.dist_row(i)
         dv = f.value_dist_from(i)
         pos = np.sort(d[d > 0])
-        for r in radii:
-            r = float(r)
+        scanned = {kind: v.tolist()
+                   for kind, v in point_scale_values(f, x, radii).items()}
+        for ri, r in enumerate(radii.tolist()):
             checks = {
-                "lip_upper": (lip_upper_r(f, x, r),
+                "lip_upper": (scanned["lip_upper"][ri],
                               _brute_lip_upper(d, dv, r)),
-                "lip_upper_closed": (lip_upper_r_closed(f, x, r),
+                "lip_upper_closed": (scanned["lip_upper_closed"][ri],
                                      _brute_lip_upper(d, dv, r, closed=True)),
             }
             mask = (d > 0) & (d < r)
             brute_big = float(np.max(dv[mask] / d[mask])) if np.any(mask) else 0.0
-            checks["big_below"] = (big_lip_below_r(f, x, r), brute_big)
+            checks["big_below"] = (scanned["big_below"][ri], brute_big)
             inside = pos[pos < r]
             if inside.size:
                 d1 = float(inside[0])
@@ -571,18 +570,17 @@ def check_scale_oracles(space: FiniteMetricSpace, values, radii,
                                           np.linspace(1e-9, r, 200)])
                 cand_up = cand_up[(cand_up > 0) & (cand_up < r * (1 + 1e-12))]
                 brute_big_sweep = float(np.max(_brute_sweep(d, dv, cand_up)))
-                checks["little_below"] = (little_lip_below_r(f, x, r),
+                checks["little_below"] = (scanned["little_below"][ri],
                                           brute_little)
-                checks["big_sweep"] = (big_lip_below_r(f, x, r),
-                                       brute_big_sweep)
+                checks["big_sweep"] = (scanned["big_below"][ri], brute_big_sweep)
             else:
-                checks["little_below"] = (little_lip_below_r(f, x, r), 0.0)
+                checks["little_below"] = (scanned["little_below"][ri], 0.0)
             idx = np.flatnonzero(d < r)
             brute_loc = 0.0
             for a, b in itertools.combinations(idx, 2):
                 dd = space.dist(int(a), int(b))
                 brute_loc = max(brute_loc, abs(values[a] - values[b]) / dd)
-            checks["loc"] = (loc_lip_r(f, x, r), brute_loc)
+            checks["loc"] = (scanned["loc"][ri], brute_loc)
             for kind, (got, want) in checks.items():
                 gap = abs(got - want)
                 if gap > worst:

@@ -97,6 +97,8 @@ def load_point_cloud(path: str):
         if val_cols:
             values.append([parse_float(row[i], f"value at row {lineno}")
                            for i in val_cols])
+    if not ids:
+        raise InputError(f"{path}: no data rows")
     if len(set(ids)) != len(ids):
         raise InputError(f"{path}: duplicate point ids")
     coords = np.asarray(coords, dtype=float)

@@ -66,8 +66,8 @@ class FiniteMetricSpace:
             coords = np.atleast_2d(np.asarray(coords, dtype=float))
             if coords.shape[0] != len(self.ids):
                 raise InputError("one coordinate row per point required")
-            if np.any(np.isnan(coords)):
-                raise InputError("NaN is not a valid coordinate")
+            if not np.all(np.isfinite(coords)):
+                raise InputError("coordinates must be finite (no NaN or inf)")
         self.coords = coords
         if table is not None:
             table = np.asarray(table, dtype=float)
@@ -262,11 +262,6 @@ class IntervalUnion:
 
     def __repr__(self):
         return f"IntervalUnion({list(self.intervals)!r})"
-
-
-def measure(E: IntervalUnion) -> float:
-    """Total length of an interval union."""
-    return E.measure()
 
 
 class LinearMapSpec:

@@ -47,8 +47,8 @@ class SampledMap:
         values = np.asarray(values, dtype=float)
         if values.shape[0] != domain.n:
             raise InputError("one value per domain point required")
-        if np.any(np.isnan(values)):
-            raise InputError("NaN is not a valid value")
+        if not np.all(np.isfinite(values)):
+            raise InputError("values must be finite (no NaN or inf)")
         self.values = values
 
     @classmethod
@@ -114,53 +114,88 @@ class RadiusGrid:
         return self.r_max * self.q ** np.arange(self.steps)
 
 
-def _sorted_increments(f: SampledMap, i: int):
-    """Distinct positive distances from point i, with running maxima of the
-    value increments over the corresponding closed balls."""
-    d = f.domain.dist_row(i)
-    dv = f.value_dist_from(i)
-    mask = d > 0
-    d, dv = d[mask], dv[mask]
-    if d.size == 0:
-        return np.empty(0), np.empty(0)
-    order = np.argsort(d, kind="stable")
-    d, dv = d[order], dv[order]
-    run = np.maximum.accumulate(dv)
-    # collapse ties in distance: keep the last entry of each distinct d
-    last = np.flatnonzero(np.append(np.diff(d) > 0, True))
-    return d[last], run[last]
+class _PointScan:
+    """Every sort-based functional of one point, for a whole radius array.
+
+    The positive distances from the point are sorted once and their ties
+    collapsed into ``dd``; ``run[j]`` is the largest value increment over the
+    closed ball of radius ``dd[j]``.  A query counts the breakpoints ``dd``
+    below each radius with ``searchsorted`` and reads a running maximum or a
+    prefix minimum at that count, built over the breakpoints below the
+    largest radius only.  Maxima and minima are exact, so every value equals
+    the by-definition one over the same increments.  A point with no
+    neighbour at positive distance gets 0 from every functional.
+    """
+
+    def __init__(self, f: SampledMap, i: int):
+        d = f.domain.dist_row(i)
+        dv = f.value_dist_from(i)
+        mask = d > 0
+        d, dv = d[mask], dv[mask]
+        order = np.argsort(d, kind="stable")
+        self._d, self._dv = d[order], dv[order]
+        # the last entry of each distinct distance
+        self._last = np.flatnonzero(
+            np.append(np.diff(self._d) > 0, self._d.size > 0))
+        self.dd = self._d[self._last]
+        self.run = np.maximum.accumulate(self._dv)[self._last]
+        # indexed by the breakpoint count k; k = 0 is the empty ball
+        self._run0 = np.concatenate(([0.0], self.run))
+
+    def _below(self, radii):
+        """Breakpoints below each radius, and the largest of these counts."""
+        k = np.searchsorted(self.dd, radii)
+        return k, int(k.max(initial=0))
+
+    def lip_upper(self, radii):
+        return self._run0[np.searchsorted(self.dd, radii)] / radii
+
+    def lip_upper_closed(self, radii):
+        return self._run0[np.searchsorted(self.dd, radii, "right")] / radii
+
+    def big_below(self, radii):
+        k, m = self._below(radii)
+        raw = self._last[m - 1] + 1 if m else 0
+        ratio = np.maximum.accumulate(self._dv[:raw] / self._d[:raw])
+        return np.concatenate(([0.0], ratio[self._last[:m]]))[k]
+
+    def little_below(self, radii):
+        k, m = self._below(radii)
+        # entry k: min over j < k - 1 of run[j] / dd[j + 1], the infimum of
+        # the open-ball functional on the segment (dd[j], dd[j + 1]]
+        gaps = self.run[:max(m - 1, 0)] / self.dd[1:m]
+        inner = np.concatenate(([np.inf, np.inf], np.minimum.accumulate(gaps)))
+        return np.minimum(inner[k], self._run0[k] / radii)
+
+    def nearest_scale_inf(self, radii):
+        k, m = self._below(radii)
+        ratio = np.minimum.accumulate(self.run[:m] / self.dd[:m])
+        return np.concatenate(([0.0], ratio))[k]
+
+
+#: the profile columns the sorted scan answers, by method name
+_SCAN_COLUMNS = ("lip_upper", "lip_upper_closed", "big_below", "little_below")
+
+
+def _scan(f: SampledMap, x, r: float) -> _PointScan:
+    if r <= 0:
+        raise InputError("r must be positive")
+    return _PointScan(f, f.domain.index(x))
 
 
 def lip_upper_r(f: SampledMap, x, r: float) -> float:
     """sup over the open ball B(x, r) of |f(u)-f(x)| / r (sup empty = 0)."""
-    if r <= 0:
-        raise InputError("r must be positive")
-    i = f.domain.index(x)
-    d = f.domain.dist_row(i)
-    dv = f.value_dist_from(i)[(d > 0) & (d < r)]
-    return float(np.max(dv) / r) if dv.size else 0.0
+    return float(_scan(f, x, r).lip_upper(r))
 
 
 def lip_upper_r_closed(f: SampledMap, x, r: float) -> float:
     """Closed-ball variant of lip_upper_r."""
-    if r <= 0:
-        raise InputError("r must be positive")
-    i = f.domain.index(x)
-    d = f.domain.dist_row(i)
-    dv = f.value_dist_from(i)[(d > 0) & (d <= r)]
-    return float(np.max(dv) / r) if dv.size else 0.0
+    return float(_scan(f, x, r).lip_upper_closed(r))
 
 
 def big_lip_below_r(f: SampledMap, x, r: float) -> float:
     """sup over 0 < d(u,x) < r of the difference quotient |f(u)-f(x)|/d(u,x)."""
-    if r <= 0:
-        raise InputError("r must be positive")
-    i = f.domain.index(x)
-    d = f.domain.dist_row(i)
-    mask = (d > 0) & (d < r)
-    if not np.any(mask):
-        return 0.0
-    return float(np.max(f.value_dist_from(i)[mask] / d[mask]))
+    return float(_scan(f, x, r).big_below(r))
 
 
 def little_lip_below_r(f: SampledMap, x, r: float) -> float:
@@ -170,20 +205,19 @@ def little_lip_below_r(f: SampledMap, x, r: float) -> float:
     sample information and would collapse the infimum to 0, so they are
     excluded.  Returns 0 when x has no neighbor within r (unresolved).
     """
-    value, _ = _little_scan(f, f.domain.index(x), r)
-    return value
+    return float(_scan(f, x, r).little_below(r))
 
 
-def _little_scan(f: SampledMap, i: int, r: float):
-    """Breakpoint scan for the little functional; returns (value, resolved)."""
-    if r <= 0:
-        raise InputError("r must be positive")
-    d, run = _sorted_increments(f, i)
-    below = np.flatnonzero(d < r)
-    if below.size == 0:
-        return 0.0, False
-    ends = np.minimum(np.append(d[1:], np.inf), r)[below]
-    return float(np.min(run[below] / ends)), True
+def nearest_scale_infimum(f: SampledMap, x, r: float) -> float:
+    """min over distinct neighbor distances d_k < r of M_k / d_k, where M_k is
+    the max value increment over the closed ball of radius d_k.
+
+    This is the profile's little-derivative estimate: unlike the exact sampled
+    infimum it evaluates each scale at its attained neighbor distance, so it
+    converges to |f'| on uniform samples of C1 functions.  Returns 0 when x
+    has no neighbor within r.
+    """
+    return float(_scan(f, x, r).nearest_scale_inf(r))
 
 
 def loc_lip_r(f: SampledMap, x, r: float) -> float:
@@ -228,88 +262,15 @@ def lip_norm(f: SampledMap) -> float:
     return best
 
 
-class _PointScan:
-    """One sorted pass over the distances from a point, reused across radii.
-
-    Produces values identical to the standalone functionals: the same sets of
-    increments are maxed/minned, only the sorting is shared.
-    """
-
-    def __init__(self, f: SampledMap, i: int):
-        d = f.domain.dist_row(i)
-        dv = f.value_dist_from(i)
-        mask = d > 0
-        d, dv = d[mask], dv[mask]
-        order = np.argsort(d, kind="stable")
-        self.d = d[order]
-        dv = dv[order]
-        self.run_raw = np.maximum.accumulate(dv) if dv.size else dv
-        self.ratio_run = (np.maximum.accumulate(dv / self.d) if dv.size
-                          else dv)
-        last = np.flatnonzero(np.append(np.diff(self.d) > 0, True))
-        self.dd = self.d[last]
-        self.run = self.run_raw[last]
-
-    def lip_upper(self, r: float) -> float:
-        k = int(np.searchsorted(self.d, r, "left"))
-        return float(self.run_raw[k - 1] / r) if k else 0.0
-
-    def lip_upper_closed(self, r: float) -> float:
-        k = int(np.searchsorted(self.d, r, "right"))
-        return float(self.run_raw[k - 1] / r) if k else 0.0
-
-    def big_below(self, r: float) -> float:
-        k = int(np.searchsorted(self.d, r, "left"))
-        return float(self.ratio_run[k - 1]) if k else 0.0
-
-    def little_below(self, r: float) -> float:
-        below = np.flatnonzero(self.dd < r)
-        if below.size == 0:
-            return 0.0
-        ends = np.minimum(np.append(self.dd[1:], np.inf), r)[below]
-        return float(np.min(self.run[below] / ends))
-
-    def nearest_scale_inf(self, r: float) -> float:
-        below = np.flatnonzero(self.dd < r)
-        if below.size == 0:
-            return 0.0
-        return float(np.min(self.run[below] / self.dd[below]))
-
-
 def point_scale_values(f: SampledMap, x, radii) -> dict:
     """All five scale functionals of one point on an array of radii."""
-    i = f.domain.index(x)
-    scan = _PointScan(f, i)
-    out = {"lip_upper": [], "lip_upper_closed": [], "big_below": [],
-           "little_below": [], "loc": []}
-    for r in radii:
-        r = float(r)
-        if r <= 0:
-            raise InputError("radii must be positive")
-        out["lip_upper"].append(scan.lip_upper(r))
-        out["lip_upper_closed"].append(scan.lip_upper_closed(r))
-        out["big_below"].append(scan.big_below(r))
-        out["little_below"].append(scan.little_below(r))
-        out["loc"].append(loc_lip_r(f, x, r))
-    return {k: np.array(v) for k, v in out.items()}
-
-
-def nearest_scale_infimum(f: SampledMap, x, r: float) -> float:
-    """min over distinct neighbor distances d_k < r of M_k / d_k, where M_k is
-    the max value increment over the closed ball of radius d_k.
-
-    This is the profile's little-derivative estimate: unlike the exact sampled
-    infimum it evaluates each scale at its attained neighbor distance, so it
-    converges to |f'| on uniform samples of C1 functions.  Returns 0 when x
-    has no neighbor within r.
-    """
-    if r <= 0:
-        raise InputError("r must be positive")
-    d, run = _sorted_increments(f, f.domain.index(x))
-    below = np.flatnonzero(d < r)
-    if below.size == 0:
-        return 0.0
-    return float(np.min(run[below] / d[below]))
+    radii = np.asarray(radii, dtype=float)
+    if np.any(radii <= 0):
+        raise InputError("radii must be positive")
+    scan = _PointScan(f, f.domain.index(x))
+    out = {name: getattr(scan, name)(radii) for name in _SCAN_COLUMNS}
+    out["loc"] = np.array([loc_lip_r(f, x, float(r)) for r in radii])
+    return out
 
 
 @dataclass
@@ -364,32 +325,27 @@ def scale_profile(f: SampledMap, grid: RadiusGrid, points=None,
     if warn is not None and radii[0] > f.domain.diameter():
         warn(f"r_max {radii[0]} exceeds the domain diameter")
     table = {k: np.zeros((len(points), len(radii)))
-             for k in ("lip_upper", "lip_upper_closed", "big_below",
-                       "little_below", "loc")}
+             for k in _SCAN_COLUMNS + ("loc",)}
     summaries = []
     for pi, x in enumerate(points):
         i = f.domain.index(x)
         scan = _PointScan(f, i)
+        for name in _SCAN_COLUMNS:
+            table[name][pi] = getattr(scan, name)(radii)
         for r_i, r in enumerate(radii):
-            r = float(r)
-            table["lip_upper"][pi, r_i] = scan.lip_upper(r)
-            table["lip_upper_closed"][pi, r_i] = scan.lip_upper_closed(r)
-            table["big_below"][pi, r_i] = scan.big_below(r)
-            table["little_below"][pi, r_i] = scan.little_below(r)
-            table["loc"][pi, r_i] = loc_lip_r(f, x, r)
+            table["loc"][pi, r_i] = loc_lip_r(f, x, float(r))
         d1 = f.domain.nearest_neighbor_distance(i)
         r_small = float(radii[-1])
         resolved_r = [float(r) for r in radii if d1 < r]
         unresolved = d1 >= r_small
-        lip_hat = scan.nearest_scale_inf(r_small)
+        # little estimates along the tail window, which ends at r_small
+        series = scan.nearest_scale_inf(radii[-grid.tail_window:])
+        lip_hat = float(series[-1])
         big_hat = float(table["big_below"][pi, -1])
         loc_hat = loc_lip_r(f, x, min(resolved_r)) if resolved_r else 0.0
         # divergence: the little estimates along the tail keep growing as the
-        # radius shrinks and more than double overall
-        tail = radii[-grid.tail_window:]
-        series = np.array([scan.nearest_scale_inf(float(r)) for r in tail])
-        # radii shrink along the array, so growth toward small scales means a
-        # nondecreasing series
+        # radius shrinks and more than double overall (radii shrink along the
+        # array, so growth toward small scales means a nondecreasing series)
         divergent = bool(
             series[-1] > 0
             and np.all(np.diff(series) >= 0)

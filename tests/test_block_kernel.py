@@ -112,7 +112,8 @@ def test_nan_inputs_rejected():
             SampledMap(space, value_table=vtable, validate_table=validate)
 
 
-@pytest.mark.parametrize("row", ["p1,nan,0.5,1.0", "p1,0.5,0.5,nan"])
+@pytest.mark.parametrize("row", ["p1,nan,0.5,1.0", "p1,0.5,0.5,nan",
+                                 "p1,inf,0.5,1.0", "p1,0.5,0.5,-inf"])
 def test_cli_profile_rejects_nan(tmp_path, capsys, row):
     src = tmp_path / "cloud.csv"
     src.write_text("id,x1,x2,val\np0,0.0,0.0,0.0\n" + row + "\n"

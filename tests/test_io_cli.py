@@ -225,3 +225,25 @@ def test_cli_config_file_and_override(tmp_path):
     bad.write_text("[1,2]")
     assert main(["--config", str(bad), "profile", "--input", src,
                  "--out", out]) == 2
+
+
+def test_point_cloud_without_data_rows(tmp_path, capsys):
+    p = tmp_path / "header_only.csv"
+    p.write_text("id,x1,x2,val\n")
+    with pytest.raises(InputError, match="no data rows"):
+        lio.load_point_cloud(str(p))
+    assert main(["profile", "--input", str(p), "--rmax", "0.5",
+                 "--out", str(tmp_path / "o.csv")]) == 2
+    assert "no data rows" in capsys.readouterr().err
+
+
+def test_infinite_values_and_coordinates_rejected():
+    with pytest.raises(InputError):
+        FiniteMetricSpace([0, 1], coords=[[0.0], [math.inf]])
+    space = FiniteMetricSpace.grid1d(0.0, 1.0, 0.5)
+    with pytest.raises(InputError):
+        SampledMap.real(space, [0.0, math.inf, 1.0])
+    with pytest.raises(InputError):
+        SampledMap.vector(space, [[0.0, 1.0], [-math.inf, 0.0], [1.0, 1.0]])
+    # scalar fields keep their infinite values
+    assert ScalarField(space, [0.0, math.inf, -math.inf]).values[1] == math.inf

@@ -1,0 +1,154 @@
+"""The per-point scale kernel against by-definition evaluations.
+
+Every sort-based functional is answered by one scan per point over a whole
+radius array.  Maxima and minima are exact, so each value must equal, bit
+for bit, a per-radius evaluation written straight from the definition.
+"""
+import hashlib
+import os
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lipderiv import (FiniteMetricSpace, RadiusGrid, SampledMap,
+                      big_lip_below_r, lip_upper_r, lip_upper_r_closed,
+                      little_lip_below_r, nearest_scale_infimum,
+                      point_scale_values, scale_profile)
+from lipderiv.cli import main
+from lipderiv.scales import _PointScan
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+KINDS = ("lip_upper", "lip_upper_closed", "big_below", "little_below",
+         "nearest_scale_inf")
+
+
+def by_definition(d, dv, r):
+    """The five functionals of one point at one radius, from the definition.
+
+    ``d`` and ``dv`` are the distances and value increments from the point
+    to every sample point.
+    """
+    pos = d > 0
+
+    def upper(rho, closed=False):
+        ball = pos & ((d <= rho) if closed else (d < rho))
+        return np.max(dv[ball]) / rho if np.any(ball) else 0.0
+
+    out = {"lip_upper": upper(r), "lip_upper_closed": upper(r, closed=True)}
+    inside = pos & (d < r)
+    if not np.any(inside):
+        return dict(out, big_below=0.0, little_below=0.0,
+                    nearest_scale_inf=0.0)
+    d1 = np.min(d[inside])
+    # the open-ball functional is constant in M on each segment between
+    # neighbour distances, so its infimum over (d1, r) is attained at the
+    # right end of a segment, or approached at r
+    scales = [rho for rho in np.unique(d[inside]) if rho > d1] + [r]
+    nearest = [np.max(dv[pos & (d <= rho)]) / rho
+               for rho in np.unique(d[inside])]
+    return dict(out, big_below=np.max(dv[inside] / d[inside]),
+                little_below=min(upper(rho) for rho in scales),
+                nearest_scale_inf=min(nearest))
+
+
+@st.composite
+def sampled_maps(draw):
+    """Small maps on a coarse lattice: tied distances, coincident points."""
+    n = draw(st.integers(1, 9))
+    dim = draw(st.integers(1, 2))
+    lattice = st.integers(-3, 3)
+    coords = np.array([[draw(lattice) for _ in range(dim)]
+                       for _ in range(n)], dtype=float) * 0.5
+    p = draw(st.sampled_from([1.0, 2.0, np.inf]))
+    values = [draw(st.floats(-4.0, 4.0, allow_nan=False)) for _ in range(n)]
+    space = FiniteMetricSpace(list(range(n)), coords=coords, p=p)
+    extra = draw(st.lists(st.floats(1e-3, 5.0), max_size=3))
+    return SampledMap.real(space, values), extra
+
+
+@settings(max_examples=150, deadline=None)
+@given(sampled_maps())
+def test_kernel_equals_definition(case):
+    f, extra = case
+    for i in range(f.domain.n):
+        d = f.domain.dist_row(i)
+        dv = f.value_dist_from(i)
+        # radii equal to every sample distance, between them and beyond
+        pos = np.unique(d[d > 0])
+        radii = np.concatenate([pos, pos * 1.5, extra, [0.25, 10.0]])
+        scan = _PointScan(f, i)
+        got = {kind: getattr(scan, kind)(radii).tolist() for kind in KINDS}
+        for k, r in enumerate(radii.tolist()):
+            want = by_definition(d, dv, r)
+            for kind in KINDS:
+                assert got[kind][k] == want[kind], (kind, i, r)
+        x = f.domain.ids[i]
+        values = point_scale_values(f, x, radii)
+        for kind in ("lip_upper", "lip_upper_closed", "big_below",
+                     "little_below"):
+            assert values[kind].tolist() == got[kind]
+        # the public one-radius functionals, at the nearest neighbour
+        # distance (or the first extra radius) and beyond every sample
+        for r in radii[[0, -1]].tolist():
+            want = by_definition(d, dv, r)
+            assert lip_upper_r(f, x, r) == want["lip_upper"]
+            assert lip_upper_r_closed(f, x, r) == want["lip_upper_closed"]
+            assert big_lip_below_r(f, x, r) == want["big_below"]
+            assert little_lip_below_r(f, x, r) == want["little_below"]
+            assert (nearest_scale_infimum(f, x, r)
+                    == want["nearest_scale_inf"])
+
+
+@pytest.mark.parametrize("coords, values", [
+    ([[0.5, 0.5]], [1.0]),                          # a one-point cloud
+    ([[0.0, 0.0], [0.0, 0.0]], [1.0, 3.0]),         # only coincident points
+])
+def test_point_without_neighbour(coords, values):
+    space = FiniteMetricSpace(range(len(values)), coords=coords)
+    f = SampledMap.real(space, values)
+    radii = np.array([0.5, 0.25])
+    scan = _PointScan(f, 0)
+    for kind in KINDS:
+        assert getattr(scan, kind)(radii).tolist() == [0.0, 0.0]
+    prof = scale_profile(f, RadiusGrid(0.5, 0.5, 2, 2))
+    for column in prof.table.values():
+        assert not np.any(column)
+    for s in prof.summaries:
+        assert (s.lip_hat, s.big_hat, s.loc_hat) == (0.0, 0.0, 0.0)
+        assert s.unresolved and not s.divergent
+
+
+def test_cli_profile_one_row(tmp_path):
+    src = tmp_path / "one_row.csv"
+    src.write_text("id,x1,x2,val\np0,0.5,0.5,1.0\n")
+    out = tmp_path / "o.csv"
+    assert main(["profile", "--input", str(src), "--rmax", "0.5",
+                 "--out", str(out)]) == 0
+    summary = (tmp_path / "o.summary.csv").read_text().splitlines()
+    assert summary[1] == "p0,0,0,0,1,0"
+
+
+# sha256 of `lipderiv profile` on the committed fixture clouds, recorded
+# before the scan was vectorised over the radius array
+GOLDEN = {
+    ("cloud2d", "4"): (
+        "a85e462c5f44930f128498f12d9223a863db0608d4b0e5067be941ca0428af9e",
+        "ef4a776c1dab4226bcd17a19e61aebad4ed5738fafcbc4dd56cf1fe43f690d34"),
+    ("line1d", "7"): (
+        "f73fefecedad32cf5b01e3c4f3eb2780511531bac3c7a79034b28fd05f0ef6b6",
+        "d33600c7b800d02b595b92b30128f5e200d202158eadaeabe603ea8c436ef527"),
+}
+
+
+@pytest.mark.parametrize("cloud, steps", sorted(GOLDEN))
+def test_profile_golden_digests(tmp_path, cloud, steps):
+    out = tmp_path / "profile.csv"
+    assert main(["profile", "--input", os.path.join(DATA, f"{cloud}.csv"),
+                 "--rmax", "0.25", "--q", "0.5", "--steps", steps,
+                 "--tail", "3", "--out", str(out)]) == 0
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                    for path in (out, tmp_path / "profile.summary.csv"))
+    assert digests == GOLDEN[(cloud, steps)]
