@@ -162,11 +162,28 @@ def metric_order(name: str) -> float:
         raise InputError(f"unknown metric {name!r}") from None
 
 
+def _reject_conflicting_duplicates(path: str, ids, coords, values):
+    """Points at equal coordinates must carry equal values.
+
+    Such points are one point of the metric space, so differing values there
+    describe no function; equal values are a harmless repeat.
+    """
+    order = np.lexsort(coords.T[::-1])
+    c, v = coords[order], values[order].reshape(len(order), -1)
+    clash = np.flatnonzero(np.all(c[1:] == c[:-1], axis=1)
+                           & np.any(v[1:] != v[:-1], axis=1))
+    if clash.size:
+        a, b = sorted(order[clash[0]:clash[0] + 2])
+        raise InputError(f"{path}: points {ids[a]!r} and {ids[b]!r} share "
+                         f"coordinates but have different values")
+
+
 def load_sampled_map(path: str, metric: str = "euclidean") -> SampledMap:
     """Point-cloud CSV with value columns, as a map on an embedded space."""
     ids, coords, values = load_point_cloud(path)
     if values is None:
         raise InputError(f"{path}: no value columns")
+    _reject_conflicting_duplicates(path, ids, coords, values)
     space = FiniteMetricSpace(ids, coords=coords, p=metric_order(metric))
     if values.ndim == 1:
         return SampledMap.real(space, values)

@@ -8,6 +8,7 @@ represented as bitmasks over the ground tuple.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 import numpy as np
 
@@ -18,7 +19,11 @@ MAX_GROUND = 12
 
 
 class SetFamily:
-    """A collection of subsets of a finite ground set."""
+    """A collection of subsets of a finite ground set.
+
+    Families are immutable, so each one memoises the results of
+    ``apply_ops`` on itself; the memo takes no part in equality or hashing.
+    """
 
     def __init__(self, ground, masks):
         self.ground = tuple(ground)
@@ -29,6 +34,7 @@ class SetFamily:
         if any(m & ~full for m in masks):
             raise InputError("member subset escapes the ground set")
         self.masks = masks
+        self._ops_memo = {}
 
     @classmethod
     def from_sets(cls, ground, members):
@@ -107,10 +113,20 @@ _OPS = {"c": complements, "s": sigma_closure, "d": delta_closure}
 
 
 def apply_ops(F: SetFamily, ops: str) -> SetFamily:
-    """Apply a string of closure operators left to right, e.g. "cs", "cdc"."""
-    for op in ops:
-        F = _OPS[op](F)
-    return F
+    """Apply a string of closure operators left to right, e.g. "cs", "cdc".
+
+    Every prefix is memoised on F, so "c", "cd" and "cdc" share their work
+    and a repeated call returns the family computed the first time.
+    """
+    memo = F._ops_memo
+    G = memo.get(ops)
+    if G is None:
+        G = F
+        for k, op in enumerate(ops, start=1):
+            if ops[:k] not in memo:
+                memo[ops[:k]] = _OPS[op](G)
+            G = memo[ops[:k]]
+    return G
 
 
 #: the three subscript identities, as (left ops, right ops) pairs
@@ -175,6 +191,27 @@ class FiniteField:
                 m |= 1 << i
         return m
 
+    # The preimage masks the semicontinuity tests read, built once per field
+    # (the values are not to be changed after construction).
+
+    @cached_property
+    def upper_masks(self) -> tuple:
+        """Sublevel masks {f < gamma} over ``_upper_thresholds``."""
+        return tuple(self.sublevel_mask(g) for g in _upper_thresholds(self))
+
+    @cached_property
+    def lower_masks(self) -> tuple:
+        """Superlevel masks {f > gamma} over ``_lower_thresholds``."""
+        return tuple(self.superlevel_mask(g) for g in _lower_thresholds(self))
+
+    @cached_property
+    def plus_inf_mask(self) -> int:
+        return self.level_mask(np.inf)
+
+    @cached_property
+    def minus_inf_mask(self) -> int:
+        return self.level_mask(-np.inf)
+
 
 def _upper_thresholds(f: FiniteField):
     """Finitely many gammas whose sublevel preimages cover all of R.
@@ -200,14 +237,14 @@ def is_A_upper_sc(f: FiniteField, F: SetFamily) -> bool:
     """True iff every strict sublevel preimage of f belongs to F."""
     if f.ground != F.ground:
         raise InputError("field and family must share the ground set")
-    return all(f.sublevel_mask(g) in F.masks for g in _upper_thresholds(f))
+    return all(m in F.masks for m in f.upper_masks)
 
 
 def is_A_lower_sc(f: FiniteField, F: SetFamily) -> bool:
     """True iff every strict superlevel preimage of f belongs to F."""
     if f.ground != F.ground:
         raise InputError("field and family must share the ground set")
-    return all(f.superlevel_mask(g) in F.masks for g in _lower_thresholds(f))
+    return all(m in F.masks for m in f.lower_masks)
 
 
 def check_duality_props(f: FiniteField, F: SetFamily) -> dict:
@@ -224,27 +261,26 @@ def check_duality_props(f: FiniteField, F: SetFamily) -> dict:
         Fc = apply_ops(F, "c")
         report = {
             "closed_superlevels_in_c":
-                all((full ^ f.sublevel_mask(g)) in Fc.masks
-                    for g in _upper_thresholds(f)),
+                all((full ^ m) in Fc.masks for m in f.upper_masks),
             "finite_part_in_s":
-                (full ^ f.level_mask(np.inf)) in apply_ops(F, "s").masks,
+                (full ^ f.plus_inf_mask) in apply_ops(F, "s").masks,
             "plus_inf_level_in_sc":
-                f.level_mask(np.inf) in apply_ops(F, "sc").masks,
+                f.plus_inf_mask in apply_ops(F, "sc").masks,
             "minus_inf_level_in_d":
-                f.level_mask(-np.inf) in apply_ops(F, "d").masks,
+                f.minus_inf_mask in apply_ops(F, "d").masks,
             "lower_sc_wrt_cs": is_A_lower_sc(f, apply_ops(F, "cs")),
         }
     elif is_A_lower_sc(f, F):
+        Fc = apply_ops(F, "c")
         report = {
             "closed_sublevels_in_c":
-                all((full ^ f.superlevel_mask(g)) in apply_ops(F, "c").masks
-                    for g in _lower_thresholds(f)),
+                all((full ^ m) in Fc.masks for m in f.lower_masks),
             "finite_part_in_s":
-                (full ^ f.level_mask(-np.inf)) in apply_ops(F, "s").masks,
+                (full ^ f.minus_inf_mask) in apply_ops(F, "s").masks,
             "minus_inf_level_in_sc":
-                f.level_mask(-np.inf) in apply_ops(F, "sc").masks,
+                f.minus_inf_mask in apply_ops(F, "sc").masks,
             "plus_inf_level_in_d":
-                f.level_mask(np.inf) in apply_ops(F, "d").masks,
+                f.plus_inf_mask in apply_ops(F, "d").masks,
             "upper_sc_wrt_cs": is_A_upper_sc(f, apply_ops(F, "cs")),
         }
     else:

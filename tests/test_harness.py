@@ -156,7 +156,10 @@ def test_setclass_exhaustive_small():
 def test_run_suite_unknown_and_empty():
     with pytest.raises(InputError):
         run_suite(SuiteConfig(suite=("nope",)))
-    assert run_suite(SuiteConfig(suite=())) == []
+    with pytest.raises(InputError, match="no suite selected"):
+        run_suite(SuiteConfig(suite=()))
+    with pytest.raises(InputError, match="random_spaces"):
+        run_suite(SuiteConfig(suite=("oracle_equiv",), random_spaces=-1))
     assert overall_ok([])
 
 

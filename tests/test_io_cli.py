@@ -247,3 +247,48 @@ def test_infinite_values_and_coordinates_rejected():
         SampledMap.vector(space, [[0.0, 1.0], [-math.inf, 0.0], [1.0, 1.0]])
     # scalar fields keep their infinite values
     assert ScalarField(space, [0.0, math.inf, -math.inf]).values[1] == math.inf
+
+
+@pytest.mark.parametrize("suite", [",", "", " , "])
+def test_cli_check_empty_suite_selection(tmp_path, capsys, suite):
+    report = tmp_path / "rep.json"
+    assert main(["check", "--suite", suite, "--report", str(report)]) == 2
+    assert "no suite selected" in capsys.readouterr().err
+    assert not report.exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suite": suite}))
+    assert main(["--config", str(cfg), "check"]) == 2
+
+
+def test_cli_check_negative_random_spaces(capsys):
+    assert main(["check", "--suite", "oracle_equiv",
+                 "--random-spaces", "-1"]) == 2
+    assert "random_spaces" in capsys.readouterr().err
+
+
+def test_coincident_points_with_different_values(tmp_path, capsys):
+    p = tmp_path / "clash.csv"
+    p.write_text("id,x1,x2,val\na,0,0,0\nc,1,0,0\nb,0,0,1\n")
+    with pytest.raises(InputError, match="'a' and 'b'"):
+        lio.load_sampled_map(str(p))
+    out = str(tmp_path / "o.csv")
+    assert main(["profile", "--input", str(p), "--rmax", "0.5",
+                 "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "'a'" in err and "'b'" in err
+    assert main(["sets", "--input", str(p), "--rmax", "0.5", "--gamma", "1",
+                 "--out", out]) == 2
+    # vector values clash when any component differs
+    v = tmp_path / "clash_vec.csv"
+    v.write_text("id,x1,val1,val2\na,0,0,0\nb,0,0,1\n")
+    with pytest.raises(InputError, match="'a' and 'b'"):
+        lio.load_sampled_map(str(v))
+
+
+def test_coincident_points_with_equal_values(tmp_path):
+    p = tmp_path / "repeat.csv"
+    p.write_text("id,x1,x2,val\na,0,0,2\nc,1,0,0\nb,-0.0,0,2\n")
+    out = tmp_path / "o.csv"
+    assert main(["profile", "--input", str(p), "--rmax", "0.5",
+                 "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 3 * 8
