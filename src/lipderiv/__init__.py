@@ -11,14 +11,15 @@ from .metric import (FiniteMetricSpace, IntervalUnion, LinearMapSpec, ball,
 from .scales import (PointSummary, RadiusGrid, SampledMap, ScaleProfile,
                      big_lip_below_r, lip_norm, lip_upper_r,
                      lip_upper_r_closed, little_lip_below_r, loc_lip_r,
-                     nearest_scale_infimum, point_scale_values, scale_profile)
+                     nearest_scale_infimum, point_scale_values, scale_profile,
+                     scale_summaries)
 from .envelopes import (ScalarField, baire_lower, baire_upper, lsc_defect,
                         usc_defect)
 from .setclass import (FiniteField, SetFamily, all_topologies, apply_ops,
                        check_duality_props, check_sup_inf_props, complements,
                        delta_closure, is_A_lower_sc, is_A_upper_sc,
                        random_topology, sigma_closure, verify_family_identity)
-from .zoo import ZooEntry, get_entry, make_zoo, oracle_field
+from .zoo import ZooEntry, get_entry, make_entry, make_zoo, oracle_field
 from .harness import (CheckResult, SuiteConfig, check_bhmv_bound, check_chain,
                       check_envelope_identity, check_frechet,
                       check_gamma_lipschitz, check_level_sets,

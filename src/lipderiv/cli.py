@@ -16,8 +16,8 @@ from .envelopes import ScalarField, baire_lower, baire_upper
 from .errors import InputError
 from .harness import SuiteConfig, overall_ok, run_suite
 from .metric import FiniteMetricSpace
-from .scales import RadiusGrid, scale_profile
-from .zoo import get_entry, make_zoo
+from .scales import RadiusGrid, scale_profile, scale_summaries
+from .zoo import make_entry
 
 CONFIG_ENV = "LIPDERIV_CONFIG"
 
@@ -95,6 +95,9 @@ def cmd_profile(args) -> int:
 
 def cmd_check(args) -> int:
     suite = _resolve(args, "suite")
+    if not isinstance(suite, str):
+        raise InputError(f"bad value for suite: {suite!r} "
+                         "(expected comma-separated names)")
     cfg = SuiteConfig(
         seed=_resolve(args, "seed", int),
         suite=tuple(s.strip() for s in suite.split(",") if s.strip()),
@@ -131,14 +134,14 @@ def cmd_sets(args) -> int:
     gamma = _require(args, "gamma", float)
     f = lio.load_sampled_map(_require(args, "input"),
                              _resolve(args, "metric"))
-    profile = scale_profile(f, _grid(args))
-    lio.save_set_flags(_require(args, "out"), profile, gamma)
+    summaries = scale_summaries(f, _grid(args))
+    lio.save_set_flags(_require(args, "out"), summaries, gamma)
     return 0
 
 
 def cmd_zoo_export(args) -> int:
     res = _require(args, "resolution", float)
-    entry = get_entry(make_zoo(res), _require(args, "entry"))
+    entry = make_entry(_require(args, "entry"), res)
     f = entry.map
     if f.domain.coords is None:
         raise InputError(f"entry {entry.name!r} has no coordinate embedding")

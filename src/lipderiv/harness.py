@@ -17,12 +17,13 @@ from .envelopes import ScalarField, baire_upper, lsc_defect, usc_defect
 from .errors import InputError
 from .metric import (FiniteMetricSpace, IntervalUnion, LinearMapSpec,
                      operator_norm)
-from .scales import (RadiusGrid, SampledMap, _PointScan, big_lip_below_r,
-                     lip_norm, loc_lip_r, nearest_scale_infimum,
-                     point_scale_values, scale_profile)
+from .scales import (RadiusGrid, SampledMap, _PointScan, _pair_sup,
+                     _row_extremes, big_lip_below_r, lip_norm, loc_lip_r,
+                     nearest_scale_infimum, point_scale_values,
+                     scale_profile, scale_summaries)
 from . import setclass
 from .setclass import FiniteField, SetFamily
-from .zoo import ZooEntry, get_entry, make_zoo
+from .zoo import ZooEntry, get_entry, make_entry, make_zoo
 
 
 @dataclass
@@ -153,9 +154,9 @@ def check_gamma_lipschitz(f: SampledMap, gamma: float, grid: RadiusGrid,
     """
     if not convex:
         return CheckResult(name, "skipped", detail="domain not flagged convex")
-    norm = lip_norm(f)
+    norm, diam, resolution = _row_extremes(f)
     radii = grid.radii
-    little = np.array([_PointScan(f, i).little_below(radii)
+    little = np.array([_PointScan(f, i, reach=radii[0]).little_below(radii)
                        for i in range(f.domain.n)])
     # rounding allowance so e.g. exact-slope data is not pushed off the
     # hypothesis boundary by one ulp
@@ -163,8 +164,7 @@ def check_gamma_lipschitz(f: SampledMap, gamma: float, grid: RadiusGrid,
     finest_ok = bool(np.all(little[:, -1] <= gamma + eps))
     pairwise_ok = norm <= gamma + eps
     if pair_tol is None:
-        diam = f.domain.diameter()
-        pair_tol = 2.0 * f.domain.resolution() / diam if diam > 0 else 0.0
+        pair_tol = 2.0 * resolution / diam if diam > 0 else 0.0
     checked = False
     worst = 0.0
     tol_used = 0.0
@@ -194,7 +194,8 @@ def check_lipnorm_identity(f: SampledMap, grid: RadiusGrid,
     """Global Lipschitz constant vs the sup of pointwise little estimates."""
     norm = lip_norm(f)
     r_small = float(grid.radii[-1])
-    hats = [nearest_scale_infimum(f, x, r_small) for x in f.domain.ids]
+    hats = [_PointScan(f, i, reach=r_small).nearest_scale_inf(r_small)
+            for i in range(f.domain.n)]
     sup_hat = float(np.max(hats))
     if norm == 0.0:
         return _result(name, sup_hat == 0.0, sup_hat, 0.0,
@@ -287,11 +288,11 @@ def derivative_fields(f: SampledMap, r_fine: float, r_loc: float):
     little = []
     big = []
     loc = []
-    for i, x in enumerate(f.domain.ids):
-        scan = _PointScan(f, i)
+    for i in range(f.domain.n):
+        scan = _PointScan(f, i, reach=max(r_fine, r_loc))
         little.append(float(scan.nearest_scale_inf(r_fine)))
         big.append(float(scan.big_below(r_fine)))
-        loc.append(loc_lip_r(f, x, r_loc))
+        loc.append(_pair_sup(f, scan.ball(r_loc)))
     sp = f.domain
     return (ScalarField(sp, little), ScalarField(sp, big),
             ScalarField(sp, loc))
@@ -374,11 +375,11 @@ def check_semicontinuity_fields(entry: ZooEntry, r: float, h: float,
     little = []
     big = []
     loc = []
-    for i, x in enumerate(f.domain.ids):
-        scan = _PointScan(f, i)
+    for i in range(f.domain.n):
+        scan = _PointScan(f, i, reach=r)
         little.append(float(scan.little_below(r)))
         big.append(float(scan.big_below(r)))
-        loc.append(loc_lip_r(f, x, r))
+        loc.append(_pair_sup(f, scan.ball(r)))
     sp = f.domain
     scale = max(1.0, float(np.max(np.abs(
         [v for v in little + big + loc if np.isfinite(v)] or [0.0]))))
@@ -394,19 +395,24 @@ def check_semicontinuity_fields(entry: ZooEntry, r: float, h: float,
                    {"kind": worst_kind, "h": h, "r": r}, detail=str(defects))
 
 
+def _hats(summaries):
+    """The lip_hat, big_hat and loc_hat arrays of a summary list."""
+    return (np.array([s.lip_hat for s in summaries]),
+            np.array([s.big_hat for s in summaries]),
+            np.array([s.loc_hat for s in summaries]))
+
+
 def check_summary_ordering(f: SampledMap, grid: RadiusGrid,
                            name="summary_ordering", points=None) -> CheckResult:
     """little <= big <= local on the per-point summary estimates: exact, so
     the thresholded level sets are nested for every gamma."""
-    prof = scale_profile(f, grid, points=points)
-    lip_hat = prof.summary_array("lip_hat")
-    big_hat = prof.summary_array("big_hat")
-    loc_hat = prof.summary_array("loc_hat")
+    summaries = scale_summaries(f, grid, points=points)
+    lip_hat, big_hat, loc_hat = _hats(summaries)
     gap = np.maximum(lip_hat - big_hat, big_hat - loc_hat)
     worst = float(np.max(gap)) if gap.size else 0.0
     witness = None
     if worst > 0:
-        witness = {"point": prof.points[int(np.argmax(gap))]}
+        witness = {"point": summaries[int(np.argmax(gap))].point}
     return _result(name, worst <= 0.0, max(worst, 0.0), 0.0, witness)
 
 
@@ -415,10 +421,8 @@ def check_level_sets(entry: ZooEntry, gamma: float, grid: RadiusGrid,
     """Summary estimates are ordered little <= big <= local pointwise (so the
     thresholded sets are nested for every gamma), and for cusp entries the
     above-gamma set localizes around the genuine blow-up point."""
-    prof = scale_profile(entry.map, grid, points=points)
-    lip_hat = prof.summary_array("lip_hat")
-    big_hat = prof.summary_array("big_hat")
-    loc_hat = prof.summary_array("loc_hat")
+    summaries = scale_summaries(entry.map, grid, points=points)
+    lip_hat, big_hat, loc_hat = _hats(summaries)
     worst = float(np.max(np.maximum(lip_hat - big_hat, big_hat - loc_hat)))
     ok = worst <= 0.0
     witness = None
@@ -431,7 +435,7 @@ def check_level_sets(entry: ZooEntry, gamma: float, grid: RadiusGrid,
                   and float(grid.radii[-1]) > entry.resolution)
     if ok and resolvable:
         radius = max(gamma ** -2 * 1.0001, 2.0 * entry.resolution)
-        hot = [p for p, v in zip(prof.points, big_hat) if v > gamma]
+        hot = [s.point for s in summaries if s.big_hat > gamma]
         contains = all(any(abs(p - q) <= entry.resolution / 2 for p in hot)
                        for q in blow_up)
         inside = all(min(abs(p - q) for q in blow_up) <= radius for p in hot)
@@ -687,10 +691,9 @@ def c1_identity_check(entry: ZooEntry, name, rel_tol=0.02) -> CheckResult:
     coords = entry.space.coords[:, 0]
     lo, hi = float(np.min(coords)) + margin, float(np.max(coords)) - margin
     pts = [p for p in entry.space.ids if lo <= p <= hi]
-    prof = scale_profile(entry.map, grid, points=pts)
     worst = 0.0
     witness = None
-    for s in prof.summaries:
+    for s in scale_summaries(entry.map, grid, points=pts):
         target = entry.Lip_oracle(s.point)
         tol = rel_tol * target + 2.0 * res
         for kind, got in (("little", s.lip_hat), ("big", s.big_hat),
@@ -704,36 +707,21 @@ def c1_identity_check(entry: ZooEntry, name, rel_tol=0.02) -> CheckResult:
 
 
 def _suite_c1(cfg, rng, entries):
-    fine = make_zoo(1e-3)
-    return [c1_identity_check(get_entry(fine, n), name=f"c1_identity/{n}")
+    return [c1_identity_check(make_entry(n, 1e-3), name=f"c1_identity/{n}")
             for n in ("sin", "square")]
-
-
-def scan_estimates(f: SampledMap, grid: RadiusGrid, x):
-    """(lip_hat, big_hat) of x, equal to its ``scale_profile`` summary.
-
-    Both are prefix extremes of the point's sorted scan at the smallest
-    radius, so they need neither the larger radii nor the pair suprema
-    over balls that a full profile computes for ``loc``.
-    """
-    scan = _PointScan(f, f.domain.index(x))
-    r_small = grid.radii[-1]
-    return (float(scan.nearest_scale_inf(r_small)),
-            float(scan.big_below(r_small)))
 
 
 def separation_checks() -> list:
     """Dyadic staircase and the quadratic oscillator at the origin."""
     out = []
-    dy = get_entry(make_zoo(2.0 ** -14), "dyadic_staircase")
-    lip_hat, big_hat = scan_estimates(dy.map, RadiusGrid(0.5, 0.5, 3, 2), 0.0)
-    ok = 0.45 <= lip_hat <= 0.55 and 0.95 <= big_hat <= 1.05
+    dy = make_entry("dyadic_staircase", 2.0 ** -14)
+    s, = scale_summaries(dy.map, RadiusGrid(0.5, 0.5, 3, 2), points=[0.0])
+    ok = 0.45 <= s.lip_hat <= 0.55 and 0.95 <= s.big_hat <= 1.05
     out.append(_result("separation/dyadic", ok,
-                       max(abs(lip_hat - 0.5), abs(big_hat - 1.0)), 0.05,
-                       {"lip_hat": lip_hat, "big_hat": big_hat}))
-    osc = get_entry(make_zoo(2.5e-4), "oscillator")
-    prof = scale_profile(osc.map, RadiusGrid(0.02, 0.5, 1, 1), points=[0.0])
-    s = prof.summaries[0]
+                       max(abs(s.lip_hat - 0.5), abs(s.big_hat - 1.0)), 0.05,
+                       {"lip_hat": s.lip_hat, "big_hat": s.big_hat}))
+    osc = make_entry("oscillator", 2.5e-4)
+    s, = scale_summaries(osc.map, RadiusGrid(0.02, 0.5, 1, 1), points=[0.0])
     ok = s.lip_hat <= 0.05 and 0.9 <= s.loc_hat <= 1.05
     out.append(_result("separation/oscillator", ok,
                        max(s.lip_hat, abs(s.loc_hat - 1.0)), 0.1,
@@ -746,29 +734,20 @@ def _suite_separation(cfg, rng, entries):
 
 
 def _suite_gamma(cfg, rng, entries):
-    fine = make_zoo(1e-3)
     grid = RadiusGrid(0.064, 0.5, 5, 3)
-    out = []
-    for entry_name, gamma in (("sin", 1.0), ("affine_slope3", 3.0),
-                              ("constant", 0.0), ("bhmv_measure", 1.0)):
-        e = get_entry(fine, entry_name)
-        out.append(check_gamma_lipschitz(e.map, gamma, grid,
-                                         name=f"gamma_lipschitz/{entry_name}"))
-    e = get_entry(fine, "sqrt_abs")
-    out.append(check_gamma_lipschitz(e.map, 1.0, grid,
-                                     name="gamma_lipschitz/sqrt_abs"))
-    return out
+    return [check_gamma_lipschitz(make_entry(entry_name, 1e-3).map, gamma,
+                                  grid, name=f"gamma_lipschitz/{entry_name}")
+            for entry_name, gamma in (("sin", 1.0), ("affine_slope3", 3.0),
+                                      ("constant", 0.0),
+                                      ("bhmv_measure", 1.0),
+                                      ("sqrt_abs", 1.0))]
 
 
 def _suite_lipnorm(cfg, rng, entries):
-    fine = make_zoo(1e-3)
     grid = RadiusGrid(0.016, 0.5, 3, 2)
-    out = []
-    for n in ("sin", "affine_slope3", "constant"):
-        e = get_entry(fine, n)
-        out.append(check_lipnorm_identity(e.map, grid,
-                                          name=f"lipnorm_identity/{n}"))
-    return out
+    return [check_lipnorm_identity(make_entry(n, 1e-3).map, grid,
+                                   name=f"lipnorm_identity/{n}")
+            for n in ("sin", "affine_slope3", "constant")]
 
 
 def _suite_segment(cfg, rng, entries):
@@ -805,14 +784,10 @@ def _suite_bhmv(cfg, rng, entries):
 
 
 def _suite_envelope(cfg, rng, entries):
-    fine = make_zoo(1e-3)
-    out = []
-    for n in ("constant", "affine_slope3", "sin", "square", "abs",
-              "oscillator"):
-        e = get_entry(fine, n)
-        out.append(check_envelope_identity(e.map, 0.05, 1e-3,
-                                           name=f"envelope_identity/{n}"))
-    return out
+    return [check_envelope_identity(make_entry(n, 1e-3).map, 0.05, 1e-3,
+                                    name=f"envelope_identity/{n}")
+            for n in ("constant", "affine_slope3", "sin", "square", "abs",
+                      "oscillator")]
 
 
 def _suite_openness(cfg, rng, entries):
@@ -850,10 +825,9 @@ def _suite_semicontinuity(cfg, rng, entries):
 
 
 def _suite_level_sets(cfg, rng, entries):
-    fine = make_zoo(1e-4)
     out = []
     grid = RadiusGrid(0.02, 0.5, 4, 2)
-    e = get_entry(fine, "sqrt_abs")
+    e = make_entry("sqrt_abs", 1e-4)
     pts = [p for p in e.space.ids if abs(p) <= 0.02]
     out.append(check_level_sets(e, 99.5, grid, name="level_sets/sqrt_abs",
                                 points=pts))

@@ -245,13 +245,14 @@ def save_summary(path: str, profile: ScaleProfile):
     atomic_write(path, out.getvalue())
 
 
-def save_set_flags(path: str, profile: ScaleProfile, gamma: float):
-    """Per-point threshold membership flags for the three estimates."""
+def save_set_flags(path: str, summaries, gamma: float):
+    """Per-point threshold membership flags for the three estimates of a
+    ``PointSummary`` list (``scale_summaries``)."""
     out = _io.StringIO()
     w = csv.writer(out)
     w.writerow(["point", "lip_le_gamma", "big_le_gamma", "loc_le_gamma",
                 "lip_gt_gamma", "big_gt_gamma", "loc_gt_gamma"])
-    for s in profile.summaries:
+    for s in summaries:
         le = [s.lip_hat <= gamma, s.big_hat <= gamma, s.loc_hat <= gamma]
         w.writerow([fmt_id(s.point)] + [int(b) for b in le]
                    + [int(not b) for b in le])

@@ -117,23 +117,26 @@ class RadiusGrid:
 class _PointScan:
     """Every sort-based functional of one point, for a whole radius array.
 
-    The positive distances from the point are sorted once and their ties
-    collapsed into ``dd``; ``run[j]`` is the largest value increment over the
-    closed ball of radius ``dd[j]``.  A query counts the breakpoints ``dd``
-    below each radius with ``searchsorted`` and reads a running maximum or a
-    prefix minimum at that count, built over the breakpoints below the
-    largest radius only.  Maxima and minima are exact, so every value equals
-    the by-definition one over the same increments.  A point with no
-    neighbour at positive distance gets 0 from every functional.
+    The positive distances from the point up to ``reach`` are sorted once
+    and their ties collapsed into ``dd``; ``run[j]`` is the largest value
+    increment over the closed ball of radius ``dd[j]``.  A query counts the
+    breakpoints ``dd`` below each radius with ``searchsorted`` and reads a
+    running maximum or a prefix minimum at that count, built over the
+    breakpoints below the largest radius only.  Maxima and minima are exact,
+    so every value equals the by-definition one over the same increments;
+    a radius up to ``reach`` sees every increment it would see without the
+    limit.  A point with no neighbour at positive distance gets 0 from every
+    functional.
     """
 
-    def __init__(self, f: SampledMap, i: int):
+    def __init__(self, f: SampledMap, i: int, reach: float = np.inf):
         d = f.domain.dist_row(i)
         dv = f.value_dist_from(i)
-        mask = d > 0
-        d, dv = d[mask], dv[mask]
+        self._row = d
+        idx = np.flatnonzero((d > 0) & (d <= reach))
+        d, dv = d[idx], dv[idx]
         order = np.argsort(d, kind="stable")
-        self._d, self._dv = d[order], dv[order]
+        self._d, self._dv, self._idx = d[order], dv[order], idx[order]
         # the last entry of each distinct distance
         self._last = np.flatnonzero(
             np.append(np.diff(self._d) > 0, self._d.size > 0))
@@ -141,6 +144,18 @@ class _PointScan:
         self.run = np.maximum.accumulate(self._dv)[self._last]
         # indexed by the breakpoint count k; k = 0 is the empty ball
         self._run0 = np.concatenate(([0.0], self.run))
+
+    @property
+    def d1(self) -> float:
+        """Nearest positive distance within reach (inf if there is none)."""
+        return float(self.dd[0]) if self.dd.size else np.inf
+
+    def ball(self, r: float) -> np.ndarray:
+        """Indices of the open ball B(x, r), 0 < r <= reach, ascending."""
+        # the centre and coincident points, then the sorted row below r
+        inner = np.flatnonzero(self._row <= 0)
+        k = np.searchsorted(self._d, r)
+        return np.sort(np.concatenate((inner, self._idx[:k])))
 
     def _below(self, radii):
         """Breakpoints below each radius, and the largest of these counts."""
@@ -235,14 +250,16 @@ def _pair_sup(f: SampledMap, idx) -> float:
     if m < 2:
         return 0.0
     best = 0.0
-    # block the row axis so big balls never allocate an m x m matrix at once
-    step = max(1, (1 << 22) // m)
+    # upper-triangle row blocks: rows idx[s:s + step] against the columns
+    # idx[s:], so each pair is computed once, row before column, and no
+    # block holds more than 2**22 elements
+    step = max(1, min(128, (1 << 22) // m))
     for s in range(0, m - 1, step):
-        rows = idx[s:s + step]
-        D = f.domain.cross(rows, idx)
-        V = f.value_cross(rows, idx)
+        rows, cols = idx[s:s + step], idx[s:]
+        D = f.domain.cross(rows, cols)
+        V = f.value_cross(rows, cols)
         # keep strictly-upper pairs only
-        mask = np.arange(m)[None, :] > (s + np.arange(rows.size))[:, None]
+        mask = np.arange(cols.size)[None, :] > np.arange(rows.size)[:, None]
         mask &= D > 0
         # pairs at distance 0 divide to inf/NaN and are masked out of the max
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -251,15 +268,23 @@ def _pair_sup(f: SampledMap, idx) -> float:
     return best
 
 
-def lip_norm(f: SampledMap) -> float:
-    """Supremum of difference quotients over all pairs of distinct points."""
-    best = 0.0
+def _row_extremes(f: SampledMap):
+    """``(lip_norm(f), diameter, resolution)`` from one pass over the rows."""
+    norm, diam, resolution = 0.0, 0.0, np.inf
     for i in range(f.domain.n):
         d = f.domain.dist_row(i)
+        diam = max(diam, float(np.max(d)))
         mask = d > 0
         if np.any(mask):
-            best = max(best, float(np.max(f.value_dist_from(i)[mask] / d[mask])))
-    return best
+            quotients = f.value_dist_from(i)[mask] / d[mask]
+            norm = max(norm, float(np.max(quotients)))
+            resolution = min(resolution, float(np.min(d[mask])))
+    return norm, diam, resolution
+
+
+def lip_norm(f: SampledMap) -> float:
+    """Supremum of difference quotients over all pairs of distinct points."""
+    return _row_extremes(f)[0]
 
 
 def point_scale_values(f: SampledMap, x, radii) -> dict:
@@ -302,8 +327,34 @@ class ScaleProfile:
                 return s
         raise InputError(f"no summary for point {point!r}")
 
-    def summary_array(self, which: str) -> np.ndarray:
-        return np.array([getattr(s, which) for s in self.summaries])
+
+def _point_summary(x, scan: _PointScan, grid: RadiusGrid, loc_at,
+                   liminf_surrogate: bool) -> PointSummary:
+    """The limit estimates of one point from its scan.
+
+    ``loc_at(k)`` returns the local functional at ``grid.radii[k]``; it is
+    asked once, at the smallest radius whose ball holds a neighbour.
+    """
+    radii = grid.radii
+    tail = radii[-grid.tail_window:]
+    # radii shrink along the array, so the resolved ones are a prefix
+    resolved = np.flatnonzero(scan.d1 < radii)
+    loc_hat = float(loc_at(resolved[-1])) if resolved.size else 0.0
+    # little estimates along the tail window, which ends at the smallest r
+    series = scan.nearest_scale_inf(tail)
+    # divergence: the little estimates along the tail keep growing as the
+    # radius shrinks and more than double overall (radii shrink along the
+    # array, so growth toward small scales means a nondecreasing series)
+    divergent = bool(
+        series[-1] > 0
+        and np.all(np.diff(series) >= 0)
+        and series[-1] > grid.divergence_factor * series[0])
+    surrogate = None
+    if liminf_surrogate:
+        surrogate = float(np.min(scan.lip_upper(tail)))
+    return PointSummary(x, float(series[-1]), float(scan.big_below(radii[-1])),
+                        loc_hat, bool(scan.d1 >= radii[-1]), divergent,
+                        surrogate)
 
 
 def scale_profile(f: SampledMap, grid: RadiusGrid, points=None,
@@ -328,32 +379,30 @@ def scale_profile(f: SampledMap, grid: RadiusGrid, points=None,
              for k in _SCAN_COLUMNS + ("loc",)}
     summaries = []
     for pi, x in enumerate(points):
-        i = f.domain.index(x)
-        scan = _PointScan(f, i)
+        scan = _PointScan(f, f.domain.index(x))
         for name in _SCAN_COLUMNS:
             table[name][pi] = getattr(scan, name)(radii)
         for r_i, r in enumerate(radii):
             table["loc"][pi, r_i] = loc_lip_r(f, x, float(r))
-        d1 = f.domain.nearest_neighbor_distance(i)
-        r_small = float(radii[-1])
-        resolved_r = [float(r) for r in radii if d1 < r]
-        unresolved = d1 >= r_small
-        # little estimates along the tail window, which ends at r_small
-        series = scan.nearest_scale_inf(radii[-grid.tail_window:])
-        lip_hat = float(series[-1])
-        big_hat = float(table["big_below"][pi, -1])
-        loc_hat = loc_lip_r(f, x, min(resolved_r)) if resolved_r else 0.0
-        # divergence: the little estimates along the tail keep growing as the
-        # radius shrinks and more than double overall (radii shrink along the
-        # array, so growth toward small scales means a nondecreasing series)
-        divergent = bool(
-            series[-1] > 0
-            and np.all(np.diff(series) >= 0)
-            and series[-1] > grid.divergence_factor * series[0])
-        surrogate = None
-        if liminf_surrogate:
-            surrogate = float(
-                np.min(table["lip_upper"][pi, -grid.tail_window:]))
-        summaries.append(PointSummary(x, lip_hat, big_hat, loc_hat,
-                                      unresolved, divergent, surrogate))
+        summaries.append(_point_summary(x, scan, grid, table["loc"][pi].item,
+                                        liminf_surrogate))
     return ScaleProfile(list(points), radii, table, summaries)
+
+
+def scale_summaries(f: SampledMap, grid: RadiusGrid, points=None,
+                    liminf_surrogate: bool = False) -> list:
+    """The ``PointSummary`` list of ``scale_profile``, without its table.
+
+    One scan per point, reaching the largest radius, and one local
+    functional, at the smallest resolved radius.
+    """
+    radii = grid.radii
+    if points is None:
+        points = list(f.domain.ids)
+    summaries = []
+    for x in points:
+        scan = _PointScan(f, f.domain.index(x), reach=radii[0])
+        summaries.append(_point_summary(
+            x, scan, grid, lambda k: loc_lip_r(f, x, float(radii[k])),
+            liminf_surrogate))
+    return summaries

@@ -107,11 +107,11 @@ def _entry_linear(name, matrix, res):
         meta={"group": "linear", "matrix": A, "operator_norm": nrm})
 
 
-def _bhmv_entry(res):
+def _bhmv_entry(name, res):
     E = IntervalUnion([(0.0, 1.0), (2.0, 3.0)])
     f = lambda u: E.intersect(0.0, float(u)).measure()
     entry = _entry_1d(
-        "bhmv_measure", f, 0.0, 3.0, res,
+        name, f, 0.0, 3.0, res,
         lip_oracle=lambda u: 1.0 if E.distance_to(u) == 0 else 0.0,
         Lip_oracle=lambda u: 1.0 if E.distance_to(u) == 0 else 0.0,
         LLip_oracle=lambda u: 1.0 if E.distance_to(u) == 0 else 0.0,
@@ -132,80 +132,107 @@ def _dyadic_field(which):
     return oracle
 
 
-def make_zoo(resolution: float) -> list:
-    """Build the standard entry list at the given grid resolution."""
-    if resolution <= 0:
-        raise InputError("resolution must be positive")
-    res = float(resolution)
-    entries = [
-        _entry_1d("constant", lambda u: 1.0, -1.0, 1.0, res,
-                  lip_oracle=lambda u: 0.0, Lip_oracle=lambda u: 0.0,
-                  LLip_oracle=lambda u: 0.0, lip_norm_oracle=0.0,
-                  c1=True, omega=lambda h: 0.0, meta={"group": "affine"}),
-        _entry_1d("affine_slope3", lambda u: 3.0 * u, -1.0, 1.0, res,
-                  lip_oracle=lambda u: 3.0, Lip_oracle=lambda u: 3.0,
-                  LLip_oracle=lambda u: 3.0, lip_norm_oracle=3.0,
-                  c1=True, omega=lambda h: 0.0, meta={"group": "affine"}),
-        _entry_1d("sin", math.sin, 0.0, math.pi, res,
-                  lip_oracle=lambda u: abs(math.cos(u)),
-                  Lip_oracle=lambda u: abs(math.cos(u)),
-                  LLip_oracle=lambda u: abs(math.cos(u)),
-                  lip_norm_oracle=1.0, c1=True, omega=lambda h: h,
-                  meta={"group": "c1", "max_second_derivative": 1.0}),
-        _entry_1d("square", lambda u: u * u, 0.0, 2.0, res,
-                  lip_oracle=lambda u: 2.0 * u, Lip_oracle=lambda u: 2.0 * u,
-                  LLip_oracle=lambda u: 2.0 * u, lip_norm_oracle=4.0,
-                  c1=True, omega=lambda h: 2.0 * h,
-                  meta={"group": "c1", "max_second_derivative": 2.0}),
-        _entry_1d("cube", lambda u: u ** 3, -1.0, 1.0, res,
-                  lip_oracle=lambda u: 3.0 * u * u,
-                  Lip_oracle=lambda u: 3.0 * u * u,
-                  LLip_oracle=lambda u: 3.0 * u * u,
-                  lip_norm_oracle=3.0, c1=True, omega=lambda h: 6.0 * h,
-                  meta={"group": "c1", "max_second_derivative": 6.0}),
-        _entry_1d("abs", abs, -1.0, 1.0, res,
-                  lip_oracle=lambda u: 1.0, Lip_oracle=lambda u: 1.0,
-                  LLip_oracle=lambda u: 1.0, lip_norm_oracle=1.0,
-                  omega=lambda h: h, meta={"group": "kink"}),
-        _entry_1d("sqrt_abs", lambda u: math.sqrt(abs(u)), -1.0, 1.0, res,
-                  lip_oracle=lambda u: math.inf if u == 0
-                  else 0.5 / math.sqrt(abs(u)),
-                  Lip_oracle=lambda u: math.inf if u == 0
-                  else 0.5 / math.sqrt(abs(u)),
-                  LLip_oracle=lambda u: math.inf if u == 0
-                  else 0.5 / math.sqrt(abs(u)),
-                  lip_norm_oracle=math.inf,
-                  meta={"group": "cusp", "infinite_big_set": (0.0,)}),
-        _entry_1d("dyadic_staircase", dyadic_staircase, -1.0, 1.0, res,
-                  lip_oracle=_dyadic_field("lip"),
-                  Lip_oracle=_dyadic_field("Lip"),
-                  LLip_oracle=_dyadic_field("LLip"),
-                  continuous=False, meta={"group": "separation"}),
-        _entry_1d("oscillator", oscillator, -1.0, 1.0, res,
-                  lip_oracle=lambda u: abs(oscillator_slope(u)),
-                  Lip_oracle=lambda u: abs(oscillator_slope(u)),
-                  LLip_oracle=lambda u: 1.0 if u == 0
-                  else abs(oscillator_slope(u)),
-                  meta={"group": "separation"}),
-        _entry_linear("linear_diag21", [[2.0, 0.0], [0.0, 1.0]], res),
-        _entry_linear("linear_rotation",
-                      [[math.cos(0.5), -math.sin(0.5)],
-                       [math.sin(0.5), math.cos(0.5)]], res),
-        _entry_linear("linear_shear", [[1.0, 1.0], [0.0, 1.0]], res),
-        _two_point_entry(),
-        _bhmv_entry(res),
-    ]
-    return entries
-
-
-def _two_point_entry():
+def _two_point_entry(name):
     space = FiniteMetricSpace.discrete(["a", "b"])
     # every point of a discrete space is isolated: all derivatives vanish
     return ZooEntry(
-        "two_point_discrete", SampledMap.real(space, [0.0, 1.0]), 1.0,
+        name, SampledMap.real(space, [0.0, 1.0]), 1.0,
         lip_oracle=lambda p: 0.0, Lip_oracle=lambda p: 0.0,
         LLip_oracle=lambda p: 0.0, lip_norm_oracle=1.0,
         convex=False, continuous=True, meta={"group": "discrete"})
+
+
+#: every standard entry in zoo order, as name -> builder(name, resolution)
+_BUILDERS = {
+    "constant": lambda name, res: _entry_1d(
+        name, lambda u: 1.0, -1.0, 1.0, res,
+        lip_oracle=lambda u: 0.0, Lip_oracle=lambda u: 0.0,
+        LLip_oracle=lambda u: 0.0, lip_norm_oracle=0.0,
+        c1=True, omega=lambda h: 0.0, meta={"group": "affine"}),
+    "affine_slope3": lambda name, res: _entry_1d(
+        name, lambda u: 3.0 * u, -1.0, 1.0, res,
+        lip_oracle=lambda u: 3.0, Lip_oracle=lambda u: 3.0,
+        LLip_oracle=lambda u: 3.0, lip_norm_oracle=3.0,
+        c1=True, omega=lambda h: 0.0, meta={"group": "affine"}),
+    "sin": lambda name, res: _entry_1d(
+        name, math.sin, 0.0, math.pi, res,
+        lip_oracle=lambda u: abs(math.cos(u)),
+        Lip_oracle=lambda u: abs(math.cos(u)),
+        LLip_oracle=lambda u: abs(math.cos(u)),
+        lip_norm_oracle=1.0, c1=True, omega=lambda h: h,
+        meta={"group": "c1", "max_second_derivative": 1.0}),
+    "square": lambda name, res: _entry_1d(
+        name, lambda u: u * u, 0.0, 2.0, res,
+        lip_oracle=lambda u: 2.0 * u, Lip_oracle=lambda u: 2.0 * u,
+        LLip_oracle=lambda u: 2.0 * u, lip_norm_oracle=4.0,
+        c1=True, omega=lambda h: 2.0 * h,
+        meta={"group": "c1", "max_second_derivative": 2.0}),
+    "cube": lambda name, res: _entry_1d(
+        name, lambda u: u ** 3, -1.0, 1.0, res,
+        lip_oracle=lambda u: 3.0 * u * u,
+        Lip_oracle=lambda u: 3.0 * u * u,
+        LLip_oracle=lambda u: 3.0 * u * u,
+        lip_norm_oracle=3.0, c1=True, omega=lambda h: 6.0 * h,
+        meta={"group": "c1", "max_second_derivative": 6.0}),
+    "abs": lambda name, res: _entry_1d(
+        name, abs, -1.0, 1.0, res,
+        lip_oracle=lambda u: 1.0, Lip_oracle=lambda u: 1.0,
+        LLip_oracle=lambda u: 1.0, lip_norm_oracle=1.0,
+        omega=lambda h: h, meta={"group": "kink"}),
+    "sqrt_abs": lambda name, res: _entry_1d(
+        name, lambda u: math.sqrt(abs(u)), -1.0, 1.0, res,
+        lip_oracle=lambda u: math.inf if u == 0
+        else 0.5 / math.sqrt(abs(u)),
+        Lip_oracle=lambda u: math.inf if u == 0
+        else 0.5 / math.sqrt(abs(u)),
+        LLip_oracle=lambda u: math.inf if u == 0
+        else 0.5 / math.sqrt(abs(u)),
+        lip_norm_oracle=math.inf,
+        meta={"group": "cusp", "infinite_big_set": (0.0,)}),
+    "dyadic_staircase": lambda name, res: _entry_1d(
+        name, dyadic_staircase, -1.0, 1.0, res,
+        lip_oracle=_dyadic_field("lip"),
+        Lip_oracle=_dyadic_field("Lip"),
+        LLip_oracle=_dyadic_field("LLip"),
+        continuous=False, meta={"group": "separation"}),
+    "oscillator": lambda name, res: _entry_1d(
+        name, oscillator, -1.0, 1.0, res,
+        lip_oracle=lambda u: abs(oscillator_slope(u)),
+        Lip_oracle=lambda u: abs(oscillator_slope(u)),
+        LLip_oracle=lambda u: 1.0 if u == 0
+        else abs(oscillator_slope(u)),
+        meta={"group": "separation"}),
+    "linear_diag21": lambda name, res: _entry_linear(
+        name, [[2.0, 0.0], [0.0, 1.0]], res),
+    "linear_rotation": lambda name, res: _entry_linear(
+        name,
+        [[math.cos(0.5), -math.sin(0.5)],
+         [math.sin(0.5), math.cos(0.5)]], res),
+    "linear_shear": lambda name, res: _entry_linear(
+        name, [[1.0, 1.0], [0.0, 1.0]], res),
+    "two_point_discrete": lambda name, res: _two_point_entry(name),
+    "bhmv_measure": _bhmv_entry,
+}
+
+
+def _resolution(resolution) -> float:
+    if resolution <= 0:
+        raise InputError("resolution must be positive")
+    return float(resolution)
+
+
+def make_zoo(resolution: float) -> list:
+    """Build the standard entry list at the given grid resolution."""
+    res = _resolution(resolution)
+    return [build(name, res) for name, build in _BUILDERS.items()]
+
+
+def make_entry(name: str, resolution: float) -> ZooEntry:
+    """Build one standard entry, equal to its ``make_zoo`` counterpart."""
+    res = _resolution(resolution)
+    if name not in _BUILDERS:
+        raise InputError(f"no zoo entry named {name!r}")
+    return _BUILDERS[name](name, res)
 
 
 def get_entry(entries, name: str) -> ZooEntry:

@@ -1,7 +1,7 @@
 """The check-only shortcuts against the computations they replace.
 
 Set families memoise their closures and fields their preimage masks; the
-dyadic separation check reads two estimates from one sorted scan instead of
+separation checks read their estimates from ``scale_summaries`` instead of
 a full profile.  Each must give exactly what the uncached, by-definition or
 full-profile computation gives.
 """
@@ -14,11 +14,10 @@ import pytest
 
 from lipderiv import (FiniteField, RadiusGrid, SetFamily, all_topologies,
                       apply_ops, is_A_lower_sc, is_A_upper_sc,
-                      random_topology, scale_profile)
+                      random_topology, scale_profile, scale_summaries)
 from lipderiv import setclass
 from lipderiv.cli import main
-from lipderiv.harness import scan_estimates
-from lipderiv.zoo import get_entry, make_zoo
+from lipderiv.zoo import make_entry
 
 #: every operator string the library and the harness apply
 OPS_IN_USE = ("c", "s", "d", "sc", "cs", "cd", "dc", "cdc")
@@ -100,18 +99,19 @@ def test_field_masks_match_level_sets():
         assert f.lower_masks is f.lower_masks
 
 
-def test_scan_estimates_equal_profile_summary():
-    f = get_entry(make_zoo(2.0 ** -10), "dyadic_staircase").map
+@pytest.mark.parametrize("entry", ["dyadic_staircase", "oscillator"])
+def test_separation_summaries_equal_profile_summary(entry):
+    f = make_entry(entry, 2.0 ** -10).map
     ids = f.domain.ids
     points = [0.0, ids[1], ids[len(ids) // 3], ids[-1]]
-    for grid in (RadiusGrid(0.5, 0.5, 3, 2), RadiusGrid(0.1, 0.5, 5, 3)):
-        prof = scale_profile(f, grid, points=points)
-        for s in prof.summaries:
-            assert scan_estimates(f, grid, s.point) == (s.lip_hat, s.big_hat)
+    for grid in (RadiusGrid(0.5, 0.5, 3, 2), RadiusGrid(0.1, 0.5, 5, 3),
+                 RadiusGrid(0.02, 0.5, 1, 1)):
+        assert (scale_summaries(f, grid, points=points)
+                == scale_profile(f, grid, points=points).summaries)
 
 
 # sha256 of the report of the two suites these shortcuts serve, recorded
-# with the uncached closures and the full-profile dyadic check
+# with the uncached closures and the full-profile separation checks
 GOLDEN_SETCLASS_SEPARATION = (
     "ea2819aea113606e8dccec5bde1baaabe07eb9443031b3e80db0ecf4b146ad53")
 

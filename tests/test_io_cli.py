@@ -125,7 +125,7 @@ def test_profile_csv_schema(tmp_path):
 def test_set_flags_csv(tmp_path):
     prof = profile_fixture()
     path = str(tmp_path / "sets.csv")
-    lio.save_set_flags(path, prof, 0.5)
+    lio.save_set_flags(path, prof.summaries, 0.5)
     rows = open(path).read().splitlines()
     assert rows[0].startswith("point,lip_le_gamma")
     # flags are complementary 0/1 per estimate
@@ -258,6 +258,19 @@ def test_cli_check_empty_suite_selection(tmp_path, capsys, suite):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"suite": suite}))
     assert main(["--config", str(cfg), "check"]) == 2
+
+
+@pytest.mark.parametrize("suite", [["bhmv"], 3, {"bhmv": 1}, None, True])
+def test_cli_check_config_suite_not_a_string(tmp_path, capsys, suite):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suite": suite}))
+    report = tmp_path / "rep.json"
+    assert main(["--config", str(cfg), "check", "--report",
+                 str(report)]) == 2
+    assert "bad value for suite" in capsys.readouterr().err
+    assert not report.exists()
+    # a --suite flag overrides the config value
+    assert main(["--config", str(cfg), "check", "--suite", "bhmv"]) == 0
 
 
 def test_cli_check_negative_random_spaces(capsys):

@@ -1,11 +1,14 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
 from lipderiv import (InputError, RadiusGrid, get_entry, lip_norm, loc_lip_r,
-                      make_zoo, nearest_scale_infimum, oracle_field,
-                      scale_profile)
+                      make_entry, make_zoo, nearest_scale_infimum,
+                      oracle_field, scale_profile)
+from lipderiv.cli import main
 from lipderiv.zoo import (DYADIC_BIG_AT_ZERO, DYADIC_LITTLE_AT_ZERO,
                           dyadic_staircase, oscillator, oscillator_slope)
 
@@ -139,3 +142,57 @@ def test_point_near(zoo):
     p = lin.point_near((0.11, -0.29))
     assert abs(p[0] - 0.11) <= lin.resolution / 2 + 1e-9
     assert abs(p[1] + 0.29) <= lin.resolution / 2 + 1e-9
+
+
+def entry_bytes(e):
+    """An entry's samples, flags, meta keys and oracle values, as JSON."""
+    oracles = [[o(p) for p in e.space.ids]
+               for o in (e.lip_oracle, e.Lip_oracle, e.LLip_oracle)]
+    coords = None if e.space.coords is None else e.space.coords.tolist()
+    values = None if e.map.values is None else e.map.values.tolist()
+    omega = None if e.omega is None else [e.omega(h) for h in (0.0, 0.01, 0.5)]
+    return json.dumps([e.name, e.resolution, e.space.p, e.space.ids, coords,
+                       values, e.convex, e.continuous, e.c1,
+                       e.lip_norm_oracle, sorted(e.meta), oracles,
+                       omega]).encode()
+
+
+# sha256 over make_zoo's entries and of `lipderiv zoo export` at resolution
+# 0.05, recorded when make_zoo built its list in one literal
+GOLDEN_ZOO = {
+    0.02: "f9f81d7e4c6957e28d962bed6d098836688a527c61d456ff4c60ab89d8d2fd31",
+    0.1: "6cb5a737dded805efb8430aa688cefe85f8b8404a580eb547b5ccc5acd267a90",
+}
+GOLDEN_EXPORT = {
+    "sin": "b4be26d1454d6ae35322e56dfa8fcc58a910676f9e2955ba23696aeeb7c3204b",
+    "linear_shear":
+        "f64df35ad10bff014bccd8d502f96b95a53097d3e7141694e50b557049217f69",
+    "bhmv_measure":
+        "2cbd2ba4817a12f444fcaa96e251638f6f3377a6ca0858056eb973b3b649b7a4",
+}
+
+
+@pytest.mark.parametrize("res", sorted(GOLDEN_ZOO))
+def test_make_zoo_golden_digest(res):
+    h = hashlib.sha256()
+    for e in make_zoo(res):
+        h.update(entry_bytes(e))
+    assert h.hexdigest() == GOLDEN_ZOO[res]
+
+
+@pytest.mark.parametrize("res", sorted(GOLDEN_ZOO))
+def test_make_entry_equals_zoo_entry(res):
+    for e in make_zoo(res):
+        assert entry_bytes(make_entry(e.name, res)) == entry_bytes(e)
+    with pytest.raises(InputError, match="no zoo entry"):
+        make_entry("missing", res)
+    with pytest.raises(InputError, match="resolution"):
+        make_entry("sin", 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EXPORT))
+def test_zoo_export_golden_digest(tmp_path, name):
+    out = tmp_path / "zoo.csv"
+    assert main(["zoo", "export", "--entry", name, "--resolution", "0.05",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_EXPORT[name]
