@@ -10,9 +10,9 @@ from .metric import (FiniteMetricSpace, IntervalUnion, LinearMapSpec, ball,
                      operator_norm, resolution_isolated, validate_metric)
 from .scales import (PointSummary, RadiusGrid, SampledMap, ScaleProfile,
                      big_lip_below_r, lip_norm, lip_upper_r,
-                     lip_upper_r_closed, little_lip_below_r, loc_lip_r,
-                     nearest_scale_infimum, point_scale_values, scale_profile,
-                     scale_summaries)
+                     lip_upper_r_closed, little_lip_below_r, loc_field,
+                     loc_lip_r, nearest_scale_infimum, point_scale_values,
+                     scale_profile, scale_summaries)
 from .envelopes import (ScalarField, baire_lower, baire_upper, lsc_defect,
                         usc_defect)
 from .setclass import (FiniteField, SetFamily, all_topologies, apply_ops,

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
-from .metric import FiniteMetricSpace
+from .metric import FiniteMetricSpace, window_reduce
 
 
 class ScalarField:
@@ -39,24 +39,56 @@ def _check_scale(h: float):
         raise InputError("envelope scale h must be positive")
 
 
+def _ball_reduce(g: ScalarField, h: float, ufunc, punctured: bool):
+    """``ufunc`` (max or min) of g over every open ball B(x, h), or over its
+    punctured part 0 < d(x, u) < h; NaN where that set is empty.
+
+    On a ``line_order`` space the ball is a window of sorted positions and
+    its points at distance 0 from x are an inner window; elsewhere each
+    point reads its distance row.
+    """
+    _check_scale(h)
+    sp, vals = g.space, g.values
+    order = sp.line_order
+    if order is None:
+        out = np.full(sp.n, np.nan)
+        for i in range(sp.n):
+            d = sp.dist_row(i)
+            mask = (d > 0) & (d < h) if punctured else d < h
+            if np.any(mask):
+                out[i] = ufunc.reduce(vals[mask])
+        return out
+    identity = -np.inf if ufunc is np.maximum else np.inf
+    lo, hi = sp.line_windows(h)
+    ranked = vals[order]
+    if punctured:
+        lo0, hi0 = sp.line_windows(0.0, closed=True)
+        got = ufunc(window_reduce(ranked, lo, lo0, ufunc, identity),
+                    window_reduce(ranked, hi0, hi, ufunc, identity))
+        empty = (lo0 - lo) + (hi - hi0) == 0
+    else:
+        got = window_reduce(ranked, lo, hi, ufunc, identity)
+        empty = hi == lo
+    out = np.empty(sp.n)
+    out[order] = np.where(empty, np.nan, got)
+    return out
+
+
+def _defect(gap: np.ndarray) -> np.ndarray:
+    """max(0, gap), with 0 for empty punctured balls and inf - inf gaps."""
+    return np.maximum(np.where(np.isnan(gap), 0.0, gap), 0.0)
+
+
 def baire_upper(g: ScalarField, h: float) -> ScalarField:
     """Pointwise max of g over the open ball B(x, h); >= g everywhere."""
-    _check_scale(h)
-    out = np.empty_like(g.values)
-    for i in range(g.space.n):
-        idx = g.space.ball_indices(i, h)
-        out[i] = np.max(g.values[idx]) if idx.size else g.values[i]
-    return ScalarField(g.space, out)
+    top = _ball_reduce(g, h, np.maximum, punctured=False)
+    return ScalarField(g.space, np.where(np.isnan(top), g.values, top))
 
 
 def baire_lower(g: ScalarField, h: float) -> ScalarField:
     """Pointwise min of g over the open ball B(x, h); <= g everywhere."""
-    _check_scale(h)
-    out = np.empty_like(g.values)
-    for i in range(g.space.n):
-        idx = g.space.ball_indices(i, h)
-        out[i] = np.min(g.values[idx]) if idx.size else g.values[i]
-    return ScalarField(g.space, out)
+    bottom = _ball_reduce(g, h, np.minimum, punctured=False)
+    return ScalarField(g.space, np.where(np.isnan(bottom), g.values, bottom))
 
 
 def usc_defect(g: ScalarField, h: float) -> ScalarField:
@@ -64,31 +96,13 @@ def usc_defect(g: ScalarField, h: float) -> ScalarField:
 
     Zero everywhere is the finite-scale signature of upper semicontinuity.
     """
-    _check_scale(h)
-    out = np.zeros_like(g.values)
-    for i in range(g.space.n):
-        d = g.space.dist_row(i)
-        mask = (d > 0) & (d < h)
-        if np.any(mask):
-            with np.errstate(invalid="ignore"):
-                gap = np.max(g.values[mask]) - g.values[i]
-            if np.isnan(gap):          # inf - inf
-                gap = 0.0
-            out[i] = max(0.0, gap)
-    return ScalarField(g.space, out)
+    with np.errstate(invalid="ignore"):
+        gap = _ball_reduce(g, h, np.maximum, punctured=True) - g.values
+    return ScalarField(g.space, _defect(gap))
 
 
 def lsc_defect(g: ScalarField, h: float) -> ScalarField:
     """Dual of usc_defect: max(0, g(x) - inf over the punctured ball)."""
-    _check_scale(h)
-    out = np.zeros_like(g.values)
-    for i in range(g.space.n):
-        d = g.space.dist_row(i)
-        mask = (d > 0) & (d < h)
-        if np.any(mask):
-            with np.errstate(invalid="ignore"):
-                gap = g.values[i] - np.min(g.values[mask])
-            if np.isnan(gap):
-                gap = 0.0
-            out[i] = max(0.0, gap)
-    return ScalarField(g.space, out)
+    with np.errstate(invalid="ignore"):
+        gap = g.values - _ball_reduce(g, h, np.minimum, punctured=True)
+    return ScalarField(g.space, _defect(gap))

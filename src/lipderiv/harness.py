@@ -17,8 +17,8 @@ from .envelopes import ScalarField, baire_upper, lsc_defect, usc_defect
 from .errors import InputError
 from .metric import (FiniteMetricSpace, IntervalUnion, LinearMapSpec,
                      operator_norm)
-from .scales import (RadiusGrid, SampledMap, _PointScan, _pair_sup,
-                     _row_extremes, big_lip_below_r, lip_norm, loc_lip_r,
+from .scales import (RadiusGrid, SampledMap, _PointScan, _row_extremes,
+                     big_lip_below_r, lip_norm, loc_field, loc_lip_r,
                      nearest_scale_infimum, point_scale_values,
                      scale_profile, scale_summaries)
 from . import setclass
@@ -287,29 +287,23 @@ def derivative_fields(f: SampledMap, r_fine: float, r_loc: float):
     functional at scale r_loc, as scalar fields."""
     little = []
     big = []
-    loc = []
     for i in range(f.domain.n):
-        scan = _PointScan(f, i, reach=max(r_fine, r_loc))
+        scan = _PointScan(f, i, reach=r_fine)
         little.append(float(scan.nearest_scale_inf(r_fine)))
         big.append(float(scan.big_below(r_fine)))
-        loc.append(_pair_sup(f, scan.ball(r_loc)))
     sp = f.domain
     return (ScalarField(sp, little), ScalarField(sp, big),
-            ScalarField(sp, loc))
+            ScalarField(sp, loc_field(f, r_loc)))
 
 
 def _cell_oscillation(g: ScalarField) -> float:
-    worst = 0.0
-    for i in range(g.space.n):
-        d = g.space.dist_row(i)
-        pos = d > 0
-        if not np.any(pos):
-            continue
-        j = int(np.argmin(np.where(pos, d, np.inf)))
-        diff = abs(g.values[i] - g.values[j])
-        if np.isfinite(diff):
-            worst = max(worst, float(diff))
-    return worst
+    """Largest finite |g(x) - g(y)| over each point x and its nearest
+    neighbour y (the first index among the nearest)."""
+    _, j = g.space.nearest_neighbors()
+    has = j >= 0
+    with np.errstate(invalid="ignore"):
+        diff = np.abs(g.values[has] - g.values[j[has]])
+    return float(np.max(diff, where=np.isfinite(diff), initial=0.0))
 
 
 def check_envelope_identity(f: SampledMap, h: float, resolution: float,
@@ -374,12 +368,11 @@ def check_semicontinuity_fields(entry: ZooEntry, r: float, h: float,
     f = entry.map
     little = []
     big = []
-    loc = []
     for i in range(f.domain.n):
         scan = _PointScan(f, i, reach=r)
         little.append(float(scan.little_below(r)))
         big.append(float(scan.big_below(r)))
-        loc.append(_pair_sup(f, scan.ball(r)))
+    loc = loc_field(f, r).tolist()
     sp = f.domain
     scale = max(1.0, float(np.max(np.abs(
         [v for v in little + big + loc if np.isfinite(v)] or [0.0]))))

@@ -5,12 +5,17 @@ threads; all functions are pure.
 """
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import InputError
 
 #: absolute tolerance for metric-axiom validation
 METRIC_TOL = 1e-12
+
+#: most elements a distance, quotient or gather block may hold
+BLOCK_ELEMS = 1 << 18
 
 
 def _norm(diff: np.ndarray, p: float) -> np.ndarray:
@@ -138,6 +143,88 @@ class FiniteMetricSpace:
         mask = d <= r if closed else d < r
         return np.flatnonzero(mask)
 
+    @cached_property
+    def line_order(self):
+        """Stable sort order of the coordinate of a coordinate-backed space
+        with one coordinate; None on every other space."""
+        if self.table is not None or self.coords.shape[1] != 1:
+            return None
+        return np.argsort(self.coords[:, 0], kind="stable")
+
+    def line_windows(self, r, closed: bool = False):
+        """Ball windows of every point of a ``line_order`` space.
+
+        Returns ``(lo, hi)`` over sorted positions: ``line_order[lo[a]:hi[a]]``
+        is the open ball ``d < r`` (closed: ``d <= r``) around the point at
+        sorted position ``a``, with ``d`` the exact ``dist_row`` floats.  ``r``
+        is a scalar or one radius per sorted position.
+
+        Why a window is the ball: with one coordinate the distance is a
+        rounded subtraction followed by an absolute value (p = 1, inf) or by
+        a rounded square and a rounded sqrt (p = 2).  Each of these steps is
+        monotone, so the computed distance never decreases as the other point
+        moves away from ``x_a`` along the sorted order, on either side.  The
+        set ``d < r`` (or ``d <= r``) is therefore a contiguous run of sorted
+        positions, and bisection on those same floats finds both of its ends
+        exactly, also for coincident points and for gaps that underflow to
+        distance 0.
+        """
+        n = self.n
+        c = self.coords[self.line_order, 0]
+        pos = np.arange(n)
+        r = np.broadcast_to(np.asarray(r, dtype=float), (n,))
+
+        def inside(b):
+            d = _norm((c[b] - c)[:, None], self.p)
+            return d <= r if closed else d < r
+
+        def first(pred, lo, hi):
+            # smallest b in [lo, hi) with pred(b), or hi; pred is false then
+            # true along [lo, hi)
+            active = lo < hi
+            while np.any(active):
+                mid = (lo + hi) // 2
+                hit = pred(np.where(active, mid, 0))
+                hi = np.where(active & hit, mid, hi)
+                lo = np.where(active & ~hit, mid + 1, lo)
+                active = lo < hi
+            return lo
+
+        lo = first(inside, np.zeros(n, dtype=np.intp), pos + 1)
+        hi = first(lambda b: ~inside(b), pos + 1, np.full(n, n))
+        return lo, hi
+
+    def nearest_neighbors(self):
+        """``(d1, j)``: the nearest positive distance of every point, and the
+        first index among the points at that distance; inf and -1 where no
+        point lies at a finite positive distance."""
+        order = self.line_order
+        if order is None:
+            d1, j = np.empty(self.n), np.empty(self.n, dtype=int)
+            for i in range(self.n):
+                d = self.dist_row(i)
+                d = np.where(d > 0, d, np.inf)
+                j[i] = np.argmin(d)
+                d1[i] = d[j[i]]
+            j[np.isinf(d1)] = -1
+            return d1, j
+        n = self.n
+        # the run at distance 0, then its two outer neighbours
+        lo0, hi0 = self.line_windows(0.0, closed=True)
+        c = self.coords[order, 0]
+        left = _norm((c[np.maximum(lo0 - 1, 0)] - c)[:, None], self.p)
+        right = _norm((c[np.minimum(hi0, n - 1)] - c)[:, None], self.p)
+        d1 = np.minimum(np.where(lo0 > 0, left, np.inf),
+                        np.where(hi0 < n, right, np.inf))
+        # every point at distance exactly d1 lies in [lo, lo0) or [hi0, hi)
+        lo, hi = self.line_windows(d1, closed=True)
+        j = np.minimum(window_reduce(order, lo, lo0, np.minimum, n),
+                       window_reduce(order, hi0, hi, np.minimum, n))
+        out_d1, out_j = np.empty(n), np.empty(n, dtype=int)
+        out_d1[order] = d1
+        out_j[order] = np.where(np.isinf(d1), -1, j)
+        return out_d1, out_j
+
     def diameter(self) -> float:
         return max(float(np.max(self.dist_row(i))) for i in range(self.n))
 
@@ -148,7 +235,29 @@ class FiniteMetricSpace:
 
     def resolution(self) -> float:
         """Smallest nearest-neighbor distance over all points."""
-        return min(self.nearest_neighbor_distance(i) for i in range(self.n))
+        return float(np.min(self.nearest_neighbors()[0]))
+
+
+def window_reduce(values, lo, hi, ufunc, initial):
+    """``ufunc.reduce(values[lo[a]:hi[a]], initial=initial)`` for every a.
+
+    Windows are gathered into padded blocks; a block's index, mask and
+    value arrays hold at most ``BLOCK_ELEMS`` elements together.  Max and
+    min are exact, so the result equals the per-window reduction.
+    """
+    out = np.full(lo.size, initial, dtype=values.dtype)
+    width = int(np.max(hi - lo, initial=0))
+    if width <= 0:
+        return out
+    step = max(1, BLOCK_ELEMS // (3 * width))
+    offsets = np.arange(width)
+    for s in range(0, lo.size, step):
+        at = lo[s:s + step, None] + offsets
+        inside = at < hi[s:s + step, None]
+        np.minimum(at, values.size - 1, out=at)
+        out[s:s + step] = ufunc.reduce(values[at], axis=1, where=inside,
+                                       initial=initial)
+    return out
 
 
 def validate_metric(space: FiniteMetricSpace, tol: float = METRIC_TOL) -> list:

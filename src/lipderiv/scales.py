@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .metric import FiniteMetricSpace, _block, _norm, validate_metric
+from .metric import (BLOCK_ELEMS, FiniteMetricSpace, _block, _norm,
+                     validate_metric)
 
 #: total tail-growth factor driving the divergence flag (see RadiusGrid docs)
 DIVERGENCE_FACTOR = 2.0
@@ -80,6 +81,16 @@ class SampledMap:
         if self.values.ndim == 1:
             return np.abs(a[:, None] - b[None, :])
         return _block(a, b, self.codomain_p)
+
+    def value_pairs(self, rows, cols) -> np.ndarray:
+        """``value_cross`` entry by entry: |f(rows[k]) - f(cols[k])|_Y over
+        two index arrays of one shape, with the same floats."""
+        if self.value_table is not None:
+            return self.value_table[rows, cols]
+        a, b = self.values[rows], self.values[cols]
+        if self.values.ndim == 1:
+            return np.abs(a - b)
+        return _norm(a - b, self.codomain_p)
 
 
 @dataclass(frozen=True)
@@ -252,8 +263,8 @@ def _pair_sup(f: SampledMap, idx) -> float:
     best = 0.0
     # upper-triangle row blocks: rows idx[s:s + step] against the columns
     # idx[s:], so each pair is computed once, row before column, and no
-    # block holds more than 2**22 elements
-    step = max(1, min(128, (1 << 22) // m))
+    # block holds more than BLOCK_ELEMS elements
+    step = max(1, min(128, BLOCK_ELEMS // m))
     for s in range(0, m - 1, step):
         rows, cols = idx[s:s + step], idx[s:]
         D = f.domain.cross(rows, cols)
@@ -266,6 +277,69 @@ def _pair_sup(f: SampledMap, idx) -> float:
             Q = np.divide(V, D, out=V)
         best = max(best, float(np.max(Q, where=mask, initial=0.0)))
     return best
+
+
+def loc_field(f: SampledMap, r: float) -> np.ndarray:
+    """``loc_lip_r(f, x, r)`` at every point x, in index order.
+
+    On a ``line_order`` domain the open balls are windows of sorted
+    positions.  ``Q[s, k]`` is the quotient of the pair at sorted positions
+    s and s + k, its value distance taken row before column by index as in
+    ``_pair_sup`` and pairs at distance 0 left out; ``R`` is its running
+    maximum along k.  The pairs of the window [lo, hi) are the triangle
+    lo <= s < t <= e = hi - 1, and their maximum is the maximum over s of
+    ``R[s, e - s]``.  Max is exact, so every value equals ``_pair_sup`` over
+    the same ball.  Rows are taken in blocks of ``BLOCK_ELEMS // (8 width)``,
+    and each point reads the rows of a block that its window meets: a band
+    block then holds at most 1/8 and a gather block at most 3/8 of
+    ``BLOCK_ELEMS`` elements (windows wider than ``BLOCK_ELEMS / 8`` get one
+    band row per block).  Other domains use ``_pair_sup`` point by point.
+    """
+    if r <= 0:
+        raise InputError("r must be positive")
+    sp = f.domain
+    order = sp.line_order
+    if order is None:
+        return np.array([_pair_sup(f, sp.ball_indices(i, r))
+                         for i in range(sp.n)])
+    n = sp.n
+    lo, hi = sp.line_windows(r)
+    width = int(np.max(hi - lo, initial=0))
+    best = np.zeros(n)
+    if width < 2:
+        return best
+    c = sp.coords[order, 0]
+    k = np.arange(1, width)
+    step = max(1, BLOCK_ELEMS // (8 * width))
+    span = min(step, width - 1)
+    for s0 in range(0, n - 1, step):
+        s = np.arange(s0, min(s0 + step, n - 1))[:, None]
+        s1 = s0 + s.shape[0]
+        t = s + k
+        keep = t < n
+        np.minimum(t, n - 1, out=t)
+        D = _norm((c[t] - c[s])[..., None], sp.p)
+        keep &= D > 0
+        i, j = order[s], order[t]
+        V = f.value_pairs(np.minimum(i, j), np.maximum(i, j))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            Q = np.divide(V, D, out=V)
+        R = np.maximum.accumulate(np.where(keep, Q, 0.0), axis=1)
+        # the points whose window meets rows s0 .. s1 - 1 read the rows
+        # first .. end - 1 of it, row s at column end - s - 1
+        a = np.arange(max(0, s0 - width + 1), min(n, s1 + width - 1))
+        first = np.maximum(lo[a], s0)[:, None] + np.arange(span)
+        end = hi[a, None] - 1
+        ok = first < np.minimum(end, s1)
+        cols = np.maximum(end - first - 1, 0)
+        first -= s0
+        np.minimum(first, s1 - s0 - 1, out=first)
+        got = np.max(R[first, cols], axis=1, where=ok, initial=0.0)
+        np.maximum(best[a], got, out=got)
+        best[a] = got
+    out = np.empty(n)
+    out[order] = best
+    return out
 
 
 def _row_extremes(f: SampledMap):

@@ -84,8 +84,9 @@ def test_loc_skips_coincident_points(seed):
 
 
 def test_loc_row_blocking_over_several_blocks():
-    # a ball of 2900 points is cut into row blocks of 2**22 // 2900 = 1446;
-    # the steepest pair (2895, 2896) sits in the short last block
+    # a ball of 2900 points is cut into row blocks of
+    # BLOCK_ELEMS // 2900 = 2**18 // 2900 = 90 rows; the steepest pair
+    # (2895, 2896) sits in the short last block, rows 2880 to 2899
     rng = np.random.default_rng(11)
     xs = np.sort(rng.random(2900))
     vals = np.sin(7.0 * xs)

@@ -1,0 +1,282 @@
+"""Whole-field ball kernels on one-coordinate domains against their
+definitions.
+
+``line_windows``, ``loc_field``, the envelopes, the defects and the
+nearest-neighbour pass read balls as windows of the sorted coordinate.  Each
+must give exactly (``==``) what the per-point computation over full distance
+rows gives, written out here loop by loop.
+"""
+import hashlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lipderiv import (FiniteMetricSpace, SampledMap, ScalarField, baire_lower,
+                      baire_upper, loc_field, loc_lip_r, lsc_defect,
+                      usc_defect)
+from lipderiv.cli import main
+from lipderiv.harness import _cell_oscillation
+from lipderiv.metric import BLOCK_ELEMS
+
+DATA = Path(__file__).parent / "data"
+NORMS = (1.0, 2.0, np.inf)
+
+#: coordinates on a quarter lattice (ties, equidistant neighbours, radii
+#: equal to sample distances), free floats, and gaps that square to 0
+COORD = st.one_of(st.integers(-8, 8).map(lambda k: k / 4.0),
+                  st.floats(-2.0, 2.0, allow_nan=False),
+                  st.sampled_from([1e-170, 2e-170, -3e-170]))
+
+
+@st.composite
+def line_spaces(draw, max_size=12):
+    coords = draw(st.lists(COORD, min_size=1, max_size=max_size))
+    n = len(coords)
+    # ids in an order unrelated to the coordinate
+    ids = draw(st.permutations([f"p{k}" for k in range(n)]))
+    p = draw(st.sampled_from(NORMS))
+    return FiniteMetricSpace(ids, coords=np.array(coords)[:, None], p=p)
+
+
+def radius(draw, space):
+    """A sample distance, a free radius, or one above the diameter."""
+    d = np.concatenate([space.dist_row(i) for i in range(space.n)])
+    choices = [float(v) for v in d if v > 0]
+    kind = draw(st.sampled_from(("sample", "free", "huge")))
+    if kind == "sample" and choices:
+        return draw(st.sampled_from(choices))
+    if kind == "huge":
+        return 2.0 * space.diameter() + 1.0
+    return draw(st.floats(1e-3, 5.0))
+
+
+@st.composite
+def maps(draw):
+    space = draw(line_spaces())
+    n = space.n
+    kind = draw(st.sampled_from(("scalar", "vector", "table")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if kind == "scalar":
+        f = SampledMap.real(space, rng.integers(-3, 4, n) * 0.5)
+    elif kind == "vector":
+        f = SampledMap.vector(space, rng.standard_normal((n, 3)),
+                              p=draw(st.sampled_from(NORMS)))
+    else:
+        # asymmetric, so the row-before-column orientation shows
+        table = rng.random((n, n))
+        np.fill_diagonal(table, 0.0)
+        f = SampledMap(space, value_table=table, validate_table=False)
+    return f, radius(draw, space)
+
+
+def windows_by_definition(space, r, closed):
+    order = space.line_order
+    balls = []
+    for i in order:
+        d = space.dist_row(i)[order]
+        balls.append(np.flatnonzero(d <= r if closed else d < r))
+    return balls
+
+
+@given(line_spaces(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_windows_are_the_balls(space, data):
+    r = radius(data.draw, space)
+    for closed in (False, True):
+        lo, hi = space.line_windows(r, closed=closed)
+        for a, ball in enumerate(windows_by_definition(space, r, closed)):
+            assert np.array_equal(np.arange(lo[a], hi[a]), ball)
+    lo, hi = space.line_windows(0.0, closed=True)
+    for a, ball in enumerate(windows_by_definition(space, 0.0, True)):
+        assert np.array_equal(np.arange(lo[a], hi[a]), ball)
+
+
+@given(maps())
+@settings(max_examples=300, deadline=None)
+def test_loc_field_equals_per_point_loc(case):
+    f, r = case
+    expected = [loc_lip_r(f, x, r) for x in f.domain.ids]
+    assert loc_field(f, r).tolist() == expected
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_loc_field_on_one_and_two_points(n):
+    space = FiniteMetricSpace(range(n), coords=np.arange(n, 0, -1.0)[:, None])
+    f = SampledMap.real(space, np.arange(n) * 3.0)
+    for r in (0.5, 1.0, 1.5, 10.0):
+        assert loc_field(f, r).tolist() == [loc_lip_r(f, x, r)
+                                            for x in space.ids]
+
+
+def test_loc_field_band_over_several_blocks():
+    # windows of ~600 points cut the band into row blocks of
+    # BLOCK_ELEMS // (8 * width) rows; the steepest pair sits on a block edge
+    rng = np.random.default_rng(5)
+    xs = rng.permutation(np.sort(rng.random(1500)))
+    vals = np.sin(9.0 * xs)
+    space = FiniteMetricSpace(range(1500), coords=xs[:, None])
+    lo, hi = space.line_windows(0.2)
+    width = int(np.max(hi - lo))
+    step = BLOCK_ELEMS // (8 * width)
+    assert 1500 // step >= 5
+    ranked = np.sort(xs)
+    edge = ranked[2 * step - 1], ranked[2 * step]
+    vals[xs == edge[1]] += 0.5
+    f = SampledMap.real(space, vals)
+    got = loc_field(f, 0.2)
+    probe = set(range(0, 1500, 37)) | {int(np.flatnonzero(xs == edge[0])[0])}
+    for i in sorted(probe):
+        assert got[i] == loc_lip_r(f, i, 0.2), i
+    up = baire_upper(ScalarField(space, vals), 0.2)
+    for i in sorted(probe):
+        assert up.values[i] == np.max(vals[space.dist_row(i) < 0.2])
+
+
+def test_loc_field_fallback_on_tables_and_planes():
+    rng = np.random.default_rng(2)
+    coords = rng.random((30, 2))
+    coords[7] = coords[3]
+    plane = FiniteMetricSpace(range(30), coords=coords)
+    d = np.vstack([plane.dist_row(i) for i in range(30)])
+    table = FiniteMetricSpace.from_table(range(30), d)
+    line_table = FiniteMetricSpace.from_table(
+        range(30), np.abs(coords[:, :1] - coords[:, 0]))
+    for space in (plane, table, line_table):
+        assert space.line_order is None
+        f = SampledMap.real(space, rng.standard_normal(30))
+        for r in (0.1, 0.4, 3.0):
+            assert loc_field(f, r).tolist() == [loc_lip_r(f, x, r)
+                                                for x in space.ids]
+
+
+def reduce_by_definition(g, h, pick, punctured):
+    """pick over the (punctured) open ball of each point; None when empty."""
+    sp = g.space
+    out = []
+    for i in range(sp.n):
+        d = sp.dist_row(i)
+        members = [g.values[j] for j in range(sp.n)
+                   if d[j] < h and (d[j] > 0 or not punctured)]
+        out.append(pick(members) if members else None)
+    return out
+
+
+def envelopes_by_definition(g, h):
+    up = reduce_by_definition(g, h, max, False)
+    down = reduce_by_definition(g, h, min, False)
+    sup = reduce_by_definition(g, h, max, True)
+    inf = reduce_by_definition(g, h, min, True)
+
+    def defect(gap):
+        return 0.0 if gap is None or np.isnan(gap) else max(0.0, gap)
+
+    with np.errstate(invalid="ignore"):
+        return {
+            baire_upper: [g.values[i] if v is None else v
+                          for i, v in enumerate(up)],
+            baire_lower: [g.values[i] if v is None else v
+                          for i, v in enumerate(down)],
+            usc_defect: [defect(None if v is None else v - g.values[i])
+                         for i, v in enumerate(sup)],
+            lsc_defect: [defect(None if v is None else g.values[i] - v)
+                         for i, v in enumerate(inf)],
+        }
+
+
+def oscillation_by_definition(g):
+    worst = 0.0
+    for i in range(g.space.n):
+        d = g.space.dist_row(i)
+        pos = [j for j in range(g.space.n) if d[j] > 0]
+        if not pos:
+            continue
+        nearest = min(d[j] for j in pos)
+        j = next(j for j in pos if d[j] == nearest)
+        with np.errstate(invalid="ignore"):
+            diff = abs(g.values[i] - g.values[j])
+        if np.isfinite(diff):
+            worst = max(worst, float(diff))
+    return worst
+
+
+FIELD_VALUE = st.one_of(st.integers(-3, 3).map(float),
+                        st.sampled_from([np.inf, -np.inf]))
+
+
+@given(line_spaces(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_envelopes_and_oscillation_equal_definition(space, data):
+    values = data.draw(st.lists(FIELD_VALUE, min_size=space.n,
+                                max_size=space.n))
+    g = ScalarField(space, values)
+    h = radius(data.draw, space)
+    for op, expected in envelopes_by_definition(g, h).items():
+        assert op(g, h).values.tolist() == expected, op.__name__
+    assert _cell_oscillation(g) == oscillation_by_definition(g)
+
+
+def test_envelopes_and_oscillation_fallback():
+    rng = np.random.default_rng(4)
+    coords = rng.integers(0, 4, (25, 2)) * 0.5       # ties and coincidences
+    plane = FiniteMetricSpace(range(25), coords=coords)
+    table = FiniteMetricSpace.from_table(
+        range(25), np.vstack([plane.dist_row(i) for i in range(25)]))
+    values = rng.integers(-2, 3, 25).astype(float)
+    values[[3, 11]] = np.inf
+    values[5] = -np.inf
+    for space in (plane, table):
+        g = ScalarField(space, values)
+        for h in (0.5, 0.8, 2.0):
+            for op, expected in envelopes_by_definition(g, h).items():
+                assert op(g, h).values.tolist() == expected
+        assert _cell_oscillation(g) == oscillation_by_definition(g)
+
+
+@given(line_spaces())
+@settings(max_examples=200, deadline=None)
+def test_nearest_neighbours_and_resolution(space):
+    d1, j = space.nearest_neighbors()
+    for i in range(space.n):
+        d = space.dist_row(i)
+        assert d1[i] == space.nearest_neighbor_distance(i)
+        pos = d > 0
+        want = int(np.argmin(np.where(pos, d, np.inf))) if np.any(pos) else -1
+        assert j[i] == want
+    assert space.resolution() == min(space.nearest_neighbor_distance(i)
+                                     for i in range(space.n))
+
+
+# sha256 of the outputs these kernels serve, recorded with the per-point
+# balls over full distance rows
+GOLDEN_ENVELOPE_SEMICONTINUITY = (
+    "18d09cb4e40dc63cdbf8cf9ffae6e2fc68e0e3c1a1f0a77aedae9cb035d1c086")
+GOLDEN_ENVELOPE_CLI = {
+    # 1-d input takes the window path, 2-d input the per-point fallback
+    ("line1d.csv", "0.05"): (
+        "298c19c6f882022e350a9f49dc564cb752ad8923fb372d45f5a2f9ead79c5892",
+        "e8b7bc42003732187c35d7c6e822097d8c630083902e508cf70204c5dd97a461"),
+    ("cloud2d.csv", "0.1"): (
+        "3e1d2a586bec0bc4f56fbd1998a5ad0fbe1a9f28d0d75086733f2d47a2697e1a",
+        "98ab0b4e335d69c34353896061acb2dd570ddc89e6a6b19319b531b1e483d311"),
+}
+
+
+def test_envelope_semicontinuity_report_golden_digest(tmp_path):
+    report = tmp_path / "report.json"
+    assert main(["check", "--suite", "envelope,semicontinuity", "--seed",
+                 "7", "--report", str(report)]) == 0
+    digest = hashlib.sha256(report.read_bytes()).hexdigest()
+    assert digest == GOLDEN_ENVELOPE_SEMICONTINUITY
+
+
+@pytest.mark.parametrize("name,h", sorted(GOLDEN_ENVELOPE_CLI))
+def test_cli_envelope_golden_digests(tmp_path, name, h):
+    out = tmp_path / "env.csv"
+    assert main(["envelope", "--input", str(DATA / name), "--h", h,
+                 "--out", str(out)]) == 0
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                    for path in (out, tmp_path / "env.lower.csv"))
+    assert digests == GOLDEN_ENVELOPE_CLI[name, h]
