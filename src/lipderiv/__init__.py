@@ -12,7 +12,7 @@ from .scales import (PointSummary, RadiusGrid, SampledMap, ScaleProfile,
                      big_lip_below_r, lip_norm, lip_upper_r,
                      lip_upper_r_closed, little_lip_below_r, loc_field,
                      loc_lip_r, nearest_scale_infimum, point_scale_values,
-                     scale_profile, scale_summaries)
+                     scale_profile, scale_summaries, scan_field)
 from .envelopes import (ScalarField, baire_lower, baire_upper, lsc_defect,
                         usc_defect)
 from .setclass import (FiniteField, SetFamily, all_topologies, apply_ops,

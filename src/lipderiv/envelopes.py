@@ -35,8 +35,8 @@ class ScalarField:
 
 
 def _check_scale(h: float):
-    if h <= 0:
-        raise InputError("envelope scale h must be positive")
+    if not 0 < h < np.inf:
+        raise InputError("envelope scale h must be positive and finite")
 
 
 def _ball_reduce(g: ScalarField, h: float, ufunc, punctured: bool):

@@ -47,15 +47,20 @@ def fmt_id(point) -> str:
 
 def atomic_write(path: str, text: str):
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        # strerror, not the message: that names the random temporary file
+        reason = exc.strerror or exc
+        raise InputError(f"cannot write {path}: {reason}") from None
 
 
 def _read_rows(path: str):
@@ -248,6 +253,8 @@ def save_summary(path: str, profile: ScaleProfile):
 def save_set_flags(path: str, summaries, gamma: float):
     """Per-point threshold membership flags for the three estimates of a
     ``PointSummary`` list (``scale_summaries``)."""
+    if not math.isfinite(gamma):
+        raise InputError("set threshold gamma must be finite")
     out = _io.StringIO()
     w = csv.writer(out)
     w.writerow(["point", "lip_le_gamma", "big_le_gamma", "loc_le_gamma",

@@ -111,8 +111,8 @@ class RadiusGrid:
     divergence_factor: float = DIVERGENCE_FACTOR
 
     def __post_init__(self):
-        if self.r_max <= 0:
-            raise InputError("r_max must be positive")
+        if not 0 < self.r_max < np.inf:
+            raise InputError("r_max must be positive and finite")
         if not (0.0 < self.q < 1.0):
             raise InputError("q must lie in (0, 1)")
         if self.steps < 1:
@@ -201,6 +201,119 @@ class _PointScan:
 
 #: the profile columns the sorted scan answers, by method name
 _SCAN_COLUMNS = ("lip_upper", "lip_upper_closed", "big_below", "little_below")
+
+#: everything ``scan_field`` answers per point and radius
+_FIELD_KINDS = _SCAN_COLUMNS + ("nearest_scale_inf",)
+
+
+def scan_field(f: SampledMap, radii, idx=None) -> dict:
+    """The sorted-scan functionals of many points for a whole radius array.
+
+    Returns ``{kind: array (points, radii)}`` for every ``_FIELD_KINDS``
+    method, plus ``"d1"``, one value per point; each equals what
+    ``_PointScan(f, i, reach=max(radii))`` gives for the point indices ``i``
+    of ``idx`` (every point, in index order, by default).
+
+    On a ``line_order`` domain the points at positive distance up to the
+    reach are, on either side of a point, a run of sorted positions next to
+    its distance-0 run (``line_windows``).  Each point's row holds their
+    ``dist_row`` floats and their ``value_dist_from`` floats (the point as
+    the row of ``value_pairs``), padded to the widest row with distance inf
+    after its entries; the rows are sorted by distance.  Along a row a
+    running max of the value distances, a running max of the quotients and
+    running minima over the last entry of each tie group give every
+    functional at the count of entries below (or up to) each radius, which
+    is always the last entry of a tie group.
+
+    Why this is exact: every value read is a max or min over the same
+    ``(d, dv)`` floats and the same quotients of them that ``_PointScan``
+    takes, over the same set of entries (all entries up to the end of a tie
+    group), and max and min do not depend on order, so the sort order
+    within ties cannot change it.  Rows are taken in blocks of
+    ``BLOCK_ELEMS // (8 width)`` points (divided further by the codomain
+    dimension of vector values), so no padded array holds more than
+    ``BLOCK_ELEMS`` elements; rows wider than that, and other domains, use
+    ``_PointScan`` point by point.
+    """
+    radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    if not np.all(radii > 0):
+        raise InputError("radii must be positive")
+    sp = f.domain
+    idx = np.arange(sp.n) if idx is None else np.asarray(idx, dtype=int)
+    reach = float(np.max(radii))
+    out = {kind: np.empty((idx.size, radii.size)) for kind in _FIELD_KINDS}
+    out["d1"] = np.full(idx.size, np.inf)
+    order = sp.line_order
+    if order is not None:
+        rank = np.empty(sp.n, dtype=int)
+        rank[order] = np.arange(sp.n)
+        a = rank[idx]
+        lo, hi = (w[a] for w in sp.line_windows(reach, closed=True))
+        lo0, hi0 = (w[a] for w in sp.line_windows(0.0, closed=True))
+        left, m = lo0 - lo, (lo0 - lo) + (hi - hi0)
+        # at least one column, so a point with no entry reads padding only
+        width = int(np.max(m, initial=1))
+        vector = f.values is not None and f.values.ndim == 2
+        cols = width * (f.values.shape[1] if vector else 1)
+    if order is None or cols > BLOCK_ELEMS:
+        for row, i in enumerate(idx):
+            scan = _PointScan(f, i, reach)
+            for kind in _FIELD_KINDS:
+                out[kind][row] = getattr(scan, kind)(radii)
+            out["d1"][row] = scan.d1
+        return out
+    c = sp.coords[order, 0]
+    j = np.arange(width)
+    step = max(1, BLOCK_ELEMS // (8 * cols))
+    for s in range(0, idx.size, step):
+        blk = slice(s, s + step)
+        # entry j walks outward: the left run down from lo0 - 1, then the
+        # right run up from hi0
+        nl = left[blk, None]
+        b = np.where(j < nl, lo0[blk, None] - 1 - j, hi0[blk, None] + j - nl)
+        np.clip(b, 0, sp.n - 1, out=b)
+        valid = j < m[blk, None]
+        D = np.where(valid, _norm((c[b] - c[a[blk], None])[..., None], sp.p),
+                     np.inf)
+        V = f.value_pairs(np.broadcast_to(idx[blk, None], b.shape), order[b])
+        _read_rows(D, V, m[blk], radii, {k: v[blk] for k, v in out.items()})
+    return out
+
+
+def _read_rows(D, V, m, radii, out):
+    """Fill ``out`` (views of ``scan_field``'s arrays) from padded rows of
+    distances ``D`` and value distances ``V``; row p holds ``m[p]`` entries,
+    then distance inf."""
+    # stable, so the padding stays after entries at distance inf
+    ranked = np.argsort(D, axis=1, kind="stable")
+    D = np.take_along_axis(D, ranked, axis=1)
+    V = np.take_along_axis(V, ranked, axis=1)
+    rows = np.arange(D.shape[0])
+    last = np.zeros(D.shape, dtype=bool)
+    last[:, :-1] = D[:, 1:] > D[:, :-1]
+    last[rows, np.maximum(m - 1, 0)] = True
+    # entries from m on are padding: whatever they hold is never read
+    with np.errstate(divide="ignore", invalid="ignore"):
+        run = np.maximum.accumulate(V, axis=1)
+        big = np.maximum.accumulate(V / D, axis=1)
+        near = np.minimum.accumulate(np.where(last, run / D, np.inf), axis=1)
+        # run over a tie group against the next group's distance
+        gaps = np.full(D.shape, np.inf)
+        gaps[:, :-1] = np.where(last[:, :-1], run[:, :-1] / D[:, 1:], np.inf)
+        np.minimum.accumulate(gaps, axis=1, out=gaps)
+    for ri, r in enumerate(radii):
+        k = np.minimum(np.count_nonzero(D < r, axis=1), m)
+        kc = np.minimum(np.count_nonzero(D <= r, axis=1), m)
+        at = np.maximum(k - 1, 0)
+        top = np.where(k > 0, run[rows, at], 0.0) / r
+        out["lip_upper"][:, ri] = top
+        out["lip_upper_closed"][:, ri] = np.where(
+            kc > 0, run[rows, np.maximum(kc - 1, 0)], 0.0) / r
+        out["big_below"][:, ri] = np.where(k > 0, big[rows, at], 0.0)
+        out["nearest_scale_inf"][:, ri] = np.where(k > 0, near[rows, at], 0.0)
+        inner = np.where(k > 1, gaps[rows, np.maximum(k - 2, 0)], np.inf)
+        out["little_below"][:, ri] = np.minimum(inner, top)
+    out["d1"][:] = np.where(m > 0, D[:, 0], np.inf)
 
 
 def _scan(f: SampledMap, x, r: float) -> _PointScan:
@@ -402,33 +515,38 @@ class ScaleProfile:
         raise InputError(f"no summary for point {point!r}")
 
 
-def _point_summary(x, scan: _PointScan, grid: RadiusGrid, loc_at,
-                   liminf_surrogate: bool) -> PointSummary:
-    """The limit estimates of one point from its scan.
+def _summaries(points, grid: RadiusGrid, d1, series, big, loc_at,
+               surrogate=None) -> list:
+    """The limit estimates of every point from its scan readings.
 
-    ``loc_at(k)`` returns the local functional at ``grid.radii[k]``; it is
-    asked once, at the smallest radius whose ball holds a neighbour.
+    Per point p: ``d1[p]`` is its nearest positive distance, ``series[p]``
+    its nearest-scale infima on the tail window, ``big[p]`` its big
+    functional at the smallest radius and ``surrogate[p]`` (if given) its
+    open-ball functional on the tail window.  ``loc_at(p, k)`` returns the
+    local functional at ``grid.radii[k]``; it is asked once per point, at
+    the smallest radius whose ball holds a neighbour.
     """
     radii = grid.radii
-    tail = radii[-grid.tail_window:]
-    # radii shrink along the array, so the resolved ones are a prefix
-    resolved = np.flatnonzero(scan.d1 < radii)
-    loc_hat = float(loc_at(resolved[-1])) if resolved.size else 0.0
-    # little estimates along the tail window, which ends at the smallest r
-    series = scan.nearest_scale_inf(tail)
+    # the last radius above d1, or -1 (radii shrink along the array)
+    hit = d1[:, None] < radii
+    resolved = np.where(np.any(hit, axis=1),
+                        radii.size - 1 - np.argmax(hit[:, ::-1], axis=1), -1)
     # divergence: the little estimates along the tail keep growing as the
     # radius shrinks and more than double overall (radii shrink along the
     # array, so growth toward small scales means a nondecreasing series)
-    divergent = bool(
-        series[-1] > 0
-        and np.all(np.diff(series) >= 0)
-        and series[-1] > grid.divergence_factor * series[0])
-    surrogate = None
-    if liminf_surrogate:
-        surrogate = float(np.min(scan.lip_upper(tail)))
-    return PointSummary(x, float(series[-1]), float(scan.big_below(radii[-1])),
-                        loc_hat, bool(scan.d1 >= radii[-1]), divergent,
-                        surrogate)
+    divergent = ((series[:, -1] > 0)
+                 & np.all(np.diff(series, axis=1) >= 0, axis=1)
+                 & (series[:, -1] > grid.divergence_factor * series[:, 0]))
+    unresolved = d1 >= radii[-1]
+    out = []
+    for p, x in enumerate(points):
+        k = int(resolved[p])
+        out.append(PointSummary(
+            x, float(series[p, -1]), float(big[p]),
+            float(loc_at(p, k)) if k >= 0 else 0.0, bool(unresolved[p]),
+            bool(divergent[p]),
+            None if surrogate is None else float(np.min(surrogate[p]))))
+    return out
 
 
 def scale_profile(f: SampledMap, grid: RadiusGrid, points=None,
@@ -451,15 +569,21 @@ def scale_profile(f: SampledMap, grid: RadiusGrid, points=None,
         warn(f"r_max {radii[0]} exceeds the domain diameter")
     table = {k: np.zeros((len(points), len(radii)))
              for k in _SCAN_COLUMNS + ("loc",)}
-    summaries = []
+    tail = radii[-grid.tail_window:]
+    d1 = np.empty(len(points))
+    series = np.empty((len(points), tail.size))
     for pi, x in enumerate(points):
         scan = _PointScan(f, f.domain.index(x))
         for name in _SCAN_COLUMNS:
             table[name][pi] = getattr(scan, name)(radii)
         for r_i, r in enumerate(radii):
             table["loc"][pi, r_i] = loc_lip_r(f, x, float(r))
-        summaries.append(_point_summary(x, scan, grid, table["loc"][pi].item,
-                                        liminf_surrogate))
+        d1[pi] = scan.d1
+        series[pi] = scan.nearest_scale_inf(tail)
+    surrogate = table["lip_upper"][:, -tail.size:]
+    summaries = _summaries(points, grid, d1, series, table["big_below"][:, -1],
+                           lambda p, k: table["loc"][p, k],
+                           surrogate if liminf_surrogate else None)
     return ScaleProfile(list(points), radii, table, summaries)
 
 
@@ -467,16 +591,16 @@ def scale_summaries(f: SampledMap, grid: RadiusGrid, points=None,
                     liminf_surrogate: bool = False) -> list:
     """The ``PointSummary`` list of ``scale_profile``, without its table.
 
-    One scan per point, reaching the largest radius, and one local
-    functional, at the smallest resolved radius.
+    One ``scan_field`` over the points, reaching the largest radius, and one
+    local functional per point, at the smallest resolved radius.
     """
     radii = grid.radii
     if points is None:
         points = list(f.domain.ids)
-    summaries = []
-    for x in points:
-        scan = _PointScan(f, f.domain.index(x), reach=radii[0])
-        summaries.append(_point_summary(
-            x, scan, grid, lambda k: loc_lip_r(f, x, float(radii[k])),
-            liminf_surrogate))
-    return summaries
+    scan = scan_field(f, radii, [f.domain.index(x) for x in points])
+    tail = slice(radii.size - grid.tail_window, None)
+    return _summaries(
+        points, grid, scan["d1"], scan["nearest_scale_inf"][:, tail],
+        scan["big_below"][:, -1],
+        lambda p, k: loc_lip_r(f, points[p], float(radii[k])),
+        scan["lip_upper"][:, tail] if liminf_surrogate else None)

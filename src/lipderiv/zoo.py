@@ -216,8 +216,8 @@ _BUILDERS = {
 
 
 def _resolution(resolution) -> float:
-    if resolution <= 0:
-        raise InputError("resolution must be positive")
+    if not 0 < resolution < math.inf:
+        raise InputError("resolution must be positive and finite")
     return float(resolution)
 
 

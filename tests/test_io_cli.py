@@ -305,3 +305,52 @@ def test_coincident_points_with_equal_values(tmp_path):
     assert main(["profile", "--input", str(p), "--rmax", "0.5",
                  "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 1 + 3 * 8
+
+
+@pytest.mark.parametrize("args, message", [
+    (["profile", "--rmax", "nan"], "r_max"),
+    (["profile", "--rmax", "inf"], "r_max"),
+    (["sets", "--rmax", "0.3", "--gamma", "nan"], "gamma"),
+    (["sets", "--rmax", "0.3", "--gamma", "inf"], "gamma"),
+    (["sets", "--rmax", "0.3", "--gamma=-inf"], "gamma"),
+    (["envelope", "--h", "nan"], "envelope scale"),
+    (["envelope", "--h", "inf"], "envelope scale"),
+])
+def test_cli_non_finite_options(tmp_path, capsys, args, message):
+    src = write_cloud(tmp_path)
+    out = tmp_path / "out.csv"
+    assert main(args + ["--input", src, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["zoo", "export", "--entry", "sin", "--resolution", "nan"],
+    ["zoo", "export", "--entry", "sin", "--resolution", "inf"],
+    ["check", "--suite", "bhmv", "--zoo-resolution", "nan"],
+    ["check", "--suite", "bhmv", "--zoo-resolution", "inf"],
+])
+def test_cli_non_finite_resolution(tmp_path, capsys, args):
+    out = tmp_path / "out.csv"
+    if args[0] == "zoo":
+        args = args + ["--out", str(out)]
+    assert main(args) == 2
+    assert "resolution must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_unwritable_output(tmp_path, capsys):
+    src = write_cloud(tmp_path)
+    missing = tmp_path / "no" / "such" / "dir"
+    assert main(["profile", "--input", src, "--rmax", "0.5",
+                 "--out", str(missing / "o.csv")]) == 2
+    assert f"cannot write {missing / 'o.csv'}" in capsys.readouterr().err
+    assert main(["check", "--suite", "bhmv",
+                 "--report", str(missing / "r.json")]) == 2
+    assert "cannot write" in capsys.readouterr().err
+    # a directory in place of the file: the rename fails, the temporary
+    # file is removed
+    assert main(["profile", "--input", src, "--rmax", "0.5",
+                 "--out", str(tmp_path)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+    assert not list(tmp_path.glob(".tmp-*"))

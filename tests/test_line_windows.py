@@ -1,10 +1,11 @@
 """Whole-field ball kernels on one-coordinate domains against their
 definitions.
 
-``line_windows``, ``loc_field``, the envelopes, the defects and the
-nearest-neighbour pass read balls as windows of the sorted coordinate.  Each
-must give exactly (``==``) what the per-point computation over full distance
-rows gives, written out here loop by loop.
+``line_windows``, ``loc_field``, ``scan_field``, the envelopes, the defects
+and the nearest-neighbour pass read balls as windows of the sorted
+coordinate.  Each must give exactly (``==``) what the per-point computation
+over full distance rows gives, written out here loop by loop or taken from
+``_PointScan``.
 """
 import hashlib
 from pathlib import Path
@@ -14,12 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lipderiv import (FiniteMetricSpace, SampledMap, ScalarField, baire_lower,
-                      baire_upper, loc_field, loc_lip_r, lsc_defect,
+from lipderiv import (FiniteMetricSpace, RadiusGrid, SampledMap, ScalarField,
+                      baire_lower, baire_upper, loc_field, loc_lip_r,
+                      lsc_defect, scale_profile, scale_summaries, scan_field,
                       usc_defect)
+from lipderiv import scales
 from lipderiv.cli import main
 from lipderiv.harness import _cell_oscillation
 from lipderiv.metric import BLOCK_ELEMS
+from lipderiv.scales import _FIELD_KINDS, _PointScan
 
 DATA = Path(__file__).parent / "data"
 NORMS = (1.0, 2.0, np.inf)
@@ -53,23 +57,26 @@ def radius(draw, space):
     return draw(st.floats(1e-3, 5.0))
 
 
-@st.composite
-def maps(draw):
-    space = draw(line_spaces())
+def map_on(draw, space):
+    """Scalar values, vector values or an asymmetric value table."""
     n = space.n
     kind = draw(st.sampled_from(("scalar", "vector", "table")))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     if kind == "scalar":
-        f = SampledMap.real(space, rng.integers(-3, 4, n) * 0.5)
-    elif kind == "vector":
-        f = SampledMap.vector(space, rng.standard_normal((n, 3)),
-                              p=draw(st.sampled_from(NORMS)))
-    else:
-        # asymmetric, so the row-before-column orientation shows
-        table = rng.random((n, n))
-        np.fill_diagonal(table, 0.0)
-        f = SampledMap(space, value_table=table, validate_table=False)
-    return f, radius(draw, space)
+        return SampledMap.real(space, rng.integers(-3, 4, n) * 0.5)
+    if kind == "vector":
+        return SampledMap.vector(space, rng.standard_normal((n, 3)),
+                                 p=draw(st.sampled_from(NORMS)))
+    # asymmetric, so the row-before-column orientation shows
+    table = rng.random((n, n))
+    np.fill_diagonal(table, 0.0)
+    return SampledMap(space, value_table=table, validate_table=False)
+
+
+@st.composite
+def maps(draw):
+    space = draw(line_spaces())
+    return map_on(draw, space), radius(draw, space)
 
 
 def windows_by_definition(space, r, closed):
@@ -150,6 +157,130 @@ def test_loc_field_fallback_on_tables_and_planes():
         for r in (0.1, 0.4, 3.0):
             assert loc_field(f, r).tolist() == [loc_lip_r(f, x, r)
                                                 for x in space.ids]
+
+
+def assert_scan_field_is_point_scan(f, radii, idx=None):
+    got = scan_field(f, radii, idx)
+    points = range(f.domain.n) if idx is None else idx
+    assert got["d1"].shape == (len(points),)
+    for row, i in enumerate(points):
+        scan = _PointScan(f, i, reach=max(radii))
+        for kind in _FIELD_KINDS:
+            assert (got[kind][row].tolist()
+                    == getattr(scan, kind)(np.asarray(radii)).tolist()), kind
+        assert got["d1"][row] == scan.d1
+
+
+@st.composite
+def scan_cases(draw):
+    """A map on a line space, up to four radii (sample distances among
+    them, so one of them may be the reach) and every point or a subset."""
+    space = draw(line_spaces())
+    radii = [radius(draw, space) for _ in range(draw(st.integers(1, 4)))]
+    idx = None
+    if draw(st.booleans()):
+        idx = draw(st.lists(st.integers(0, space.n - 1), max_size=space.n))
+    return map_on(draw, space), radii, idx
+
+
+@given(scan_cases())
+@settings(max_examples=400, deadline=None)
+def test_scan_field_equals_point_scan(case):
+    assert_scan_field_is_point_scan(*case)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_scan_field_on_one_and_two_points(n):
+    space = FiniteMetricSpace(range(n), coords=np.arange(n, 0, -1.0)[:, None])
+    f = SampledMap.real(space, np.arange(n) * 3.0)
+    for radii in ([0.5], [1.0], [10.0, 1.0, 0.5]):
+        assert_scan_field_is_point_scan(f, radii)
+
+
+def test_scan_field_rows_over_several_blocks(monkeypatch):
+    # windows of ~600 points give blocks of BLOCK_ELEMS // (8 * 600) rows,
+    # and a third of that with three value coordinates
+    rng = np.random.default_rng(6)
+    xs = rng.permutation(np.sort(rng.random(1500)))
+    xs[:40] = xs[40:80]                               # coincident points
+    space = FiniteMetricSpace(range(1500), coords=xs[:, None])
+    sizes = []
+    read_rows = scales._read_rows
+
+    def spy(D, V, *args):
+        sizes.append(max(D.size, V.size))
+        read_rows(D, V, *args)
+
+    monkeypatch.setattr(scales, "_read_rows", spy)
+    probe = sorted(set(range(0, 1500, 29)) | set(range(30, 45)))
+    for f in (SampledMap.real(space, np.sin(9.0 * xs)),
+              SampledMap.vector(space, np.column_stack(
+                  [np.sin(9.0 * xs), xs, xs * xs]), p=1.0)):
+        sizes.clear()
+        radii = [0.2, 0.05, 0.0125]
+        got = scan_field(f, radii)
+        assert len(sizes) >= 5 and max(sizes) <= BLOCK_ELEMS
+        for i in probe:
+            scan = _PointScan(f, i, reach=0.2)
+            for kind in _FIELD_KINDS:
+                assert got[kind][i].tolist() == getattr(scan, kind)(
+                    np.asarray(radii)).tolist(), (kind, i)
+
+
+@pytest.mark.parametrize("cap", [64, 8])
+def test_scan_field_one_row_blocks_and_wide_rows(monkeypatch, cap):
+    # a cap of 64 leaves one row per block; at 8 the rows of up to 20
+    # entries exceed it and the points are scanned one by one
+    monkeypatch.setattr(scales, "BLOCK_ELEMS", cap)
+    blocks = []
+    read_rows = scales._read_rows
+    monkeypatch.setattr(scales, "_read_rows", lambda D, *args: (
+        blocks.append(D.shape), read_rows(D, *args)))
+    rng = np.random.default_rng(8)
+    xs = rng.integers(0, 40, 60) / 4.0
+    space = FiniteMetricSpace(range(60), coords=xs[:, None], p=np.inf)
+    f = SampledMap.real(space, rng.standard_normal(60))
+    assert_scan_field_is_point_scan(f, [2.5, 1.0, 0.25])
+    assert_scan_field_is_point_scan(f, [2.5], idx=[59, 3, 3, 17])
+    if cap == 8:
+        assert blocks == []
+    else:
+        assert len(blocks) == 64 and {rows for rows, _ in blocks} == {1}
+
+
+def test_scan_field_fallback_on_tables_and_planes():
+    rng = np.random.default_rng(3)
+    coords = rng.integers(0, 5, (30, 2)) * 0.25       # ties and coincidences
+    plane = FiniteMetricSpace(range(30), coords=coords)
+    d = np.vstack([plane.dist_row(i) for i in range(30)])
+    table = FiniteMetricSpace.from_table(range(30), d)
+    line_table = FiniteMetricSpace.from_table(
+        range(30), np.abs(coords[:, :1] - coords[:, 0]))
+    for space in (plane, table, line_table):
+        assert space.line_order is None
+        f = SampledMap.real(space, rng.standard_normal(30))
+        assert_scan_field_is_point_scan(f, [1.5, 0.5, 0.25])
+        assert_scan_field_is_point_scan(f, [0.5], idx=[4, 0])
+
+
+@st.composite
+def line_grids(draw):
+    steps = draw(st.integers(1, 5))
+    return RadiusGrid(draw(st.sampled_from([0.25, 0.5, 1.0, 4.0])),
+                      draw(st.sampled_from([0.3, 0.5, 0.75])), steps,
+                      draw(st.integers(1, steps)))
+
+
+@given(line_spaces(), line_grids(), st.booleans(), st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_summaries_equal_profile_summaries_on_lines(space, grid, surrogate,
+                                                    subset, data):
+    f = map_on(data.draw, space)
+    points = space.ids[::-2] if subset else None
+    assert (scale_summaries(f, grid, points=points,
+                            liminf_surrogate=surrogate)
+            == scale_profile(f, grid, points=points,
+                             liminf_surrogate=surrogate).summaries)
 
 
 def reduce_by_definition(g, h, pick, punctured):
@@ -262,6 +393,20 @@ GOLDEN_ENVELOPE_CLI = {
         "3e1d2a586bec0bc4f56fbd1998a5ad0fbe1a9f28d0d75086733f2d47a2697e1a",
         "98ab0b4e335d69c34353896061acb2dd570ddc89e6a6b19319b531b1e483d311"),
 }
+
+
+# sha256 of `lipderiv check --suite all --seed 7 --report`, unchanged since
+# every suite built one sorted scan per point
+GOLDEN_FULL_REPORT = (
+    "fabb1ea92d1e1c9e0c71f24a1c801f142b0ad9f10878b448f66aac1a241ae3d3")
+
+
+def test_full_check_report_golden_digest(tmp_path):
+    report = tmp_path / "report.json"
+    assert main(["check", "--suite", "all", "--seed", "7", "--report",
+                 str(report)]) == 0
+    digest = hashlib.sha256(report.read_bytes()).hexdigest()
+    assert digest == GOLDEN_FULL_REPORT
 
 
 def test_envelope_semicontinuity_report_golden_digest(tmp_path):
