@@ -84,10 +84,10 @@ def _sibling(path: str, suffix: str) -> str:
 
 
 def cmd_profile(args) -> int:
+    grid, out = _grid(args), lio.check_writable(_require(args, "out"))
     f = lio.load_sampled_map(_require(args, "input"),
                              _resolve(args, "metric"))
-    profile = scale_profile(f, _grid(args))
-    out = _require(args, "out")
+    profile = scale_profile(f, grid)
     lio.save_profile(out, profile)
     lio.save_summary(_sibling(out, ".summary"), profile)
     return 0
@@ -104,15 +104,18 @@ def cmd_check(args) -> int:
         inject_fault=_resolve(args, "inject_fault"),
         zoo_resolution=_resolve(args, "zoo_resolution", float),
         random_spaces=_resolve(args, "random_spaces", int))
+    report = _resolve(args, "report")
+    if report:
+        lio.check_writable(report)
     results = run_suite(cfg)
     print(lio.summary_table(results))
-    report = _resolve(args, "report")
     if report:
         lio.save_report(report, results)
     return 0 if overall_ok(results) else 1
 
 
 def cmd_envelope(args) -> int:
+    out = lio.check_writable(_require(args, "out"))
     ids, coords, values = lio.load_point_cloud(_require(args, "input"))
     if values is None:
         raise InputError("envelope input needs a val column")
@@ -124,28 +127,29 @@ def cmd_envelope(args) -> int:
     if h <= space.resolution():
         raise InputError("envelope scale h must exceed the input resolution")
     g = ScalarField(space, values)
-    out = _require(args, "out")
     lio.save_scalar_field(out, baire_upper(g, h))
     lio.save_scalar_field(_sibling(out, ".lower"), baire_lower(g, h))
     return 0
 
 
 def cmd_sets(args) -> int:
-    gamma = _require(args, "gamma", float)
+    gamma = lio.check_gamma(_require(args, "gamma", float))
+    grid, out = _grid(args), lio.check_writable(_require(args, "out"))
     f = lio.load_sampled_map(_require(args, "input"),
                              _resolve(args, "metric"))
-    summaries = scale_summaries(f, _grid(args))
-    lio.save_set_flags(_require(args, "out"), summaries, gamma)
+    summaries = scale_summaries(f, grid)
+    lio.save_set_flags(out, summaries, gamma)
     return 0
 
 
 def cmd_zoo_export(args) -> int:
+    out = lio.check_writable(_require(args, "out"))
     res = _require(args, "resolution", float)
     entry = make_entry(_require(args, "entry"), res)
     f = entry.map
     if f.domain.coords is None:
         raise InputError(f"entry {entry.name!r} has no coordinate embedding")
-    lio.save_point_cloud(_require(args, "out"), f.domain.ids,
+    lio.save_point_cloud(out, f.domain.ids,
                          f.domain.coords, f.values)
     return 0
 

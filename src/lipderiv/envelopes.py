@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
-from .metric import FiniteMetricSpace, window_reduce
+from .metric import FiniteMetricSpace
 
 
 class ScalarField:
@@ -41,54 +41,32 @@ def _check_scale(h: float):
 
 def _ball_reduce(g: ScalarField, h: float, ufunc, punctured: bool):
     """``ufunc`` (max or min) of g over every open ball B(x, h), or over its
-    punctured part 0 < d(x, u) < h; NaN where that set is empty.
-
-    On a ``line_order`` space the ball is a window of sorted positions and
-    its points at distance 0 from x are an inner window; elsewhere each
-    point reads its distance row.
-    """
+    punctured part 0 < d(x, u) < h; -inf (max) or inf (min) where that set
+    is empty, which only a punctured ball can be."""
     _check_scale(h)
-    sp, vals = g.space, g.values
-    order = sp.line_order
-    if order is None:
-        out = np.full(sp.n, np.nan)
-        for i in range(sp.n):
-            d = sp.dist_row(i)
-            mask = (d > 0) & (d < h) if punctured else d < h
-            if np.any(mask):
-                out[i] = ufunc.reduce(vals[mask])
-        return out
     identity = -np.inf if ufunc is np.maximum else np.inf
-    lo, hi = sp.line_windows(h)
-    ranked = vals[order]
-    if punctured:
-        lo0, hi0 = sp.line_windows(0.0, closed=True)
-        got = ufunc(window_reduce(ranked, lo, lo0, ufunc, identity),
-                    window_reduce(ranked, hi0, hi, ufunc, identity))
-        empty = (lo0 - lo) + (hi - hi0) == 0
-    else:
-        got = window_reduce(ranked, lo, hi, ufunc, identity)
-        empty = hi == lo
-    out = np.empty(sp.n)
-    out[order] = np.where(empty, np.nan, got)
+    out = np.empty(g.space.n)
+    for rows, cols, _, valid in g.space.ball_rows(h, punctured=punctured,
+                                                 dists=False):
+        out[rows] = ufunc.reduce(g.values[cols], axis=1, where=valid,
+                                 initial=identity)
     return out
 
 
 def _defect(gap: np.ndarray) -> np.ndarray:
-    """max(0, gap), with 0 for empty punctured balls and inf - inf gaps."""
+    """max(0, gap), with 0 for inf - inf gaps (empty punctured balls give
+    gaps of -inf or inf - inf)."""
     return np.maximum(np.where(np.isnan(gap), 0.0, gap), 0.0)
 
 
 def baire_upper(g: ScalarField, h: float) -> ScalarField:
     """Pointwise max of g over the open ball B(x, h); >= g everywhere."""
-    top = _ball_reduce(g, h, np.maximum, punctured=False)
-    return ScalarField(g.space, np.where(np.isnan(top), g.values, top))
+    return ScalarField(g.space, _ball_reduce(g, h, np.maximum, False))
 
 
 def baire_lower(g: ScalarField, h: float) -> ScalarField:
     """Pointwise min of g over the open ball B(x, h); <= g everywhere."""
-    bottom = _ball_reduce(g, h, np.minimum, punctured=False)
-    return ScalarField(g.space, np.where(np.isnan(bottom), g.values, bottom))
+    return ScalarField(g.space, _ball_reduce(g, h, np.minimum, False))
 
 
 def usc_defect(g: ScalarField, h: float) -> ScalarField:

@@ -63,6 +63,16 @@ def atomic_write(path: str, text: str):
         raise InputError(f"cannot write {path}: {reason}") from None
 
 
+def check_writable(path: str) -> str:
+    """The output path, rejected unless its directory exists and is
+    writable, so that a command can fail before it computes anything."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.access(directory, os.W_OK | os.X_OK):
+        raise InputError(f"cannot write {path}: no writable directory "
+                         f"{directory}")
+    return path
+
+
 def _read_rows(path: str):
     try:
         with open(path, newline="") as handle:
@@ -134,25 +144,6 @@ def save_point_cloud(path: str, ids, coords, values=None):
             row += [fmt_float(c) for c in np.atleast_1d(v)]
         w.writerow(row)
     atomic_write(path, out.getvalue())
-
-
-def load_distance_matrix(path: str) -> FiniteMetricSpace:
-    """Read a CSV distance matrix with ids in the first row and column."""
-    rows = _read_rows(path)
-    if not rows:
-        raise InputError(f"{path}: empty file")
-    ids = [c.strip() for c in rows[0][1:]]
-    if not ids:
-        raise InputError(f"{path}: no point ids in the header row")
-    table = np.zeros((len(ids), len(ids)))
-    if len(rows) != len(ids) + 1:
-        raise InputError(f"{path}: expected {len(ids)} data rows")
-    for i, row in enumerate(rows[1:], start=0):
-        if len(row) != len(ids) + 1 or row[0].strip() != ids[i]:
-            raise InputError(f"{path}: row {i + 2} does not match the header")
-        table[i] = [parse_float(c, f"distance at row {i + 2}")
-                    for c in row[1:]]
-    return FiniteMetricSpace(ids, table=table)
 
 
 _METRICS = {"euclidean": 2.0, "manhattan": 1.0, "chebyshev": np.inf}
@@ -250,11 +241,17 @@ def save_summary(path: str, profile: ScaleProfile):
     atomic_write(path, out.getvalue())
 
 
+def check_gamma(gamma: float) -> float:
+    """The level-set threshold, rejected unless finite."""
+    if not math.isfinite(gamma):
+        raise InputError("set threshold gamma must be finite")
+    return gamma
+
+
 def save_set_flags(path: str, summaries, gamma: float):
     """Per-point threshold membership flags for the three estimates of a
     ``PointSummary`` list (``scale_summaries``)."""
-    if not math.isfinite(gamma):
-        raise InputError("set threshold gamma must be finite")
+    check_gamma(gamma)
     out = _io.StringIO()
     w = csv.writer(out)
     w.writerow(["point", "lip_le_gamma", "big_le_gamma", "loc_le_gamma",

@@ -151,13 +151,14 @@ class FiniteMetricSpace:
             return None
         return np.argsort(self.coords[:, 0], kind="stable")
 
-    def line_windows(self, r, closed: bool = False):
-        """Ball windows of every point of a ``line_order`` space.
+    def line_windows(self, r, closed: bool = False, at=None):
+        """Ball windows of the points of a ``line_order`` space.
 
-        Returns ``(lo, hi)`` over sorted positions: ``line_order[lo[a]:hi[a]]``
+        Returns ``(lo, hi)`` over sorted positions: ``line_order[lo[k]:hi[k]]``
         is the open ball ``d < r`` (closed: ``d <= r``) around the point at
-        sorted position ``a``, with ``d`` the exact ``dist_row`` floats.  ``r``
-        is a scalar or one radius per sorted position.
+        sorted position ``at[k]`` (every position, in order, by default),
+        with ``d`` the exact ``dist_row`` floats.  ``r`` is a scalar or one
+        radius per position.
 
         Why a window is the ball: with one coordinate the distance is a
         rounded subtraction followed by an absolute value (p = 1, inf) or by
@@ -171,11 +172,12 @@ class FiniteMetricSpace:
         """
         n = self.n
         c = self.coords[self.line_order, 0]
-        pos = np.arange(n)
-        r = np.broadcast_to(np.asarray(r, dtype=float), (n,))
+        at = np.arange(n) if at is None else np.asarray(at, dtype=np.intp)
+        r = np.broadcast_to(np.asarray(r, dtype=float), at.shape)
+        x = c[at]
 
         def inside(b):
-            d = _norm((c[b] - c)[:, None], self.p)
+            d = _norm((c[b] - x)[:, None], self.p)
             return d <= r if closed else d < r
 
         def first(pred, lo, hi):
@@ -190,40 +192,101 @@ class FiniteMetricSpace:
                 active = lo < hi
             return lo
 
-        lo = first(inside, np.zeros(n, dtype=np.intp), pos + 1)
-        hi = first(lambda b: ~inside(b), pos + 1, np.full(n, n))
+        lo = first(inside, np.zeros(at.size, dtype=np.intp), at + 1)
+        hi = first(lambda b: ~inside(b), at + 1, np.full(at.size, n))
         return lo, hi
+
+    def ball_rows(self, r, idx=None, closed=False, punctured=False, cost=3,
+                  dists=True):
+        """The balls ``B(x_i, r)`` of the points ``i`` of ``idx`` (every
+        point, in index order, by default), in padded blocks.
+
+        Yields ``(rows, cols, D, valid)``: ``rows`` is a slice of ``idx``;
+        row ``k`` of ``cols`` lists the point indices of the ball of
+        ``idx[rows][k]`` first and padding after them, ``valid`` marks the
+        ball's entries and ``D`` holds their exact ``dist_row`` floats (None
+        unless ``dists``); padding entries hold no meaning.  The ball is
+        ``d < r`` (closed: ``d <= r``), less the points at distance 0 when
+        ``punctured``; ``r`` is a scalar or one radius per entry of ``idx``.
+        Every row has at least one column.
+
+        On a ``line_order`` space a row is the window of sorted positions
+        that ``line_windows`` finds, less the run at distance 0 when
+        punctured.  On other spaces it is a ``cross`` block against every
+        point, masked and compacted so that the entries come first, in index
+        order.  A block holds ``BLOCK_ELEMS // (cost * width)`` rows, at
+        least one, where ``width`` is the widest row (every point off a
+        line): ``cost`` arrays of a block's shape fit in ``BLOCK_ELEMS``.
+        """
+        n = self.n
+        idx = np.arange(n) if idx is None else np.asarray(idx, dtype=int)
+        r = np.broadcast_to(np.asarray(r, dtype=float), idx.shape)
+        order = self.line_order
+        if order is None:
+            step = max(1, BLOCK_ELEMS // (cost * max(n, 1)))
+            every = np.arange(n)
+            for s in range(0, idx.size, step):
+                rows = slice(s, s + step)
+                D = self.cross(idx[rows], every)
+                inside = D <= r[rows, None] if closed else D < r[rows, None]
+                if punctured:
+                    inside &= D > 0
+                width = max(1, int(np.max(np.count_nonzero(inside, axis=1))))
+                cols = np.argsort(~inside, axis=1, kind="stable")[:, :width]
+                yield (rows, cols,
+                       np.take_along_axis(D, cols, axis=1) if dists else None,
+                       np.take_along_axis(inside, cols, axis=1))
+            return
+        rank = np.empty(n, dtype=int)
+        rank[order] = np.arange(n)
+        a = rank[idx]
+        lo, hi = self.line_windows(r, closed, at=a)
+        m = hi - lo
+        if punctured:
+            # entry j at or past the zero run skips over it
+            lo0, hi0 = self.line_windows(0.0, True, at=a)
+            left, skip = lo0 - lo, hi0 - lo0
+            m -= skip
+        step = max(1, BLOCK_ELEMS // (cost * max(1, int(m.max(initial=0)))))
+        c = self.coords[order, 0]
+        for s in range(0, idx.size, step):
+            rows = slice(s, s + step)
+            j = np.arange(max(1, int(np.max(m[rows]))))
+            b = lo[rows, None] + j
+            if punctured:
+                b += np.where(j >= left[rows, None], skip[rows, None], 0)
+            np.minimum(b, n - 1, out=b)
+            D = (_norm((c[b] - c[a[rows], None])[..., None], self.p)
+                 if dists else None)
+            yield rows, order[b], D, j < m[rows, None]
 
     def nearest_neighbors(self):
         """``(d1, j)``: the nearest positive distance of every point, and the
         first index among the points at that distance; inf and -1 where no
         point lies at a finite positive distance."""
-        order = self.line_order
-        if order is None:
-            d1, j = np.empty(self.n), np.empty(self.n, dtype=int)
-            for i in range(self.n):
-                d = self.dist_row(i)
-                d = np.where(d > 0, d, np.inf)
-                j[i] = np.argmin(d)
-                d1[i] = d[j[i]]
-            j[np.isinf(d1)] = -1
-            return d1, j
         n = self.n
-        # the run at distance 0, then its two outer neighbours
-        lo0, hi0 = self.line_windows(0.0, closed=True)
-        c = self.coords[order, 0]
-        left = _norm((c[np.maximum(lo0 - 1, 0)] - c)[:, None], self.p)
-        right = _norm((c[np.minimum(hi0, n - 1)] - c)[:, None], self.p)
-        d1 = np.minimum(np.where(lo0 > 0, left, np.inf),
-                        np.where(hi0 < n, right, np.inf))
-        # every point at distance exactly d1 lies in [lo, lo0) or [hi0, hi)
-        lo, hi = self.line_windows(d1, closed=True)
-        j = np.minimum(window_reduce(order, lo, lo0, np.minimum, n),
-                       window_reduce(order, hi0, hi, np.minimum, n))
-        out_d1, out_j = np.empty(n), np.empty(n, dtype=int)
-        out_d1[order] = d1
-        out_j[order] = np.where(np.isinf(d1), -1, j)
-        return out_d1, out_j
+        r = np.inf
+        order = self.line_order
+        if order is not None:
+            # the nearest positive distance on a line is that of an outer
+            # neighbour of the run at distance 0, so the closed ball of that
+            # radius holds that run and the points at that distance only
+            lo0, hi0 = self.line_windows(0.0, closed=True)
+            c = self.coords[order, 0]
+            left = _norm((c[np.maximum(lo0 - 1, 0)] - c)[:, None], self.p)
+            right = _norm((c[np.minimum(hi0, n - 1)] - c)[:, None], self.p)
+            r = np.empty(n)
+            r[order] = np.minimum(np.where(lo0 > 0, left, np.inf),
+                                  np.where(hi0 < n, right, np.inf))
+        d1, j = np.full(n, np.inf), np.full(n, -1)
+        for rows, cols, D, valid in self.ball_rows(r, closed=True):
+            valid &= D > 0
+            near = np.min(D, axis=1, where=valid, initial=np.inf)
+            first = np.min(np.where(valid & (D == near[:, None]), cols, n),
+                           axis=1)
+            d1[rows] = near
+            j[rows] = np.where(np.isinf(near), -1, first)
+        return d1, j
 
     def diameter(self) -> float:
         return max(float(np.max(self.dist_row(i))) for i in range(self.n))
@@ -236,28 +299,6 @@ class FiniteMetricSpace:
     def resolution(self) -> float:
         """Smallest nearest-neighbor distance over all points."""
         return float(np.min(self.nearest_neighbors()[0]))
-
-
-def window_reduce(values, lo, hi, ufunc, initial):
-    """``ufunc.reduce(values[lo[a]:hi[a]], initial=initial)`` for every a.
-
-    Windows are gathered into padded blocks; a block's index, mask and
-    value arrays hold at most ``BLOCK_ELEMS`` elements together.  Max and
-    min are exact, so the result equals the per-window reduction.
-    """
-    out = np.full(lo.size, initial, dtype=values.dtype)
-    width = int(np.max(hi - lo, initial=0))
-    if width <= 0:
-        return out
-    step = max(1, BLOCK_ELEMS // (3 * width))
-    offsets = np.arange(width)
-    for s in range(0, lo.size, step):
-        at = lo[s:s + step, None] + offsets
-        inside = at < hi[s:s + step, None]
-        np.minimum(at, values.size - 1, out=at)
-        out[s:s + step] = ufunc.reduce(values[at], axis=1, where=inside,
-                                       initial=initial)
-    return out
 
 
 def validate_metric(space: FiniteMetricSpace, tol: float = METRIC_TOL) -> list:

@@ -214,69 +214,38 @@ def scan_field(f: SampledMap, radii, idx=None) -> dict:
     ``_PointScan(f, i, reach=max(radii))`` gives for the point indices ``i``
     of ``idx`` (every point, in index order, by default).
 
-    On a ``line_order`` domain the points at positive distance up to the
-    reach are, on either side of a point, a run of sorted positions next to
-    its distance-0 run (``line_windows``).  Each point's row holds their
-    ``dist_row`` floats and their ``value_dist_from`` floats (the point as
-    the row of ``value_pairs``), padded to the widest row with distance inf
-    after its entries; the rows are sorted by distance.  Along a row a
-    running max of the value distances, a running max of the quotients and
-    running minima over the last entry of each tie group give every
-    functional at the count of entries below (or up to) each radius, which
-    is always the last entry of a tie group.
+    A point's row holds the ``dist_row`` floats of its closed punctured ball
+    of radius the reach (``FiniteMetricSpace.ball_rows``) and their
+    ``value_dist_from`` floats (the point as the row of ``value_pairs``),
+    padded with distance inf after its entries; the rows are sorted by
+    distance.  Along a row a running max of the value distances, a running
+    max of the quotients and running minima over the last entry of each tie
+    group give every functional at the count of entries below (or up to)
+    each radius, which is always the last entry of a tie group.
 
     Why this is exact: every value read is a max or min over the same
     ``(d, dv)`` floats and the same quotients of them that ``_PointScan``
     takes, over the same set of entries (all entries up to the end of a tie
     group), and max and min do not depend on order, so the sort order
-    within ties cannot change it.  Rows are taken in blocks of
-    ``BLOCK_ELEMS // (8 width)`` points (divided further by the codomain
-    dimension of vector values), so no padded array holds more than
-    ``BLOCK_ELEMS`` elements; rows wider than that, and other domains, use
-    ``_PointScan`` point by point.
+    within ties cannot change it.  Blocks are sized for 8 arrays of their
+    shape per value coordinate of vector values.
     """
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     if not np.all(radii > 0):
         raise InputError("radii must be positive")
     sp = f.domain
     idx = np.arange(sp.n) if idx is None else np.asarray(idx, dtype=int)
-    reach = float(np.max(radii))
     out = {kind: np.empty((idx.size, radii.size)) for kind in _FIELD_KINDS}
     out["d1"] = np.full(idx.size, np.inf)
-    order = sp.line_order
-    if order is not None:
-        rank = np.empty(sp.n, dtype=int)
-        rank[order] = np.arange(sp.n)
-        a = rank[idx]
-        lo, hi = (w[a] for w in sp.line_windows(reach, closed=True))
-        lo0, hi0 = (w[a] for w in sp.line_windows(0.0, closed=True))
-        left, m = lo0 - lo, (lo0 - lo) + (hi - hi0)
-        # at least one column, so a point with no entry reads padding only
-        width = int(np.max(m, initial=1))
-        vector = f.values is not None and f.values.ndim == 2
-        cols = width * (f.values.shape[1] if vector else 1)
-    if order is None or cols > BLOCK_ELEMS:
-        for row, i in enumerate(idx):
-            scan = _PointScan(f, i, reach)
-            for kind in _FIELD_KINDS:
-                out[kind][row] = getattr(scan, kind)(radii)
-            out["d1"][row] = scan.d1
-        return out
-    c = sp.coords[order, 0]
-    j = np.arange(width)
-    step = max(1, BLOCK_ELEMS // (8 * cols))
-    for s in range(0, idx.size, step):
-        blk = slice(s, s + step)
-        # entry j walks outward: the left run down from lo0 - 1, then the
-        # right run up from hi0
-        nl = left[blk, None]
-        b = np.where(j < nl, lo0[blk, None] - 1 - j, hi0[blk, None] + j - nl)
-        np.clip(b, 0, sp.n - 1, out=b)
-        valid = j < m[blk, None]
-        D = np.where(valid, _norm((c[b] - c[a[blk], None])[..., None], sp.p),
-                     np.inf)
-        V = f.value_pairs(np.broadcast_to(idx[blk, None], b.shape), order[b])
-        _read_rows(D, V, m[blk], radii, {k: v[blk] for k, v in out.items()})
+    vector = f.values is not None and f.values.ndim == 2
+    cost = 8 * (f.values.shape[1] if vector else 1)
+    for rows, cols, D, valid in sp.ball_rows(float(np.max(radii)), idx,
+                                             closed=True, punctured=True,
+                                             cost=cost):
+        V = f.value_pairs(np.broadcast_to(idx[rows, None], cols.shape), cols)
+        _read_rows(np.where(valid, D, np.inf), V,
+                   np.count_nonzero(valid, axis=1), radii,
+                   {k: v[rows] for k, v in out.items()})
     return out
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from lipderiv import (FiniteMetricSpace, InputError, RadiusGrid, SampledMap,
                       ScalarField, scale_profile)
+from lipderiv import cli
 from lipderiv import io as lio
 from lipderiv.cli import main
 
@@ -53,17 +54,6 @@ def test_point_cloud_errors(tmp_path):
         lio.load_point_cloud(str(p))
     with pytest.raises(InputError):
         lio.load_point_cloud(str(tmp_path / "missing.csv"))
-
-
-def test_distance_matrix(tmp_path):
-    p = tmp_path / "dist.csv"
-    p.write_text(",a,b\na,0,2\nb,2,0\n")
-    sp = lio.load_distance_matrix(str(p))
-    assert sp.ids == ["a", "b"]
-    assert sp.dist(0, 1) == 2.0
-    p.write_text(",a,b\nb,0,2\na,2,0\n")
-    with pytest.raises(InputError):
-        lio.load_distance_matrix(str(p))
 
 
 def test_metric_order():
@@ -354,3 +344,45 @@ def test_cli_unwritable_output(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 2
     assert "cannot write" in capsys.readouterr().err
     assert not list(tmp_path.glob(".tmp-*"))
+
+
+def refuse(*args):
+    raise AssertionError("computed before the inputs were checked")
+
+
+@pytest.mark.parametrize("args", [
+    ["check", "--suite", "bhmv", "--report", "{missing}/r.json"],
+    ["profile", "--input", "{src}", "--out", "{missing}/o.csv"],
+    ["sets", "--input", "{src}", "--gamma", "1", "--out", "{missing}/o.csv"],
+    ["sets", "--input", "{src}", "--gamma", "1", "--out", "{file}/o.csv"],
+    ["envelope", "--input", "{src}", "--h", "0.2", "--out",
+     "{missing}/o.csv"],
+    ["zoo", "export", "--entry", "sin", "--resolution", "0.1", "--out",
+     "{missing}/o.csv"],
+    ["sets", "--input", "{src}", "--gamma", "nan", "--out", "{out}"],
+    ["sets", "--input", "{src}", "--gamma", "inf", "--out", "{out}"],
+])
+def test_cli_fails_before_computing(tmp_path, capsys, monkeypatch, args):
+    for name in ("run_suite", "scale_profile", "scale_summaries",
+                 "baire_upper", "make_entry"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(lio, "load_sampled_map", refuse)
+    monkeypatch.setattr(lio, "load_point_cloud", refuse)
+    src = write_cloud(tmp_path)
+    names = dict(src=src, missing=tmp_path / "no" / "dir", file=src,
+                 out=tmp_path / "o.csv")
+    assert main([a.format(**names) for a in args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("cannot write" in captured.err
+            or "gamma must be finite" in captured.err)
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_check_writable(tmp_path):
+    assert lio.check_writable(str(tmp_path / "o.csv")) == str(
+        tmp_path / "o.csv")
+    (tmp_path / "f").write_text("")
+    for parent in (tmp_path / "no", tmp_path / "f"):
+        with pytest.raises(InputError, match="no writable directory"):
+            lio.check_writable(str(parent / "o.csv"))

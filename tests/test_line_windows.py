@@ -1,11 +1,11 @@
-"""Whole-field ball kernels on one-coordinate domains against their
-definitions.
+"""Whole-field ball kernels against their definitions.
 
-``line_windows``, ``loc_field``, ``scan_field``, the envelopes, the defects
-and the nearest-neighbour pass read balls as windows of the sorted
-coordinate.  Each must give exactly (``==``) what the per-point computation
-over full distance rows gives, written out here loop by loop or taken from
-``_PointScan``.
+``ball_rows`` gives the balls of many points at once; ``scan_field``, the
+envelopes, the defects and the nearest-neighbour pass read it, and
+``line_windows`` and ``loc_field`` read balls on one-coordinate domains as
+windows of the sorted coordinate.  Each must give exactly (``==``) what
+the per-point computation over full distance rows gives, written out here
+loop by loop or taken from ``_PointScan``.
 """
 import hashlib
 from pathlib import Path
@@ -19,7 +19,7 @@ from lipderiv import (FiniteMetricSpace, RadiusGrid, SampledMap, ScalarField,
                       baire_lower, baire_upper, loc_field, loc_lip_r,
                       lsc_defect, scale_profile, scale_summaries, scan_field,
                       usc_defect)
-from lipderiv import scales
+from lipderiv import metric, scales
 from lipderiv.cli import main
 from lipderiv.harness import _cell_oscillation
 from lipderiv.metric import BLOCK_ELEMS
@@ -99,6 +99,105 @@ def test_windows_are_the_balls(space, data):
     lo, hi = space.line_windows(0.0, closed=True)
     for a, ball in enumerate(windows_by_definition(space, 0.0, True)):
         assert np.array_equal(np.arange(lo[a], hi[a]), ball)
+
+
+@st.composite
+def any_spaces(draw, max_size=10):
+    """A line, a plane, a table of plane distances or a table of line
+    distances, on points from ``COORD`` (coincident points and 1e-170 gaps
+    among them)."""
+    coords = np.array(draw(st.lists(st.tuples(COORD, COORD), min_size=1,
+                                    max_size=max_size)))
+    n = coords.shape[0]
+    p = draw(st.sampled_from(NORMS))
+    kind = draw(st.sampled_from(("line", "plane", "table", "line_table")))
+    if kind in ("line", "line_table"):
+        coords = coords[:, :1]
+    space = FiniteMetricSpace(range(n), coords=coords, p=p)
+    if kind in ("line", "plane"):
+        return space
+    return FiniteMetricSpace.from_table(
+        range(n), np.vstack([space.dist_row(i) for i in range(n)]))
+
+
+def assert_ball_rows_are_balls(space, r, idx, closed, punctured):
+    points = np.arange(space.n) if idx is None else np.asarray(idx, int)
+    radii = np.broadcast_to(r, points.shape)
+    covered = []
+    for rows, cols, D, valid in space.ball_rows(r, idx, closed, punctured):
+        assert cols.shape == D.shape == valid.shape and cols.shape[1] >= 1
+        covered.extend(range(points.size)[rows])
+        for k, i in enumerate(points[rows]):
+            m = int(np.count_nonzero(valid[k]))
+            assert valid[k, :m].all()
+            ball = space.ball_indices(i, radii[rows][k], closed=closed)
+            if punctured:
+                ball = ball[space.dist_row(i)[ball] > 0]
+            assert sorted(cols[k, :m].tolist()) == ball.tolist()
+            assert D[k, :m].tolist() == space.dist_row(i)[cols[k, :m]].tolist()
+    assert covered == list(range(points.size))
+
+
+@given(any_spaces(), st.booleans(), st.booleans(), st.booleans(),
+       st.booleans(), st.data())
+@settings(max_examples=400, deadline=None)
+def test_ball_rows_are_ball_indices(space, closed, punctured, per_point,
+                                    subset, data):
+    idx = None
+    if subset:
+        idx = data.draw(st.lists(st.integers(0, space.n - 1),
+                                 max_size=2 * space.n))
+    size = space.n if idx is None else len(idx)
+    if per_point:
+        r = np.array([radius(data.draw, space) for _ in range(size)])
+    else:
+        r = radius(data.draw, space)
+    assert_ball_rows_are_balls(space, r, idx, closed, punctured)
+
+
+def test_ball_rows_blocks_stay_within_budget(monkeypatch):
+    rng = np.random.default_rng(9)
+    xs = rng.permutation(np.sort(rng.random(1500)))
+    xs[:40] = xs[40:80]                               # coincident points
+    line = FiniteMetricSpace(range(1500), coords=xs[:, None])
+    plane = FiniteMetricSpace(range(700), coords=rng.random((700, 2)))
+    budget = {}
+    blocks = []
+    ball_rows, cross = FiniteMetricSpace.ball_rows, FiniteMetricSpace.cross
+
+    def spy_rows(self, *args, cost=3, **kwargs):
+        budget["cost"] = cost
+        for block in ball_rows(self, *args, cost=cost, **kwargs):
+            cols = block[1]
+            blocks.append(cost)
+            assert cols.shape[0] == 1 or cols.size * cost <= BLOCK_ELEMS
+            yield block
+
+    def spy_cross(self, rows, cols):
+        assert len(rows) == 1 or len(rows) * len(cols) * budget["cost"] <= (
+            BLOCK_ELEMS)
+        return cross(self, rows, cols)
+
+    monkeypatch.setattr(FiniteMetricSpace, "ball_rows", spy_rows)
+    monkeypatch.setattr(FiniteMetricSpace, "cross", spy_cross)
+    for space, r in ((line, 0.2), (plane, 0.3)):
+        x = space.coords[:, 0]
+        g = ScalarField(space, np.sin(9.0 * x))
+        # (cost, fewest blocks, run); a line's nearest-neighbour rows hold
+        # a few entries and fit in one block
+        runs = (
+            (8, 2, lambda: scan_field(SampledMap.real(space, g.values), [r])),
+            (24, 2, lambda: scan_field(SampledMap.vector(
+                space, np.column_stack([x, x * x, g.values])), [r, r / 4])),
+            (3, 2, lambda: baire_upper(g, r)),
+            (3, 2, lambda: usc_defect(g, r)),
+            (3, 1 if space is line else 2, space.nearest_neighbors),
+        )
+        for cost, fewest, run in runs:
+            blocks.clear()
+            run()
+            assert len(blocks) >= fewest
+            assert set(blocks) == {cost}
 
 
 @given(maps())
@@ -230,8 +329,8 @@ def test_scan_field_rows_over_several_blocks(monkeypatch):
 @pytest.mark.parametrize("cap", [64, 8])
 def test_scan_field_one_row_blocks_and_wide_rows(monkeypatch, cap):
     # a cap of 64 leaves one row per block; at 8 the rows of up to 20
-    # entries exceed it and the points are scanned one by one
-    monkeypatch.setattr(scales, "BLOCK_ELEMS", cap)
+    # entries exceed it and still go one row per block
+    monkeypatch.setattr(metric, "BLOCK_ELEMS", cap)
     blocks = []
     read_rows = scales._read_rows
     monkeypatch.setattr(scales, "_read_rows", lambda D, *args: (
@@ -242,10 +341,7 @@ def test_scan_field_one_row_blocks_and_wide_rows(monkeypatch, cap):
     f = SampledMap.real(space, rng.standard_normal(60))
     assert_scan_field_is_point_scan(f, [2.5, 1.0, 0.25])
     assert_scan_field_is_point_scan(f, [2.5], idx=[59, 3, 3, 17])
-    if cap == 8:
-        assert blocks == []
-    else:
-        assert len(blocks) == 64 and {rows for rows, _ in blocks} == {1}
+    assert len(blocks) == 64 and {rows for rows, _ in blocks} == {1}
 
 
 def test_scan_field_fallback_on_tables_and_planes():
