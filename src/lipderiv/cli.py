@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import io as lio
-from .envelopes import ScalarField, baire_lower, baire_upper
+from .envelopes import ScalarField, baire_lower, baire_upper, check_scale
 from .errors import InputError
 from .harness import SuiteConfig, overall_ok, run_suite
 from .metric import FiniteMetricSpace
@@ -115,6 +115,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_envelope(args) -> int:
+    h = check_scale(_require(args, "h", float))
     out = lio.check_writable(_require(args, "out"))
     ids, coords, values = lio.load_point_cloud(_require(args, "input"))
     if values is None:
@@ -123,7 +124,6 @@ def cmd_envelope(args) -> int:
         raise InputError("envelope input must be a scalar field")
     space = FiniteMetricSpace(ids, coords=coords,
                               p=lio.metric_order(_resolve(args, "metric")))
-    h = _require(args, "h", float)
     if h <= space.resolution():
         raise InputError("envelope scale h must exceed the input resolution")
     g = ScalarField(space, values)

@@ -34,16 +34,18 @@ class ScalarField:
         return ScalarField(self.space, -self.values)
 
 
-def _check_scale(h: float):
+def check_scale(h: float) -> float:
+    """The envelope scale, rejected unless positive and finite."""
     if not 0 < h < np.inf:
         raise InputError("envelope scale h must be positive and finite")
+    return h
 
 
 def _ball_reduce(g: ScalarField, h: float, ufunc, punctured: bool):
     """``ufunc`` (max or min) of g over every open ball B(x, h), or over its
     punctured part 0 < d(x, u) < h; -inf (max) or inf (min) where that set
     is empty, which only a punctured ball can be."""
-    _check_scale(h)
+    check_scale(h)
     identity = -np.inf if ufunc is np.maximum else np.inf
     out = np.empty(g.space.n)
     for rows, cols, _, valid in g.space.ball_rows(h, punctured=punctured,

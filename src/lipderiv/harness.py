@@ -334,12 +334,11 @@ def check_openness_surrogate(f: SampledMap, x0, r: float, gamma: float,
     if not base < gamma:
         return CheckResult(name, "skipped",
                            detail="precondition loc < gamma not met")
-    i0 = f.domain.index(x0)
+    ball = f.domain.ball_indices(f.domain.index(x0), r / 2.0)
     worst = 0.0
     witness = None
-    for j in f.domain.ball_indices(i0, r / 2.0):
+    for j, val in zip(ball, loc_field(f, r / 2.0, ball).tolist()):
         x = f.domain.ids[j]
-        val = loc_lip_r(f, x, r / 2.0)
         if inject_fault and witness is None:
             val = base + 1.0
         gap = val - base
@@ -526,10 +525,11 @@ def check_scale_oracles(space: FiniteMetricSpace, values, radii,
     """
     f = SampledMap.real(space, values)
     radii = np.asarray(radii, dtype=float)
+    dist = [space.dist_row(i) for i in range(space.n)]
     worst = 0.0
     witness = None
     for i, x in enumerate(space.ids):
-        d = space.dist_row(i)
+        d = dist[i]
         dv = f.value_dist_from(i)
         pos = np.sort(d[d > 0])
         scanned = {kind: v.tolist()
@@ -565,7 +565,7 @@ def check_scale_oracles(space: FiniteMetricSpace, values, radii,
             idx = np.flatnonzero(d < r)
             brute_loc = 0.0
             for a, b in itertools.combinations(idx, 2):
-                dd = space.dist(int(a), int(b))
+                dd = float(dist[a][b])
                 brute_loc = max(brute_loc, abs(values[a] - values[b]) / dd)
             checks["loc"] = (scanned["loc"][ri], brute_loc)
             for kind, (got, want) in checks.items():
@@ -577,7 +577,7 @@ def check_scale_oracles(space: FiniteMetricSpace, values, radii,
     brute_norm = 0.0
     for a, b in itertools.combinations(range(space.n), 2):
         brute_norm = max(brute_norm,
-                         abs(values[a] - values[b]) / space.dist(a, b))
+                         abs(values[a] - values[b]) / float(dist[a][b]))
     gap = abs(lip_norm(f) - brute_norm)
     if gap > worst:
         worst = gap

@@ -361,8 +361,10 @@ def _pair_sup(f: SampledMap, idx) -> float:
     return best
 
 
-def loc_field(f: SampledMap, r: float) -> np.ndarray:
-    """``loc_lip_r(f, x, r)`` at every point x, in index order.
+def loc_field(f: SampledMap, r: float, idx=None) -> np.ndarray:
+    """``loc_lip_r(f, x_i, r)`` at the point indices ``i`` of ``idx``, in
+    the order given, repeats allowed (every point, in index order, by
+    default).
 
     On a ``line_order`` domain the open balls are windows of sorted
     positions.  ``Q[s, k]`` is the quotient of the pair at sorted positions
@@ -371,32 +373,51 @@ def loc_field(f: SampledMap, r: float) -> np.ndarray:
     maximum along k.  The pairs of the window [lo, hi) are the triangle
     lo <= s < t <= e = hi - 1, and their maximum is the maximum over s of
     ``R[s, e - s]``.  Max is exact, so every value equals ``_pair_sup`` over
-    the same ball.  Rows are taken in blocks of ``BLOCK_ELEMS // (8 width)``,
+    the same ball.  Windows are found for the requested points only, and
+    only the band rows s that some window reads (lo <= s < hi - 1) are
+    built.  Those rows are taken in blocks of ``BLOCK_ELEMS // (8 width)``,
     and each point reads the rows of a block that its window meets: a band
-    block then holds at most 1/8 and a gather block at most 3/8 of
-    ``BLOCK_ELEMS`` elements (windows wider than ``BLOCK_ELEMS / 8`` get one
-    band row per block).  Other domains use ``_pair_sup`` point by point.
+    block then holds at most 1/8 of ``BLOCK_ELEMS`` elements and a gather
+    block at most 3/4 (3/8 over every point; windows wider than
+    ``BLOCK_ELEMS / 8`` get one band row per block).  Other domains use
+    ``_pair_sup`` point by point.
     """
     if r <= 0:
         raise InputError("r must be positive")
     sp = f.domain
+    n = sp.n
+    idx = np.arange(n) if idx is None else np.asarray(idx, dtype=int)
     order = sp.line_order
     if order is None:
-        return np.array([_pair_sup(f, sp.ball_indices(i, r))
-                         for i in range(sp.n)])
-    n = sp.n
-    lo, hi = sp.line_windows(r)
-    width = int(np.max(hi - lo, initial=0))
-    best = np.zeros(n)
-    if width < 2:
-        return best
+        return np.array([_pair_sup(f, sp.ball_indices(i, r)) for i in idx],
+                        dtype=float)
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    # each distinct point once, by sorted position; only windows holding a
+    # pair read any row
+    at, inverse = np.unique(rank[idx], return_inverse=True)
+    lo, hi = sp.line_windows(r, at=at)
+    best = np.zeros(at.size)
+    reads = np.flatnonzero(hi - lo >= 2)
+    if reads.size == 0:
+        return best[inverse]
+    lo, hi = lo[reads], hi[reads]
+    width = int(np.max(hi - lo))
+    # the band rows the windows read, ascending; window p reads the run
+    # rows[pos[p]:pos[p] + cnt[p]], which is lo[p] .. hi[p] - 2
+    edges = np.zeros(n, dtype=np.intp)
+    np.add.at(edges, lo, 1)
+    np.add.at(edges, hi - 1, -1)
+    rows = np.flatnonzero(np.cumsum(edges) > 0)
+    pos = np.searchsorted(rows, lo)
+    cnt = hi - 1 - lo
     c = sp.coords[order, 0]
     k = np.arange(1, width)
     step = max(1, BLOCK_ELEMS // (8 * width))
     span = min(step, width - 1)
-    for s0 in range(0, n - 1, step):
-        s = np.arange(s0, min(s0 + step, n - 1))[:, None]
-        s1 = s0 + s.shape[0]
+    for c0 in range(0, rows.size, step):
+        s = rows[c0:c0 + step, None]
+        c1 = c0 + s.shape[0]
         t = s + k
         keep = t < n
         np.minimum(t, n - 1, out=t)
@@ -407,34 +428,50 @@ def loc_field(f: SampledMap, r: float) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             Q = np.divide(V, D, out=V)
         R = np.maximum.accumulate(np.where(keep, Q, 0.0), axis=1)
-        # the points whose window meets rows s0 .. s1 - 1 read the rows
-        # first .. end - 1 of it, row s at column end - s - 1
-        a = np.arange(max(0, s0 - width + 1), min(n, s1 + width - 1))
-        first = np.maximum(lo[a], s0)[:, None] + np.arange(span)
-        end = hi[a, None] - 1
-        ok = first < np.minimum(end, s1)
-        cols = np.maximum(end - first - 1, 0)
-        first -= s0
-        np.minimum(first, s1 - s0 - 1, out=first)
-        got = np.max(R[first, cols], axis=1, where=ok, initial=0.0)
-        np.maximum(best[a], got, out=got)
-        best[a] = got
-    out = np.empty(n)
-    out[order] = best
-    return out
+        # the windows that meet rows c0 .. c1 - 1 of the run start before
+        # c1 and at most width - 2 rows before c0; pos ascends, because lo
+        # never decreases along the sorted order (see ``line_windows``)
+        a = np.arange(np.searchsorted(pos, c0 - width + 2),
+                      np.searchsorted(pos, c1))
+        first = np.maximum(pos[a], c0)[:, None] + np.arange(span)
+        ok = first < np.minimum(pos[a] + cnt[a], c1)[:, None]
+        np.minimum(first, c1 - 1, out=first)
+        # row s of the window [lo, hi) is read at column hi - 2 - s
+        cols = np.maximum(hi[a, None] - 2 - rows[first], 0)
+        got = np.max(R[first - c0, cols], axis=1, where=ok, initial=0.0)
+        best[reads[a]] = np.maximum(best[reads[a]], got)
+    return best[inverse]
 
 
 def _row_extremes(f: SampledMap):
-    """``(lip_norm(f), diameter, resolution)`` from one pass over the rows."""
+    """``(lip_norm(f), diameter, resolution)`` from row blocks of all
+    ordered pairs.
+
+    Rows ``i`` of a block against every point ``j`` hold the ``cross`` and
+    ``value_cross`` floats of the pair (i, j), which are the ``dist_row``
+    and ``value_dist_from`` floats of row i (a difference and its negation
+    round to the same magnitude).  A block holds at most
+    ``BLOCK_ELEMS // 4`` pairs (one row when a row alone exceeds it), so its
+    distances, value distances and their two temporaries fit in
+    ``BLOCK_ELEMS``.  Max and min are exact, so the result equals the one
+    of a loop over the rows.
+    """
+    sp = f.domain
+    every = np.arange(sp.n)
+    step = max(1, BLOCK_ELEMS // (4 * max(sp.n, 1)))
     norm, diam, resolution = 0.0, 0.0, np.inf
-    for i in range(f.domain.n):
-        d = f.domain.dist_row(i)
-        diam = max(diam, float(np.max(d)))
-        mask = d > 0
-        if np.any(mask):
-            quotients = f.value_dist_from(i)[mask] / d[mask]
-            norm = max(norm, float(np.max(quotients)))
-            resolution = min(resolution, float(np.min(d[mask])))
+    for s in range(0, sp.n, step):
+        rows = every[s:s + step]
+        D = sp.cross(rows, every)
+        V = f.value_cross(rows, every)
+        mask = D > 0
+        diam = max(diam, float(np.max(D)))
+        resolution = min(resolution,
+                         float(np.min(D, where=mask, initial=np.inf)))
+        # pairs at distance 0 divide to inf/NaN and are masked out of the max
+        with np.errstate(divide="ignore", invalid="ignore"):
+            Q = np.divide(V, D, out=V)
+        norm = max(norm, float(np.max(Q, where=mask, initial=0.0)))
     return norm, diam, resolution
 
 
@@ -484,6 +521,14 @@ class ScaleProfile:
         raise InputError(f"no summary for point {point!r}")
 
 
+def _resolved(d1, radii) -> np.ndarray:
+    """Per point, the index of the smallest radius above its nearest
+    positive distance ``d1``, or -1 (radii shrink along the array)."""
+    hit = d1[:, None] < radii
+    return np.where(np.any(hit, axis=1),
+                    radii.size - 1 - np.argmax(hit[:, ::-1], axis=1), -1)
+
+
 def _summaries(points, grid: RadiusGrid, d1, series, big, loc_at,
                surrogate=None) -> list:
     """The limit estimates of every point from its scan readings.
@@ -496,10 +541,7 @@ def _summaries(points, grid: RadiusGrid, d1, series, big, loc_at,
     the smallest radius whose ball holds a neighbour.
     """
     radii = grid.radii
-    # the last radius above d1, or -1 (radii shrink along the array)
-    hit = d1[:, None] < radii
-    resolved = np.where(np.any(hit, axis=1),
-                        radii.size - 1 - np.argmax(hit[:, ::-1], axis=1), -1)
+    resolved = _resolved(d1, radii)
     # divergence: the little estimates along the tail keep growing as the
     # radius shrinks and more than double overall (radii shrink along the
     # array, so growth toward small scales means a nondecreasing series)
@@ -561,15 +603,21 @@ def scale_summaries(f: SampledMap, grid: RadiusGrid, points=None,
     """The ``PointSummary`` list of ``scale_profile``, without its table.
 
     One ``scan_field`` over the points, reaching the largest radius, and one
-    local functional per point, at the smallest resolved radius.
+    ``loc_field`` per distinct smallest resolved radius, over the points
+    resolved there.
     """
     radii = grid.radii
     if points is None:
         points = list(f.domain.ids)
-    scan = scan_field(f, radii, [f.domain.index(x) for x in points])
+    idx = np.array([f.domain.index(x) for x in points], dtype=int)
+    scan = scan_field(f, radii, idx)
+    resolved = _resolved(scan["d1"], radii)
+    loc = np.zeros(idx.size)
+    for k in np.unique(resolved[resolved >= 0]):
+        at = np.flatnonzero(resolved == k)
+        loc[at] = loc_field(f, float(radii[k]), idx[at])
     tail = slice(radii.size - grid.tail_window, None)
     return _summaries(
         points, grid, scan["d1"], scan["nearest_scale_inf"][:, tail],
-        scan["big_below"][:, -1],
-        lambda p, k: loc_lip_r(f, points[p], float(radii[k])),
+        scan["big_below"][:, -1], lambda p, k: loc[p],
         scan["lip_upper"][:, tail] if liminf_surrogate else None)

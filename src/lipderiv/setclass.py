@@ -237,14 +237,14 @@ def is_A_upper_sc(f: FiniteField, F: SetFamily) -> bool:
     """True iff every strict sublevel preimage of f belongs to F."""
     if f.ground != F.ground:
         raise InputError("field and family must share the ground set")
-    return all(m in F.masks for m in f.upper_masks)
+    return F.masks.issuperset(f.upper_masks)
 
 
 def is_A_lower_sc(f: FiniteField, F: SetFamily) -> bool:
     """True iff every strict superlevel preimage of f belongs to F."""
     if f.ground != F.ground:
         raise InputError("field and family must share the ground set")
-    return all(m in F.masks for m in f.lower_masks)
+    return F.masks.issuperset(f.lower_masks)
 
 
 def check_duality_props(f: FiniteField, F: SetFamily) -> dict:
@@ -261,7 +261,7 @@ def check_duality_props(f: FiniteField, F: SetFamily) -> dict:
         Fc = apply_ops(F, "c")
         report = {
             "closed_superlevels_in_c":
-                all((full ^ m) in Fc.masks for m in f.upper_masks),
+                Fc.masks.issuperset(full ^ m for m in f.upper_masks),
             "finite_part_in_s":
                 (full ^ f.plus_inf_mask) in apply_ops(F, "s").masks,
             "plus_inf_level_in_sc":
@@ -274,7 +274,7 @@ def check_duality_props(f: FiniteField, F: SetFamily) -> dict:
         Fc = apply_ops(F, "c")
         report = {
             "closed_sublevels_in_c":
-                all((full ^ m) in Fc.masks for m in f.lower_masks),
+                Fc.masks.issuperset(full ^ m for m in f.lower_masks),
             "finite_part_in_s":
                 (full ^ f.minus_inf_mask) in apply_ops(F, "s").masks,
             "minus_inf_level_in_sc":

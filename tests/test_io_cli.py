@@ -197,6 +197,9 @@ def test_cli_check_exit_codes(tmp_path, capsys):
     assert main(["check", "--suite", "chain", "--random-spaces", "2",
                  "--zoo-resolution", "0.05", "--inject-fault", "chain"]) == 1
     assert main(["check", "--suite", "doesnotexist"]) == 2
+    assert main(["check", "--suite", "openness", "--random-spaces", "2",
+                 "--zoo-resolution", "0.05", "--inject-fault",
+                 "openness"]) == 1
 
 
 def test_cli_config_file_and_override(tmp_path):
@@ -361,6 +364,9 @@ def refuse(*args):
      "{missing}/o.csv"],
     ["sets", "--input", "{src}", "--gamma", "nan", "--out", "{out}"],
     ["sets", "--input", "{src}", "--gamma", "inf", "--out", "{out}"],
+    ["envelope", "--input", "{src}", "--h", "nan", "--out", "{out}"],
+    ["envelope", "--input", "{src}", "--h", "inf", "--out", "{out}"],
+    ["envelope", "--input", "{src}", "--h", "0", "--out", "{out}"],
 ])
 def test_cli_fails_before_computing(tmp_path, capsys, monkeypatch, args):
     for name in ("run_suite", "scale_profile", "scale_summaries",
@@ -375,7 +381,8 @@ def test_cli_fails_before_computing(tmp_path, capsys, monkeypatch, args):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert ("cannot write" in captured.err
-            or "gamma must be finite" in captured.err)
+            or "gamma must be finite" in captured.err
+            or "h must be positive and finite" in captured.err)
     assert not (tmp_path / "o.csv").exists()
 
 

@@ -3,9 +3,10 @@
 ``ball_rows`` gives the balls of many points at once; ``scan_field``, the
 envelopes, the defects and the nearest-neighbour pass read it, and
 ``line_windows`` and ``loc_field`` read balls on one-coordinate domains as
-windows of the sorted coordinate.  Each must give exactly (``==``) what
-the per-point computation over full distance rows gives, written out here
-loop by loop or taken from ``_PointScan``.
+windows of the sorted coordinate; ``_row_extremes`` takes the pair
+extremes behind ``lip_norm`` from row blocks of all pairs.  Each must give
+exactly (``==``) what the per-point computation over full distance rows
+gives, written out here loop by loop or taken from ``_PointScan``.
 """
 import hashlib
 from pathlib import Path
@@ -200,12 +201,23 @@ def test_ball_rows_blocks_stay_within_budget(monkeypatch):
             assert set(blocks) == {cost}
 
 
-@given(maps())
-@settings(max_examples=300, deadline=None)
+@st.composite
+def loc_requests(draw):
+    """A map, a radius and every point (None) or point indices: unsorted,
+    repeated or none."""
+    f, r = draw(maps())
+    idx = draw(st.none() | st.lists(st.integers(0, f.domain.n - 1),
+                                    max_size=2 * f.domain.n))
+    return f, r, idx
+
+
+@given(loc_requests())
+@settings(max_examples=400, deadline=None)
 def test_loc_field_equals_per_point_loc(case):
-    f, r = case
-    expected = [loc_lip_r(f, x, r) for x in f.domain.ids]
-    assert loc_field(f, r).tolist() == expected
+    f, r, idx = case
+    points = range(f.domain.n) if idx is None else idx
+    expected = [loc_lip_r(f, f.domain.ids[i], r) for i in points]
+    assert loc_field(f, r, idx).tolist() == expected
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -256,6 +268,82 @@ def test_loc_field_fallback_on_tables_and_planes():
         for r in (0.1, 0.4, 3.0):
             assert loc_field(f, r).tolist() == [loc_lip_r(f, x, r)
                                                 for x in space.ids]
+            for idx in ([29, 7, 3, 3, 0], []):
+                assert loc_field(f, r, idx).tolist() == [loc_lip_r(f, i, r)
+                                                         for i in idx]
+
+
+def test_loc_field_at_points_over_several_blocks():
+    # scattered requested points leave gaps in the band rows; the rows that
+    # are built span several blocks
+    rng = np.random.default_rng(4)
+    xs = rng.permutation(np.sort(rng.random(1500)))
+    xs[:40] = xs[40:80]                               # coincident points
+    space = FiniteMetricSpace(range(1500), coords=xs[:, None])
+    f = SampledMap.real(space, np.sin(9.0 * xs))
+    lo, hi = space.line_windows(0.2)
+    assert 1500 // (BLOCK_ELEMS // (8 * int(np.max(hi - lo)))) >= 5
+    for idx in ([1400, 3, 3, 700, 41, 81, 1400], list(range(1499, 0, -97)),
+                list(range(0, 1500, 3)), []):
+        assert loc_field(f, 0.2, idx).tolist() == [loc_lip_r(f, i, 0.2)
+                                                   for i in idx]
+        assert loc_field(f, 0.01, idx).tolist() == [loc_lip_r(f, i, 0.01)
+                                                    for i in idx]
+
+
+def row_extremes_by_rows(f):
+    """``(lip_norm, diameter, resolution)`` row by row over full rows."""
+    norm, diam, resolution = 0.0, 0.0, np.inf
+    for i in range(f.domain.n):
+        d = f.domain.dist_row(i)
+        dv = f.value_dist_from(i)
+        diam = max(diam, float(np.max(d)))
+        pos = d > 0
+        if np.any(pos):
+            norm = max(norm, float(np.max(dv[pos] / d[pos])))
+            resolution = min(resolution, float(np.min(d[pos])))
+    return norm, diam, resolution
+
+
+@given(any_spaces(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_row_extremes_equal_the_row_loop(space, data):
+    f = map_on(data.draw, space)
+    assert scales._row_extremes(f) == row_extremes_by_rows(f)
+
+
+def test_row_extremes_on_one_point():
+    space = FiniteMetricSpace(["a"], coords=[[0.5]])
+    for f in (SampledMap.real(space, [2.0]),
+              SampledMap.vector(space, [[1.0, 2.0]], p=np.inf),
+              SampledMap(space, value_table=[[0.0]])):
+        assert scales._row_extremes(f) == (0.0, 0.0, np.inf)
+        assert scales._row_extremes(f) == row_extremes_by_rows(f)
+
+
+@pytest.mark.parametrize("n, step", [(30, 2), (100, 1)])
+def test_row_extremes_blocks_stay_within_budget(monkeypatch, n, step):
+    # four arrays of a block's shape within 256 elements: blocks of two
+    # rows of 30 points, and one row per block when four rows of 100 points
+    # alone exceed it
+    monkeypatch.setattr(scales, "BLOCK_ELEMS", 256)
+    shapes = []
+    cross = FiniteMetricSpace.cross
+
+    def spy(self, rows, cols):
+        shapes.append((len(rows), len(cols)))
+        assert len(rows) == 1 or 4 * len(rows) * len(cols) <= 256
+        return cross(self, rows, cols)
+
+    monkeypatch.setattr(FiniteMetricSpace, "cross", spy)
+    rng = np.random.default_rng(n)
+    coords = rng.integers(0, 6, (n, 2)) * 0.5         # coincident points
+    space = FiniteMetricSpace(range(n), coords=coords, p=1.0)
+    f = SampledMap.vector(space, rng.standard_normal((n, 2)))
+    got = scales._row_extremes(f)
+    assert shapes == [(step, n)] * (n // step)
+    monkeypatch.setattr(FiniteMetricSpace, "cross", cross)
+    assert got == row_extremes_by_rows(f)
 
 
 def assert_scan_field_is_point_scan(f, radii, idx=None):
