@@ -186,22 +186,6 @@ def load_sampled_map(path: str, metric: str = "euclidean") -> SampledMap:
     return SampledMap.vector(space, values, p=2.0)
 
 
-def load_scalar_field_values(path: str):
-    """Read `id,value` CSV; returns (ids, values) with inf literals parsed."""
-    rows = _read_rows(path)
-    if not rows or [c.strip() for c in rows[0]] != ["id", "value"]:
-        raise InputError(f"{path}: expected an 'id,value' header")
-    ids, values = [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != 2:
-            raise InputError(f"{path}: row {lineno} needs exactly two fields")
-        ids.append(row[0].strip())
-        values.append(parse_float(row[1], f"value at row {lineno}"))
-    return ids, np.asarray(values)
-
-
 def save_scalar_field(path: str, field: ScalarField):
     out = _io.StringIO()
     w = csv.writer(out)
@@ -261,44 +245,6 @@ def save_set_flags(path: str, summaries, gamma: float):
         w.writerow([fmt_id(s.point)] + [int(b) for b in le]
                    + [int(not b) for b in le])
     atomic_write(path, out.getvalue())
-
-
-def load_set_family(path: str):
-    """Text format: `ground: a,b,c` header, one subset per line, `-` empty.
-
-    Returns (ground tuple, list of member element-tuples).
-    """
-    try:
-        with open(path) as handle:
-            lines = [ln.strip() for ln in handle]
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("ground:"):
-        raise InputError(f"{path}: missing 'ground:' header")
-    ground = tuple(e.strip() for e in lines[0][len("ground:"):].split(",")
-                   if e.strip())
-    members = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        if ln == "-":
-            members.append(())
-            continue
-        elems = tuple(e.strip() for e in ln.split(","))
-        bad = [e for e in elems if e not in ground]
-        if bad:
-            raise InputError(f"{path}: line {lineno} has unknown "
-                             f"elements {bad}")
-        members.append(elems)
-    return ground, members
-
-
-def save_set_family(path: str, ground, members):
-    lines = ["ground: " + ",".join(str(e) for e in ground)]
-    for member in members:
-        member = sorted(member, key=lambda e: ground.index(e)
-                        if e in ground else -1)
-        lines.append(",".join(str(e) for e in member) if member else "-")
-    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def report_document(results) -> dict:

@@ -83,10 +83,6 @@ class FiniteMetricSpace:
             raise InputError("need a distance table or an embedding")
 
     @classmethod
-    def from_coords(cls, ids, coords, p=2.0):
-        return cls(ids, coords=coords, p=p)
-
-    @classmethod
     def from_table(cls, ids, table):
         return cls(ids, table=table)
 
@@ -118,17 +114,6 @@ class FiniteMetricSpace:
         if self.table is not None:
             return self.table[i]
         return _norm(self.coords - self.coords[i], self.p)
-
-    def dist(self, i: int, j: int) -> float:
-        return float(self.dist_row(i)[j])
-
-    def pairwise(self, idx) -> np.ndarray:
-        """Distance submatrix over the given point indices."""
-        idx = np.asarray(idx, dtype=int)
-        if self.table is not None:
-            return self.table[np.ix_(idx, idx)]
-        c = self.coords[idx]
-        return _block(c, c, self.p)
 
     def cross(self, rows, cols) -> np.ndarray:
         """Distance block between two index lists."""
@@ -357,8 +342,8 @@ def resolution_isolated(space: FiniteMetricSpace, h: float) -> set:
     """Points with no other sample point strictly within distance h."""
     if h <= 0:
         raise InputError("h must be positive")
-    return {space.ids[i] for i in range(space.n)
-            if space.nearest_neighbor_distance(i) >= h}
+    d1 = space.nearest_neighbors()[0]
+    return {space.ids[i] for i in np.flatnonzero(d1 >= h)}
 
 
 class IntervalUnion:

@@ -48,11 +48,6 @@ class SetFamily:
             masks.append(m)
         return cls(ground, masks)
 
-    @classmethod
-    def power_set(cls, ground):
-        ground = tuple(ground)
-        return cls(ground, range(1 << len(ground)))
-
     @property
     def full_mask(self) -> int:
         return (1 << len(self.ground)) - 1

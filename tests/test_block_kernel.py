@@ -44,7 +44,7 @@ def test_blocks_match_definition(p, dim):
 
     space = FiniteMetricSpace(range(40), coords=coords, p=p)
     assert np.array_equal(space.cross(rows, cols), by_definition(a, b, p))
-    assert np.array_equal(space.pairwise(rows), by_definition(a, a, p))
+    assert np.array_equal(space.cross(rows, rows), by_definition(a, a, p))
 
     f = SampledMap.vector(space, coords[::-1] * 3.0, p=p)
     va, vb = f.values[rows], f.values[cols]
@@ -61,7 +61,7 @@ def test_table_backed_blocks_read_the_table():
     f = SampledMap(space, value_table=vtable)
     rows, cols = [0, 4, 7], [1, 2, 7, 11]
     assert np.array_equal(space.cross(rows, cols), table[np.ix_(rows, cols)])
-    assert np.array_equal(space.pairwise(rows), table[np.ix_(rows, rows)])
+    assert np.array_equal(space.cross(rows, rows), table[np.ix_(rows, rows)])
     assert np.array_equal(f.value_cross(rows, cols), vtable[np.ix_(rows, cols)])
     embedded = FiniteMetricSpace(range(12), coords=coords)
     assert loc_lip_r(f, 4, 0.6) == pair_sup_by_definition(

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,26 +71,8 @@ def test_scalar_field_roundtrip(tmp_path):
     field = ScalarField(sp, [1.0, math.inf, -2.0])
     path = str(tmp_path / "field.csv")
     lio.save_scalar_field(path, field)
-    ids, vals = lio.load_scalar_field_values(path)
-    assert vals[1] == math.inf
-    assert len(ids) == 3
-
-
-def test_set_family_roundtrip(tmp_path):
-    path = str(tmp_path / "family.txt")
-    lio.save_set_family(path, ("a", "b", "c"), [(), ("a",), ("b", "c")])
-    ground, members = lio.load_set_family(path)
-    assert ground == ("a", "b", "c")
-    assert members == [(), ("a",), ("b", "c")]
-    with open(path) as fh:
-        assert fh.readline().startswith("ground:")
-    bad = tmp_path / "bad.txt"
-    bad.write_text("ground: a,b\nc\n")
-    with pytest.raises(InputError):
-        lio.load_set_family(str(bad))
-    bad.write_text("a,b\n")
-    with pytest.raises(InputError):
-        lio.load_set_family(str(bad))
+    assert (Path(path).read_bytes()
+            == b"id,value\r\n0,1\r\n0.5,inf\r\n1,-2\r\n")
 
 
 def profile_fixture():
@@ -102,13 +85,13 @@ def test_profile_csv_schema(tmp_path):
     prof = profile_fixture()
     path = str(tmp_path / "prof.csv")
     lio.save_profile(path, prof)
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == ("point,radius,lip_upper,lip_upper_closed,"
                         "big_below,little_below,loc")
     assert len(lines) == 1 + len(prof.points) * len(prof.radii)
     spath = str(tmp_path / "summary.csv")
     lio.save_summary(spath, prof)
-    header = open(spath).readline().strip()
+    header = Path(spath).read_text().splitlines()[0]
     assert header == "point,lip_hat,big_hat,loc_hat,unresolved,divergent"
 
 
@@ -116,7 +99,7 @@ def test_set_flags_csv(tmp_path):
     prof = profile_fixture()
     path = str(tmp_path / "sets.csv")
     lio.save_set_flags(path, prof.summaries, 0.5)
-    rows = open(path).read().splitlines()
+    rows = Path(path).read_text().splitlines()
     assert rows[0].startswith("point,lip_le_gamma")
     # flags are complementary 0/1 per estimate
     for row in rows[1:]:
@@ -141,7 +124,7 @@ def test_cli_profile(tmp_path, capsys):
     code = main(["profile", "--input", src, "--rmax", "0.5", "--steps", "4",
                  "--out", out])
     assert code == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert len(lines) == 1 + 41 * 4
     assert (tmp_path / "prof.summary.csv").exists()
 
@@ -170,7 +153,7 @@ def test_cli_sets_requires_gamma(tmp_path):
     assert main(["sets", "--input", src, "--out", out]) == 2
     assert main(["sets", "--input", src, "--gamma", "0.5", "--rmax", "0.3",
                  "--out", out]) == 0
-    assert open(out).readline().startswith("point,")
+    assert Path(out).read_text().startswith("point,")
 
 
 def test_cli_zoo_export(tmp_path):
@@ -187,7 +170,7 @@ def test_cli_zoo_export(tmp_path):
 def test_cli_check_exit_codes(tmp_path, capsys):
     report = str(tmp_path / "rep.json")
     assert main(["check", "--suite", "bhmv", "--report", report]) == 0
-    doc = json.load(open(report))
+    doc = json.loads(Path(report).read_text())
     assert doc["overall"] == "pass"
     assert {c["name"] for c in doc["checks"]} == {
         "bhmv/empty", "bhmv/full", "bhmv/two_blocks"}
@@ -210,7 +193,7 @@ def test_cli_config_file_and_override(tmp_path):
     # config supplies rmax/steps; the flag overrides steps
     assert main(["--config", str(cfg), "profile", "--input", src,
                  "--steps", "3", "--out", out]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert len(lines) == 1 + 41 * 3
     radii = {row.split(",")[1] for row in lines[1:]}
     assert lio.fmt_float(0.5) in radii

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from lipderiv import (FiniteMetricSpace, RadiusGrid, SampledMap, ScalarField,
                       baire_lower, baire_upper, loc_field, loc_lip_r,
-                      lsc_defect, scale_profile, scale_summaries, scan_field,
-                      usc_defect)
+                      lsc_defect, resolution_isolated, scale_profile,
+                      scale_summaries, scan_field, usc_defect)
 from lipderiv import metric, scales
 from lipderiv.cli import main
 from lipderiv.harness import _cell_oscillation
@@ -550,18 +550,27 @@ def test_envelopes_and_oscillation_fallback():
         assert _cell_oscillation(g) == oscillation_by_definition(g)
 
 
-@given(line_spaces())
+@given(st.one_of(line_spaces(), any_spaces()), st.data())
 @settings(max_examples=200, deadline=None)
-def test_nearest_neighbours_and_resolution(space):
+def test_nearest_neighbours_and_resolution(space, data):
     d1, j = space.nearest_neighbors()
+    nearest = []
     for i in range(space.n):
         d = space.dist_row(i)
-        assert d1[i] == space.nearest_neighbor_distance(i)
         pos = d > 0
+        nearest.append(float(np.min(d, where=pos, initial=np.inf)))
+        assert d1[i] == space.nearest_neighbor_distance(i) == nearest[i]
         want = int(np.argmin(np.where(pos, d, np.inf))) if np.any(pos) else -1
         assert j[i] == want
-    assert space.resolution() == min(space.nearest_neighbor_distance(i)
-                                     for i in range(space.n))
+    assert space.resolution() == min(nearest)
+    # h off the sample distances and on them, a nearest one included
+    hs = [radius(data.draw, space)]
+    finite = [v for v in nearest if v < np.inf]
+    if finite:
+        hs.append(data.draw(st.sampled_from(finite)))
+    for h in hs:
+        assert resolution_isolated(space, h) == {
+            space.ids[i] for i in range(space.n) if nearest[i] >= h}
 
 
 # sha256 of the outputs these kernels serve, recorded with the per-point

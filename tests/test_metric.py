@@ -14,9 +14,9 @@ def test_norms():
     sp1 = FiniteMetricSpace([0, 1], coords=[[0.0, 0.0], [3.0, 4.0]], p=1.0)
     sp2 = FiniteMetricSpace([0, 1], coords=[[0.0, 0.0], [3.0, 4.0]], p=2.0)
     spi = FiniteMetricSpace([0, 1], coords=[[0.0, 0.0], [3.0, 4.0]], p=np.inf)
-    assert sp1.dist(0, 1) == 7.0
-    assert sp2.dist(0, 1) == 5.0
-    assert spi.dist(0, 1) == 4.0
+    assert sp1.dist_row(0)[1] == 7.0
+    assert sp2.dist_row(0)[1] == 5.0
+    assert spi.dist_row(0)[1] == 4.0
 
 
 def test_duplicate_ids_rejected():
@@ -85,7 +85,8 @@ def test_cross_matches_pairwise():
     rng = np.random.default_rng(3)
     sp = FiniteMetricSpace(range(6), coords=rng.normal(size=(6, 2)))
     idx = [1, 3, 4]
-    np.testing.assert_allclose(sp.cross(idx, idx), sp.pairwise(idx))
+    np.testing.assert_allclose(sp.cross(idx, idx),
+                               [sp.dist_row(i)[idx] for i in idx])
 
 
 def test_interval_union_normalizes_and_measures():

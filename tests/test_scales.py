@@ -176,13 +176,6 @@ def test_profile_unresolved_flag():
     assert all(s.lip_hat == 0.0 for s in prof.summaries)
 
 
-def test_profile_warns_on_oversized_rmax():
-    f = line_map([0.0, 0.5, 1.0], [0.0, 0.5, 1.0])
-    messages = []
-    scale_profile(f, RadiusGrid(5.0, 0.5, 2, 1), warn=messages.append)
-    assert messages
-
-
 def test_liminf_surrogate_reported_on_request():
     f = line_map([0.0, 0.5, 1.0], [0.0, 0.5, 1.0])
     grid = RadiusGrid(1.0, 0.5, 3, 2)
