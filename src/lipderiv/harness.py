@@ -17,7 +17,7 @@ from .envelopes import ScalarField, baire_upper, lsc_defect, usc_defect
 from .errors import InputError
 from .metric import (FiniteMetricSpace, IntervalUnion, LinearMapSpec,
                      operator_norm)
-from .scales import (RadiusGrid, SampledMap, _PointScan, _row_extremes,
+from .scales import (RadiusGrid, SampledMap, _point_scan, _row_extremes,
                      big_lip_below_r, lip_norm, loc_field, loc_lip_r,
                      nearest_scale_infimum, point_scale_values,
                      scale_profile, scale_summaries, scan_field)
@@ -96,14 +96,16 @@ def check_plus_variant(f: SampledMap, x, r: float, name="plus_variant",
     functional evaluations at the neighbor-distance breakpoints (the exact
     per-segment limits), independently of the ratio formula.
     """
-    scan = _PointScan(f, f.domain.index(x))
-    d = scan.dd[scan.dd < r]
+    i = f.domain.index(x)
+    d = f.domain.dist_row(i)
+    d = np.unique(d[(d > 0) & (d < r)])
     if d.size == 0:
         return CheckResult(name, "skipped", detail="no neighbor within r")
     rho = d * (1.0 + 1e-9)
-    alpha = float(np.max(scan.lip_upper(rho) * rho / d))
-    beta = float(np.max(scan.lip_upper_closed(d)))
-    gamma = float(scan.big_below(r))
+    scan = _point_scan(f, i, np.concatenate([rho, d, [r]]))
+    alpha = float(np.max(scan["lip_upper"][:d.size] * rho / d))
+    beta = float(np.max(scan["lip_upper_closed"][d.size:-1]))
+    gamma = float(scan["big_below"][-1])
     worst = max(abs(alpha - beta), abs(beta - gamma), abs(alpha - gamma))
     return _result(name, worst <= tol, worst, tol,
                    {"point": x, "radius": float(r),

@@ -121,88 +121,37 @@ class RadiusGrid:
         return self.r_max * self.q ** np.arange(self.steps)
 
 
-class _PointScan:
-    """Every sort-based functional of one point, for a whole radius array.
-
-    The positive distances from the point up to ``reach`` are sorted once
-    and their ties collapsed into ``dd``; ``run[j]`` is the largest value
-    increment over the closed ball of radius ``dd[j]``.  A query counts the
-    breakpoints ``dd`` below each radius with ``searchsorted`` and reads a
-    running maximum or a prefix minimum at that count, built over the
-    breakpoints below the largest radius only.  Maxima and minima are exact,
-    so every value equals the by-definition one over the same increments;
-    a radius up to ``reach`` sees every increment it would see without the
-    limit.  A point with no neighbour at positive distance gets 0 from every
-    functional.  It stays beside ``scan_field`` for one-point queries, where
-    a call costs about 14 times less (0.1 ms against 1.4 ms on a line of
-    3,143 points).
-    """
-
-    def __init__(self, f: SampledMap, i: int, reach: float = np.inf):
-        d = f.domain.dist_row(i)
-        dv = f.value_dist_from(i)
-        keep = (d > 0) & (d <= reach)
-        d, dv = d[keep], dv[keep]
-        order = np.argsort(d, kind="stable")
-        self._d, self._dv = d[order], dv[order]
-        # the last entry of each distinct distance
-        self._last = np.flatnonzero(
-            np.append(np.diff(self._d) > 0, self._d.size > 0))
-        self.dd = self._d[self._last]
-        self.run = np.maximum.accumulate(self._dv)[self._last]
-        # indexed by the breakpoint count k; k = 0 is the empty ball
-        self._run0 = np.concatenate(([0.0], self.run))
-
-    @property
-    def d1(self) -> float:
-        """Nearest positive distance within reach (inf if there is none)."""
-        return float(self.dd[0]) if self.dd.size else np.inf
-
-    def _below(self, radii):
-        """Breakpoints below each radius, and the largest of these counts."""
-        k = np.searchsorted(self.dd, radii)
-        return k, int(k.max(initial=0))
-
-    def lip_upper(self, radii):
-        return self._run0[np.searchsorted(self.dd, radii)] / radii
-
-    def lip_upper_closed(self, radii):
-        return self._run0[np.searchsorted(self.dd, radii, "right")] / radii
-
-    def big_below(self, radii):
-        k, m = self._below(radii)
-        raw = self._last[m - 1] + 1 if m else 0
-        ratio = np.maximum.accumulate(self._dv[:raw] / self._d[:raw])
-        return np.concatenate(([0.0], ratio[self._last[:m]]))[k]
-
-    def little_below(self, radii):
-        k, m = self._below(radii)
-        # entry k: min over j < k - 1 of run[j] / dd[j + 1], the infimum of
-        # the open-ball functional on the segment (dd[j], dd[j + 1]]
-        gaps = self.run[:max(m - 1, 0)] / self.dd[1:m]
-        inner = np.concatenate(([np.inf, np.inf], np.minimum.accumulate(gaps)))
-        return np.minimum(inner[k], self._run0[k] / radii)
-
-    def nearest_scale_inf(self, radii):
-        k, m = self._below(radii)
-        ratio = np.minimum.accumulate(self.run[:m] / self.dd[:m])
-        return np.concatenate(([0.0], ratio))[k]
-
-
-#: the profile columns the sorted scan answers, by method name
+#: the profile columns the sorted scan answers
 _SCAN_COLUMNS = ("lip_upper", "lip_upper_closed", "big_below", "little_below")
 
 #: everything ``scan_field`` answers per point and radius
 _FIELD_KINDS = _SCAN_COLUMNS + ("nearest_scale_inf",)
 
 
+def _positive(radii) -> np.ndarray:
+    """``radii`` as a 1-d float array; ``InputError`` unless every radius is
+    > 0 (a NaN radius is not)."""
+    radii = np.array(radii, dtype=float, ndmin=1)
+    if not (radii > 0).all():
+        raise InputError("radii must be positive")
+    return radii
+
+
 def scan_field(f: SampledMap, radii, idx=None) -> dict:
     """The sorted-scan functionals of many points for a whole radius array.
 
     Returns ``{kind: array (points, radii)}`` for every ``_FIELD_KINDS``
-    method, plus ``"d1"``, one value per point; each equals what
-    ``_PointScan(f, i, reach=max(radii))`` gives for the point indices ``i``
-    of ``idx`` (every point, in index order, by default).
+    kind, plus ``"d1"``, one value per point, for the point indices ``i`` of
+    ``idx`` (every point, in index order, by default).  Each value equals,
+    bit for bit, its definition over the points u at positive distance from
+    ``x_i`` (a max over no points is 0): ``lip_upper`` is the largest
+    ``|f(u) - f(x_i)|`` over d(u, x_i) < r, divided by r
+    (``lip_upper_closed``: over d <= r); ``big_below`` the largest quotient
+    at d < r; ``little_below`` the smallest ``lip_upper`` over the neighbour
+    distances in (d1, r) and r itself, 0 with no neighbour below r;
+    ``nearest_scale_inf`` the smallest ``lip_upper_closed`` over the
+    neighbour distances below r; ``d1`` the nearest positive distance up to
+    the reach ``max(radii)`` (inf if there is none).
 
     A point's row holds the ``dist_row`` floats of its closed punctured ball
     of radius the reach (``FiniteMetricSpace.ball_rows``) and their
@@ -214,15 +163,15 @@ def scan_field(f: SampledMap, radii, idx=None) -> dict:
     each radius, which is always the last entry of a tie group.
 
     Why this is exact: every value read is a max or min over the same
-    ``(d, dv)`` floats and the same quotients of them that ``_PointScan``
+    ``(d, dv)`` floats and the same quotients of them that the definition
     takes, over the same set of entries (all entries up to the end of a tie
     group), and max and min do not depend on order, so the sort order
     within ties cannot change it.  Blocks are sized for 8 arrays of their
-    shape per value coordinate of vector values.
+    shape per value coordinate of vector values; the counts per radius add
+    one byte per entry and radius.  ``_point_scan`` reads one point as a
+    single row of the same kernel.
     """
-    radii = np.atleast_1d(np.asarray(radii, dtype=float))
-    if not np.all(radii > 0):
-        raise InputError("radii must be positive")
+    radii = _positive(radii)
     sp = f.domain
     idx = np.arange(sp.n) if idx is None else np.asarray(idx, dtype=int)
     out = {kind: np.empty((idx.size, radii.size)) for kind in _FIELD_KINDS}
@@ -239,61 +188,82 @@ def scan_field(f: SampledMap, radii, idx=None) -> dict:
     return out
 
 
+def _point_scan(f: SampledMap, i: int, radii: np.ndarray) -> dict:
+    """Row 0 of ``scan_field(f, radii, [i])`` for positive float ``radii``,
+    one array over the radii per kind and a float ``"d1"``.
+
+    The row is the point's own positive ``dist_row`` floats up to the reach
+    and their ``value_dist_from`` floats, with one padding entry so that an
+    empty row works.  It skips ``ball_rows``, which costs a one-point query
+    8 to 11 times as much (158 and 3,143 points, two radii).
+    """
+    d = f.domain.dist_row(i)
+    keep = (d > 0) & (d <= radii.max())
+    out = {kind: np.empty((1, radii.size)) for kind in _FIELD_KINDS}
+    out["d1"] = np.empty(1)
+    _read_rows(np.concatenate((d[keep], [np.inf]))[None],
+               np.concatenate((f.value_dist_from(i)[keep], [0.0]))[None],
+               np.array([np.count_nonzero(keep)]), radii, out)
+    return {kind: v[0] for kind, v in out.items()}
+
+
 def _read_rows(D, V, m, radii, out):
     """Fill ``out`` (views of ``scan_field``'s arrays) from padded rows of
     distances ``D`` and value distances ``V``; row p holds ``m[p]`` entries,
     then distance inf."""
+    rows = np.arange(D.shape[0])[:, None]
     # stable, so the padding stays after entries at distance inf
     ranked = np.argsort(D, axis=1, kind="stable")
-    D = np.take_along_axis(D, ranked, axis=1)
-    V = np.take_along_axis(V, ranked, axis=1)
-    rows = np.arange(D.shape[0])
-    last = np.zeros(D.shape, dtype=bool)
+    D, V = D[rows, ranked], V[rows, ranked]
+    # the last entry of each tie group; padding at distance inf follows
+    # the entries, and no count reads past an entry at distance inf
+    last = np.ones(D.shape, dtype=bool)
     last[:, :-1] = D[:, 1:] > D[:, :-1]
-    last[rows, np.maximum(m - 1, 0)] = True
-    # entries from m on are padding: whatever they hold is never read
+    # column c of run, big, near and gaps reads the first c entries of a
+    # row (0 or inf for none); entries from m on are padding and never read
+    run, big, near = np.zeros((3, D.shape[0], D.shape[1] + 1))
+    gaps = np.full(run.shape, np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        run = np.maximum.accumulate(V, axis=1)
-        big = np.maximum.accumulate(V / D, axis=1)
-        near = np.minimum.accumulate(np.where(last, run / D, np.inf), axis=1)
-        # run over a tie group against the next group's distance
-        gaps = np.full(D.shape, np.inf)
-        gaps[:, :-1] = np.where(last[:, :-1], run[:, :-1] / D[:, 1:], np.inf)
+        np.maximum.accumulate(V, axis=1, out=run[:, 1:])
+        np.maximum.accumulate(V / D, axis=1, out=big[:, 1:])
+        np.minimum.accumulate(np.where(last, run[:, 1:] / D, np.inf), axis=1,
+                              out=near[:, 1:])
+        # run up to the end of a tie group against the next group's
+        # distance, two columns on: count k reads the groups that end
+        # before entry k - 1
+        gaps[:, 2:] = np.where(last[:, :-1], run[:, 1:-1] / D[:, 1:], np.inf)
         np.minimum.accumulate(gaps, axis=1, out=gaps)
-    for ri, r in enumerate(radii):
-        k = np.minimum(np.count_nonzero(D < r, axis=1), m)
-        kc = np.minimum(np.count_nonzero(D <= r, axis=1), m)
-        at = np.maximum(k - 1, 0)
-        top = np.where(k > 0, run[rows, at], 0.0) / r
-        out["lip_upper"][:, ri] = top
-        out["lip_upper_closed"][:, ri] = np.where(
-            kc > 0, run[rows, np.maximum(kc - 1, 0)], 0.0) / r
-        out["big_below"][:, ri] = np.where(k > 0, big[rows, at], 0.0)
-        out["nearest_scale_inf"][:, ri] = np.where(k > 0, near[rows, at], 0.0)
-        inner = np.where(k > 1, gaps[rows, np.maximum(k - 2, 0)], np.inf)
-        out["little_below"][:, ri] = np.minimum(inner, top)
-    out["d1"][:] = np.where(m > 0, D[:, 0], np.inf)
+    # entries below (up to) each radius, which end a tie group; padding is
+    # never below a radius, but up to an infinite one
+    k = np.sum(D[:, :, None] < radii, axis=1)
+    kc = np.minimum(np.sum(D[:, :, None] <= radii, axis=1), m[:, None])
+    top = run[rows, k] / radii
+    out["lip_upper"][:] = top
+    out["lip_upper_closed"][:] = run[rows, kc] / radii
+    out["big_below"][:] = big[rows, k]
+    out["nearest_scale_inf"][:] = near[rows, k]
+    out["little_below"][:] = np.minimum(gaps[rows, k], top)
+    # a row without entries is all padding
+    out["d1"][:] = D[:, 0]
 
 
-def _scan(f: SampledMap, x, r: float) -> _PointScan:
-    if r <= 0:
-        raise InputError("r must be positive")
-    return _PointScan(f, f.domain.index(x))
+def _scan(f: SampledMap, x, r: float, kind: str) -> float:
+    return float(_point_scan(f, f.domain.index(x), _positive(r))[kind][0])
 
 
 def lip_upper_r(f: SampledMap, x, r: float) -> float:
     """sup over the open ball B(x, r) of |f(u)-f(x)| / r (sup empty = 0)."""
-    return float(_scan(f, x, r).lip_upper(r))
+    return _scan(f, x, r, "lip_upper")
 
 
 def lip_upper_r_closed(f: SampledMap, x, r: float) -> float:
     """Closed-ball variant of lip_upper_r."""
-    return float(_scan(f, x, r).lip_upper_closed(r))
+    return _scan(f, x, r, "lip_upper_closed")
 
 
 def big_lip_below_r(f: SampledMap, x, r: float) -> float:
     """sup over 0 < d(u,x) < r of the difference quotient |f(u)-f(x)|/d(u,x)."""
-    return float(_scan(f, x, r).big_below(r))
+    return _scan(f, x, r, "big_below")
 
 
 def little_lip_below_r(f: SampledMap, x, r: float) -> float:
@@ -303,7 +273,7 @@ def little_lip_below_r(f: SampledMap, x, r: float) -> float:
     sample information and would collapse the infimum to 0, so they are
     excluded.  Returns 0 when x has no neighbor within r (unresolved).
     """
-    return float(_scan(f, x, r).little_below(r))
+    return _scan(f, x, r, "little_below")
 
 
 def nearest_scale_infimum(f: SampledMap, x, r: float) -> float:
@@ -315,13 +285,12 @@ def nearest_scale_infimum(f: SampledMap, x, r: float) -> float:
     converges to |f'| on uniform samples of C1 functions.  Returns 0 when x
     has no neighbor within r.
     """
-    return float(_scan(f, x, r).nearest_scale_inf(r))
+    return _scan(f, x, r, "nearest_scale_inf")
 
 
 def loc_lip_r(f: SampledMap, x, r: float) -> float:
     """Lipschitz constant of f restricted to the open ball B(x, r)."""
-    if r <= 0:
-        raise InputError("r must be positive")
+    _positive(r)
     i = f.domain.index(x)
     idx = f.domain.ball_indices(i, r)
     return _pair_sup(f, idx)
@@ -372,8 +341,7 @@ def loc_field(f: SampledMap, r: float, idx=None) -> np.ndarray:
     ``BLOCK_ELEMS / 8`` get one band row per block).  Other domains use
     ``_pair_sup`` point by point.
     """
-    if r <= 0:
-        raise InputError("r must be positive")
+    _positive(r)
     sp = f.domain
     n = sp.n
     idx = np.arange(n) if idx is None else np.asarray(idx, dtype=int)
@@ -472,11 +440,9 @@ def lip_norm(f: SampledMap) -> float:
 
 def point_scale_values(f: SampledMap, x, radii) -> dict:
     """All five scale functionals of one point on an array of radii."""
-    radii = np.asarray(radii, dtype=float)
-    if np.any(radii <= 0):
-        raise InputError("radii must be positive")
-    scan = _PointScan(f, f.domain.index(x))
-    out = {name: getattr(scan, name)(radii) for name in _SCAN_COLUMNS}
+    radii = _positive(radii)
+    scan = _point_scan(f, f.domain.index(x), radii)
+    out = {name: scan[name] for name in _SCAN_COLUMNS}
     out["loc"] = np.array([loc_lip_r(f, x, float(r)) for r in radii])
     return out
 
@@ -509,35 +475,37 @@ def _resolved(d1, radii) -> np.ndarray:
                     radii.size - 1 - np.argmax(hit[:, ::-1], axis=1), -1)
 
 
-def _summaries(points, grid: RadiusGrid, d1, series, big, loc_at,
-               surrogate=None) -> list:
-    """The limit estimates of every point from its scan readings.
+def _scan_points(f: SampledMap, grid: RadiusGrid, points):
+    """The points (every id by default), their indices, their
+    ``scan_field`` readings on the grid and their ``_resolved`` indices."""
+    if points is None:
+        points = list(f.domain.ids)
+    idx = np.array([f.domain.index(x) for x in points], dtype=int)
+    scan = scan_field(f, grid.radii, idx)
+    return list(points), idx, scan, _resolved(scan["d1"], grid.radii)
 
-    Per point p: ``d1[p]`` is its nearest positive distance, ``series[p]``
-    its nearest-scale infima on the tail window, ``big[p]`` its big
-    functional at the smallest radius and ``surrogate[p]`` (if given) its
-    open-ball functional on the tail window.  ``loc_at(p, k)`` returns the
-    local functional at ``grid.radii[k]``; it is asked once per point, at
-    the smallest radius whose ball holds a neighbour.
-    """
+
+def _summaries(points, grid: RadiusGrid, scan, loc_hat,
+               liminf_surrogate: bool) -> list:
+    """The limit estimates of every point from its ``scan_field`` readings
+    and its local functional ``loc_hat[p]`` at the smallest radius whose
+    ball holds a neighbour (0 where there is none)."""
     radii = grid.radii
-    resolved = _resolved(d1, radii)
+    tail = slice(radii.size - grid.tail_window, None)
+    series = scan["nearest_scale_inf"][:, tail]
     # divergence: the little estimates along the tail keep growing as the
     # radius shrinks and more than double overall (radii shrink along the
     # array, so growth toward small scales means a nondecreasing series)
     divergent = ((series[:, -1] > 0)
                  & np.all(np.diff(series, axis=1) >= 0, axis=1)
                  & (series[:, -1] > grid.divergence_factor * series[:, 0]))
-    unresolved = d1 >= radii[-1]
-    out = []
-    for p, x in enumerate(points):
-        k = int(resolved[p])
-        out.append(PointSummary(
-            x, float(series[p, -1]), float(big[p]),
-            float(loc_at(p, k)) if k >= 0 else 0.0, bool(unresolved[p]),
-            bool(divergent[p]),
-            None if surrogate is None else float(np.min(surrogate[p]))))
-    return out
+    unresolved = scan["d1"] >= radii[-1]
+    surrogate = np.min(scan["lip_upper"][:, tail], axis=1)
+    return [PointSummary(
+        x, float(series[p, -1]), float(scan["big_below"][p, -1]),
+        float(loc_hat[p]), bool(unresolved[p]), bool(divergent[p]),
+        float(surrogate[p]) if liminf_surrogate else None)
+        for p, x in enumerate(points)]
 
 
 def scale_profile(f: SampledMap, grid: RadiusGrid, points=None,
@@ -550,29 +518,20 @@ def scale_profile(f: SampledMap, grid: RadiusGrid, points=None,
     smallest radius whose ball is resolved (contains a neighbor).
 
     ``liminf_surrogate`` additionally reports min over the tail window of the
-    raw open-ball functional (off by default).
+    raw open-ball functional (off by default).  The scan columns come from
+    one ``scan_field`` over the points, the ``loc`` column from one
+    ``loc_lip_r`` per point and radius.
     """
+    points, idx, scan, resolved = _scan_points(f, grid, points)
     radii = grid.radii
-    if points is None:
-        points = list(f.domain.ids)
-    table = {k: np.zeros((len(points), len(radii)))
-             for k in _SCAN_COLUMNS + ("loc",)}
-    tail = radii[-grid.tail_window:]
-    d1 = np.empty(len(points))
-    series = np.empty((len(points), tail.size))
-    for pi, x in enumerate(points):
-        scan = _PointScan(f, f.domain.index(x))
-        for name in _SCAN_COLUMNS:
-            table[name][pi] = getattr(scan, name)(radii)
-        for r_i, r in enumerate(radii):
-            table["loc"][pi, r_i] = loc_lip_r(f, x, float(r))
-        d1[pi] = scan.d1
-        series[pi] = scan.nearest_scale_inf(tail)
-    surrogate = table["lip_upper"][:, -tail.size:]
-    summaries = _summaries(points, grid, d1, series, table["big_below"][:, -1],
-                           lambda p, k: table["loc"][p, k],
-                           surrogate if liminf_surrogate else None)
-    return ScaleProfile(list(points), radii, table, summaries)
+    table = {k: scan[k] for k in _SCAN_COLUMNS}
+    table["loc"] = np.array([[loc_lip_r(f, x, float(r)) for r in radii]
+                             for x in points]).reshape(idx.size, radii.size)
+    loc_hat = np.where(resolved >= 0,
+                       table["loc"][np.arange(idx.size), resolved], 0.0)
+    return ScaleProfile(points, radii, table,
+                        _summaries(points, grid, scan, loc_hat,
+                                   liminf_surrogate))
 
 
 def scale_summaries(f: SampledMap, grid: RadiusGrid, points=None,
@@ -583,18 +542,9 @@ def scale_summaries(f: SampledMap, grid: RadiusGrid, points=None,
     ``loc_field`` per distinct smallest resolved radius, over the points
     resolved there.
     """
-    radii = grid.radii
-    if points is None:
-        points = list(f.domain.ids)
-    idx = np.array([f.domain.index(x) for x in points], dtype=int)
-    scan = scan_field(f, radii, idx)
-    resolved = _resolved(scan["d1"], radii)
-    loc = np.zeros(idx.size)
+    points, idx, scan, resolved = _scan_points(f, grid, points)
+    loc_hat = np.zeros(idx.size)
     for k in np.unique(resolved[resolved >= 0]):
         at = np.flatnonzero(resolved == k)
-        loc[at] = loc_field(f, float(radii[k]), idx[at])
-    tail = slice(radii.size - grid.tail_window, None)
-    return _summaries(
-        points, grid, scan["d1"], scan["nearest_scale_inf"][:, tail],
-        scan["big_below"][:, -1], lambda p, k: loc[p],
-        scan["lip_upper"][:, tail] if liminf_surrogate else None)
+        loc_hat[at] = loc_field(f, float(grid.radii[k]), idx[at])
+    return _summaries(points, grid, scan, loc_hat, liminf_surrogate)

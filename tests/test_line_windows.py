@@ -6,7 +6,8 @@ envelopes, the defects and the nearest-neighbour pass read it, and
 windows of the sorted coordinate; ``_row_extremes`` takes the pair
 extremes behind ``lip_norm`` from row blocks of all pairs.  Each must give
 exactly (``==``) what the per-point computation over full distance rows
-gives, written out here loop by loop or taken from ``_PointScan``.
+gives, written out here loop by loop or, for the scan, evaluated by
+definition (``test_point_kernel.assert_scan_row_is_definition``).
 """
 import hashlib
 from pathlib import Path
@@ -24,7 +25,7 @@ from lipderiv import metric, scales
 from lipderiv.cli import main
 from lipderiv.harness import _cell_oscillation
 from lipderiv.metric import BLOCK_ELEMS
-from lipderiv.scales import _FIELD_KINDS, _PointScan
+from test_point_kernel import assert_scan_row_is_definition
 
 DATA = Path(__file__).parent / "data"
 NORMS = (1.0, 2.0, np.inf)
@@ -346,16 +347,12 @@ def test_row_extremes_blocks_stay_within_budget(monkeypatch, n, step):
     assert got == row_extremes_by_rows(f)
 
 
-def assert_scan_field_is_point_scan(f, radii, idx=None):
+def assert_scan_field_is_definition(f, radii, idx=None):
     got = scan_field(f, radii, idx)
     points = range(f.domain.n) if idx is None else idx
     assert got["d1"].shape == (len(points),)
     for row, i in enumerate(points):
-        scan = _PointScan(f, i, reach=max(radii))
-        for kind in _FIELD_KINDS:
-            assert (got[kind][row].tolist()
-                    == getattr(scan, kind)(np.asarray(radii)).tolist()), kind
-        assert got["d1"][row] == scan.d1
+        assert_scan_row_is_definition(f, got, row, i, radii)
 
 
 @st.composite
@@ -372,8 +369,8 @@ def scan_cases(draw):
 
 @given(scan_cases())
 @settings(max_examples=400, deadline=None)
-def test_scan_field_equals_point_scan(case):
-    assert_scan_field_is_point_scan(*case)
+def test_scan_field_equals_definition(case):
+    assert_scan_field_is_definition(*case)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -381,7 +378,7 @@ def test_scan_field_on_one_and_two_points(n):
     space = FiniteMetricSpace(range(n), coords=np.arange(n, 0, -1.0)[:, None])
     f = SampledMap.real(space, np.arange(n) * 3.0)
     for radii in ([0.5], [1.0], [10.0, 1.0, 0.5]):
-        assert_scan_field_is_point_scan(f, radii)
+        assert_scan_field_is_definition(f, radii)
 
 
 def test_scan_field_rows_over_several_blocks(monkeypatch):
@@ -408,10 +405,7 @@ def test_scan_field_rows_over_several_blocks(monkeypatch):
         got = scan_field(f, radii)
         assert len(sizes) >= 5 and max(sizes) <= BLOCK_ELEMS
         for i in probe:
-            scan = _PointScan(f, i, reach=0.2)
-            for kind in _FIELD_KINDS:
-                assert got[kind][i].tolist() == getattr(scan, kind)(
-                    np.asarray(radii)).tolist(), (kind, i)
+            assert_scan_row_is_definition(f, got, i, i, radii)
 
 
 @pytest.mark.parametrize("cap", [64, 8])
@@ -427,8 +421,8 @@ def test_scan_field_one_row_blocks_and_wide_rows(monkeypatch, cap):
     xs = rng.integers(0, 40, 60) / 4.0
     space = FiniteMetricSpace(range(60), coords=xs[:, None], p=np.inf)
     f = SampledMap.real(space, rng.standard_normal(60))
-    assert_scan_field_is_point_scan(f, [2.5, 1.0, 0.25])
-    assert_scan_field_is_point_scan(f, [2.5], idx=[59, 3, 3, 17])
+    assert_scan_field_is_definition(f, [2.5, 1.0, 0.25])
+    assert_scan_field_is_definition(f, [2.5], idx=[59, 3, 3, 17])
     assert len(blocks) == 64 and {rows for rows, _ in blocks} == {1}
 
 
@@ -443,8 +437,8 @@ def test_scan_field_fallback_on_tables_and_planes():
     for space in (plane, table, line_table):
         assert space.line_order is None
         f = SampledMap.real(space, rng.standard_normal(30))
-        assert_scan_field_is_point_scan(f, [1.5, 0.5, 0.25])
-        assert_scan_field_is_point_scan(f, [0.5], idx=[4, 0])
+        assert_scan_field_is_definition(f, [1.5, 0.5, 0.25])
+        assert_scan_field_is_definition(f, [0.5], idx=[4, 0])
 
 
 @st.composite

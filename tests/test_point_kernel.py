@@ -1,8 +1,10 @@
-"""The per-point scale kernel against by-definition evaluations.
+"""The sorted-scan kernel against by-definition evaluations.
 
-Every sort-based functional is answered by one scan per point over a whole
-radius array.  Maxima and minima are exact, so each value must equal, bit
-for bit, a per-radius evaluation written straight from the definition.
+Every sort-based functional is answered by one scan of a point's row over a
+whole radius array, ``scan_field`` for many points and ``_point_scan`` for
+one.  Maxima and minima are exact, so each value must equal, bit for bit, a
+per-radius evaluation written straight from the definition, and a one-point
+row must equal the ``scan_field`` row of the same point.
 """
 import hashlib
 import os
@@ -15,9 +17,9 @@ from hypothesis import strategies as st
 from lipderiv import (FiniteMetricSpace, RadiusGrid, SampledMap,
                       big_lip_below_r, lip_upper_r, lip_upper_r_closed,
                       little_lip_below_r, nearest_scale_infimum,
-                      point_scale_values, scale_profile)
+                      point_scale_values, scale_profile, scan_field)
 from lipderiv.cli import main
-from lipderiv.scales import _PointScan
+from lipderiv.scales import _point_scan
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -42,16 +44,34 @@ def by_definition(d, dv, r):
     if not np.any(inside):
         return dict(out, big_below=0.0, little_below=0.0,
                     nearest_scale_inf=0.0)
-    d1 = np.min(d[inside])
     # the open-ball functional is constant in M on each segment between
     # neighbour distances, so its infimum over (d1, r) is attained at the
-    # right end of a segment, or approached at r
-    scales = [rho for rho in np.unique(d[inside]) if rho > d1] + [r]
-    nearest = [np.max(dv[pos & (d <= rho)]) / rho
-               for rho in np.unique(d[inside])]
-    return dict(out, big_below=np.max(dv[inside] / d[inside]),
-                little_below=min(upper(rho) for rho in scales),
-                nearest_scale_inf=min(nearest))
+    # right end of a segment, or approached at r.  Row j of ``below`` and
+    # ``upto`` is the open and the closed ball of radius rho[j] < r, which
+    # holds points inside only; each ball read holds a point and dv >= 0,
+    # so a max from 0 is the max over it
+    d_in, dv_in = d[inside], dv[inside]
+    rho = np.unique(d_in)
+    below = d_in < rho[:, None]
+    upto = d_in <= rho[:, None]
+    opened = np.max(np.where(below[1:], dv_in, 0.0), axis=1) / rho[1:]
+    nearest = np.max(np.where(upto, dv_in, 0.0), axis=1) / rho
+    return dict(out, big_below=np.max(dv_in / d_in),
+                little_below=min(np.min(opened, initial=np.inf), upper(r)),
+                nearest_scale_inf=np.min(nearest))
+
+
+def assert_scan_row_is_definition(f, got, row, i, radii):
+    """Row ``row`` of the ``scan_field`` readings ``got`` is point ``i``:
+    every kind at every radius by definition, and ``d1`` the nearest
+    positive distance up to the largest radius."""
+    d, dv = f.domain.dist_row(i), f.value_dist_from(i)
+    for ri, r in enumerate(radii):
+        want = by_definition(d, dv, r)
+        for kind in KINDS:
+            assert got[kind][row, ri] == want[kind], (kind, i, r)
+    near = d[(d > 0) & (d <= max(radii))]
+    assert got["d1"][row] == (np.min(near) if near.size else np.inf)
 
 
 @st.composite
@@ -79,8 +99,9 @@ def test_kernel_equals_definition(case):
         # radii equal to every sample distance, between them and beyond
         pos = np.unique(d[d > 0])
         radii = np.concatenate([pos, pos * 1.5, extra, [0.25, 10.0]])
-        scan = _PointScan(f, i)
-        got = {kind: getattr(scan, kind)(radii).tolist() for kind in KINDS}
+        scan = _point_scan(f, i, radii)
+        got = {kind: scan[kind].tolist() for kind in KINDS}
+        assert scan["d1"] == (pos[0] if pos.size else np.inf)
         for k, r in enumerate(radii.tolist()):
             want = by_definition(d, dv, r)
             for kind in KINDS:
@@ -102,6 +123,23 @@ def test_kernel_equals_definition(case):
                     == want["nearest_scale_inf"])
 
 
+@settings(max_examples=100, deadline=None)
+@given(sampled_maps(), st.lists(st.one_of(st.floats(1e-3, 5.0),
+                                          st.sampled_from([0.5, 1.0, 1.5])),
+                                min_size=1, max_size=4))
+def test_point_scan_is_a_scan_field_row(case, radii):
+    # radii on lattice distances put ties at the reach; radii below every
+    # distance leave a point with an empty row
+    f, _ = case
+    radii = np.array(radii)
+    field = scan_field(f, radii)
+    for i in range(f.domain.n):
+        row = _point_scan(f, i, radii)
+        for kind in KINDS:
+            assert row[kind].tolist() == field[kind][i].tolist(), kind
+        assert row["d1"] == field["d1"][i]
+
+
 @pytest.mark.parametrize("coords, values", [
     ([[0.5, 0.5]], [1.0]),                          # a one-point cloud
     ([[0.0, 0.0], [0.0, 0.0]], [1.0, 3.0]),         # only coincident points
@@ -110,9 +148,10 @@ def test_point_without_neighbour(coords, values):
     space = FiniteMetricSpace(range(len(values)), coords=coords)
     f = SampledMap.real(space, values)
     radii = np.array([0.5, 0.25])
-    scan = _PointScan(f, 0)
+    scan = _point_scan(f, 0, radii)
     for kind in KINDS:
-        assert getattr(scan, kind)(radii).tolist() == [0.0, 0.0]
+        assert scan[kind].tolist() == [0.0, 0.0]
+    assert scan["d1"] == np.inf
     prof = scale_profile(f, RadiusGrid(0.5, 0.5, 2, 2))
     for column in prof.table.values():
         assert not np.any(column)

@@ -1,10 +1,11 @@
 """Summary estimates without the profile table, and the reach-limited scan.
 
 ``scale_summaries`` reads every estimate from one scan per point, limited to
-the largest radius, plus one local functional; ``_PointScan`` answers every
-radius up to its reach exactly as the unrestricted scan does; the pair
-supremum walks upper-triangle row blocks.  Each is compared with ``==``
-against the computation it replaces or against the definition.
+the largest radius, plus one local functional; ``scan_field`` answers every
+radius up to its reach exactly as the definition over the whole distance
+row does; the pair supremum walks upper-triangle row blocks.  Each is
+compared with ``==`` against the computation it replaces or against the
+definition.
 """
 import hashlib
 import math
@@ -18,17 +19,14 @@ from hypothesis import strategies as st
 from lipderiv import (FiniteMetricSpace, PointSummary, RadiusGrid,
                       SampledMap, big_lip_below_r, lip_norm, lip_upper_r,
                       loc_lip_r, nearest_scale_infimum, scale_profile,
-                      scale_summaries)
+                      scale_summaries, scan_field)
 from lipderiv.cli import main
 from lipderiv.harness import derivative_fields
-from lipderiv.scales import _PointScan, _pair_sup, _row_extremes
+from lipderiv.scales import _pair_sup, _row_extremes
 from lipderiv.zoo import make_entry
+from test_point_kernel import assert_scan_row_is_definition
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
-
-KINDS = ("lip_upper", "lip_upper_closed", "big_below", "little_below",
-         "nearest_scale_inf")
-
 
 @st.composite
 def sampled_maps(draw):
@@ -120,12 +118,8 @@ def test_reach_limited_scan_equals_unrestricted(f, reach_float):
         for reach in reaches + [reach_float]:
             inside = pos[pos <= reach]
             radii = np.concatenate([inside, inside * 0.999, [reach]])
-            full, cut = _PointScan(f, i), _PointScan(f, i, reach=reach)
-            for kind in KINDS:
-                assert (getattr(cut, kind)(radii).tolist()
-                        == getattr(full, kind)(radii).tolist()), (kind, i)
-            nearest = f.domain.nearest_neighbor_distance(i)
-            assert cut.d1 == (nearest if nearest <= reach else math.inf)
+            assert_scan_row_is_definition(f, scan_field(f, radii, [i]), 0, i,
+                                          radii.tolist())
 
 
 def py_norm(diff, p):

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from lipderiv import (FiniteMetricSpace, InputError, RadiusGrid, SampledMap,
                       big_lip_below_r, lip_norm, lip_upper_r,
-                      lip_upper_r_closed, little_lip_below_r, loc_lip_r,
-                      nearest_scale_infimum, scale_profile)
+                      lip_upper_r_closed, little_lip_below_r, loc_field,
+                      loc_lip_r, nearest_scale_infimum, point_scale_values,
+                      scale_profile, scan_field)
 
 
 def line_map(xs, values):
@@ -69,11 +70,20 @@ def test_lip_norm_affine():
 
 
 def test_positive_radius_required():
-    f = line_map([0.0, 1.0], [0.0, 1.0])
-    for op in (lip_upper_r, lip_upper_r_closed, big_lip_below_r,
-               little_lip_below_r, loc_lip_r, nearest_scale_infimum):
+    # a NaN radius fails ``r <= 0`` as well as ``r > 0``
+    xs = [0.0, 1.0, 2.0, 3.0, 4.0]
+    f = line_map(xs, [x * x for x in xs])
+    for r in (np.nan, 0.0, -1.0):
+        for op in (lip_upper_r, lip_upper_r_closed, big_lip_below_r,
+                   little_lip_below_r, loc_lip_r, nearest_scale_infimum):
+            with pytest.raises(InputError):
+                op(f, 2.0, r)
         with pytest.raises(InputError):
-            op(f, 0.0, -1.0)
+            point_scale_values(f, 2.0, [1.0, r])
+        with pytest.raises(InputError):
+            loc_field(f, r, [2])
+        with pytest.raises(InputError):
+            scan_field(f, [1.0, r], [2])
 
 
 def test_radius_grid_validation():
