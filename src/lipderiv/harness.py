@@ -17,10 +17,10 @@ from .envelopes import ScalarField, baire_upper, lsc_defect, usc_defect
 from .errors import InputError
 from .metric import (FiniteMetricSpace, IntervalUnion, LinearMapSpec,
                      operator_norm)
-from .scales import (RadiusGrid, SampledMap, _point_scan, _row_extremes,
-                     big_lip_below_r, lip_norm, loc_field, loc_lip_r,
-                     nearest_scale_infimum, point_scale_values,
-                     scale_profile, scale_summaries, scan_field)
+from .scales import (RadiusGrid, SampledMap, _point_scan, big_lip_below_r,
+                     lip_norm, loc_field, loc_lip_r, nearest_scale_infimum,
+                     point_scale_values, scale_profile, scale_summaries,
+                     scan_field)
 from . import setclass
 from .setclass import FiniteField, SetFamily
 from .zoo import ZooEntry, get_entry, make_entry, make_zoo
@@ -69,6 +69,16 @@ def random_map(rng, space: FiniteMetricSpace) -> SampledMap:
 # individual checks
 
 
+def _ordering(little, big, loc):
+    """The worst gap max(little - big, big - loc) over arrays of one shape
+    (0 when they have no entries) and its ``np.unravel_index``."""
+    gap = np.maximum(little - big, big - loc)
+    if gap.size == 0:
+        return 0.0, None
+    at = np.unravel_index(int(np.argmax(gap)), gap.shape)
+    return float(gap[at]), at
+
+
 def check_chain(f: SampledMap, grid: RadiusGrid, name="chain", points=None,
                 inject_fault=False) -> CheckResult:
     """little <= big <= local at every (point, radius): exact on finite data."""
@@ -79,17 +89,16 @@ def check_chain(f: SampledMap, grid: RadiusGrid, name="chain", points=None,
     if inject_fault:
         little = little.copy()
         little[0, 0] = big[0, 0] + 1.0
-    gap = np.maximum(little - big, big - loc)
-    worst = float(np.max(gap)) if gap.size else 0.0
+    worst, at = _ordering(little, big, loc)
     witness = None
     if worst > 0:
-        pi, ri = np.unravel_index(int(np.argmax(gap)), gap.shape)
+        pi, ri = at
         witness = {"point": prof.points[pi], "radius": float(prof.radii[ri])}
     return _result(name, worst <= 0.0, max(worst, 0.0), 0.0, witness)
 
 
-def check_plus_variant(f: SampledMap, x, r: float, name="plus_variant",
-                       tol=1e-12) -> CheckResult:
+def check_plus_variant(f: SampledMap, x, r: float,
+                       name="plus_variant") -> CheckResult:
     """Open-ball sweep, closed-ball sweep and the ratio formula agree.
 
     The suprema over scales below r are reconstructed from open/closed-ball
@@ -107,18 +116,18 @@ def check_plus_variant(f: SampledMap, x, r: float, name="plus_variant",
     beta = float(np.max(scan["lip_upper_closed"][d.size:-1]))
     gamma = float(scan["big_below"][-1])
     worst = max(abs(alpha - beta), abs(beta - gamma), abs(alpha - gamma))
+    tol = 1e-12
     return _result(name, worst <= tol, worst, tol,
                    {"point": x, "radius": float(r),
                     "alpha": alpha, "beta": beta, "gamma": gamma})
 
 
-def linear_map_sample(A: LinearMapSpec, x0, resolution: float,
-                      radius=None) -> SampledMap:
-    """Grid sample of u -> A u on a ball around x0."""
+def linear_map_sample(A: LinearMapSpec, x0, resolution: float) -> SampledMap:
+    """Grid sample of u -> A u on a ball of radius 25 resolutions around
+    x0."""
     x0 = np.asarray(x0, dtype=float)
     n = A.shape[1]
-    if radius is None:
-        radius = 25.0 * resolution
+    radius = 25.0 * resolution
     axis = np.arange(-radius, radius + resolution / 2, resolution)
     mesh = np.meshgrid(*([axis] * n), indexing="ij")
     offsets = np.column_stack([m.ravel() for m in mesh])
@@ -132,7 +141,7 @@ def linear_map_sample(A: LinearMapSpec, x0, resolution: float,
 
 
 def check_frechet(A: LinearMapSpec, x0, resolution: float, name="frechet",
-                  tol=0.02, seed=0) -> CheckResult:
+                  seed=0) -> CheckResult:
     """Big-derivative estimate of a linear map matches its operator norm."""
     f = linear_map_sample(A, x0, resolution)
     x0_id = tuple(float(c) for c in np.asarray(x0, dtype=float))
@@ -140,13 +149,14 @@ def check_frechet(A: LinearMapSpec, x0, resolution: float, name="frechet",
     big_hat = big_lip_below_r(f, x0_id, r)
     norm = operator_norm(A, sphere_samples=20000, seed=seed)
     gap = abs(big_hat - norm) / norm if norm > 0 else abs(big_hat)
+    tol = 0.02
     return _result(name, gap <= tol, gap, tol,
                    {"big_hat": big_hat, "operator_norm": norm})
 
 
 def check_gamma_lipschitz(f: SampledMap, gamma: float, grid: RadiusGrid,
-                          name="gamma_lipschitz", convex=True,
-                          pair_tol=None) -> CheckResult:
+                          name="gamma_lipschitz",
+                          convex=True) -> CheckResult:
     """Both directions of the convex-domain characterization.
 
     Forward: pairwise gamma-Lipschitz data has little functional <= gamma at
@@ -156,15 +166,15 @@ def check_gamma_lipschitz(f: SampledMap, gamma: float, grid: RadiusGrid,
     """
     if not convex:
         return CheckResult(name, "skipped", detail="domain not flagged convex")
-    norm, diam, resolution = _row_extremes(f)
+    norm = lip_norm(f)
+    diam, resolution = f.domain.diameter(), f.domain.resolution()
     little = scan_field(f, grid.radii)["little_below"]
     # rounding allowance so e.g. exact-slope data is not pushed off the
     # hypothesis boundary by one ulp
     eps = 1e-12 * max(1.0, gamma, norm)
     finest_ok = bool(np.all(little[:, -1] <= gamma + eps))
     pairwise_ok = norm <= gamma + eps
-    if pair_tol is None:
-        pair_tol = 2.0 * resolution / diam if diam > 0 else 0.0
+    pair_tol = 2.0 * resolution / diam if diam > 0 else 0.0
     checked = False
     worst = 0.0
     tol_used = 0.0
@@ -190,7 +200,7 @@ def check_gamma_lipschitz(f: SampledMap, gamma: float, grid: RadiusGrid,
 
 
 def check_lipnorm_identity(f: SampledMap, grid: RadiusGrid,
-                           name="lipnorm_identity", tol=0.05) -> CheckResult:
+                           name="lipnorm_identity") -> CheckResult:
     """Global Lipschitz constant vs the sup of pointwise little estimates."""
     norm = lip_norm(f)
     r_small = float(grid.radii[-1])
@@ -200,13 +210,13 @@ def check_lipnorm_identity(f: SampledMap, grid: RadiusGrid,
         return _result(name, sup_hat == 0.0, sup_hat, 0.0,
                        {"lip_norm": 0.0, "sup_little": sup_hat})
     gap = abs(norm - sup_hat) / norm
+    tol = 0.05
     return _result(name, gap <= tol, gap, tol,
                    {"lip_norm": norm, "sup_little": sup_hat})
 
 
 def check_segment_chain_rule(f: SampledMap, func, a, b, r: float,
-                             name="segment_chain_rule", steps=200,
-                             tol=None) -> CheckResult:
+                             name="segment_chain_rule") -> CheckResult:
     """Composition with the segment parametrization obeys the slope bound.
 
     g = f(T(u)) on a uniform grid of [0,1]; the little estimate of g at scale
@@ -219,6 +229,7 @@ def check_segment_chain_rule(f: SampledMap, func, a, b, r: float,
     length = float(np.linalg.norm(seg))
     if length == 0.0:
         raise InputError("segment endpoints coincide")
+    steps = 200
     us = np.linspace(0.0, 1.0, steps + 1)
     gspace = FiniteMetricSpace.grid1d(0.0, 1.0, 1.0 / steps)
     gvals = []
@@ -242,8 +253,7 @@ def check_segment_chain_rule(f: SampledMap, func, a, b, r: float,
         if gap > worst:
             worst = gap
             witness = {"u": float(u), "lhs": lhs, "rhs": rhs}
-    if tol is None:
-        tol = 0.05 * rhs_scale + 2.0 * length / steps
+    tol = 0.05 * rhs_scale + 2.0 * length / steps
     return _result(name, worst <= tol, max(worst, 0.0), tol, witness)
 
 
@@ -256,8 +266,9 @@ def bhmv_map(E: IntervalUnion, span, resolution: float) -> SampledMap:
 
 
 def check_bhmv_bound(E: IntervalUnion, span, resolution: float,
-                     name="bhmv", tol=1e-12) -> CheckResult:
+                     name="bhmv") -> CheckResult:
     """|f(a)-f(b)| equals the measure of [a,b] within E, plus slope bounds."""
+    tol = 1e-12
     f = bhmv_map(E, span, resolution)
     xs = np.array([float(u) for u in f.domain.ids])
     vals = f.values
@@ -302,8 +313,7 @@ def _cell_oscillation(g: ScalarField) -> float:
 
 
 def check_envelope_identity(f: SampledMap, h: float, resolution: float,
-                            name="envelope_identity", rel_tol=0.05,
-                            r_fine=None) -> CheckResult:
+                            name="envelope_identity") -> CheckResult:
     """Upper envelopes of the little/big fields match the local field.
 
     Fields approximating the little and big derivatives are computed at a
@@ -312,8 +322,7 @@ def check_envelope_identity(f: SampledMap, h: float, resolution: float,
     """
     if h <= resolution:
         raise InputError("envelope scale h must exceed the sample resolution")
-    if r_fine is None:
-        r_fine = min(h / 2.0, 2.5 * resolution)
+    r_fine, rel_tol = min(h / 2.0, 2.5 * resolution), 0.05
     little_f, big_f, loc_f = derivative_fields(f, r_fine, h)
     env_little = baire_upper(little_f, h)
     env_big = baire_upper(big_f, h)
@@ -391,12 +400,10 @@ def check_summary_ordering(f: SampledMap, grid: RadiusGrid,
     """little <= big <= local on the per-point summary estimates: exact, so
     the thresholded level sets are nested for every gamma."""
     summaries = scale_summaries(f, grid, points=points)
-    lip_hat, big_hat, loc_hat = _hats(summaries)
-    gap = np.maximum(lip_hat - big_hat, big_hat - loc_hat)
-    worst = float(np.max(gap)) if gap.size else 0.0
+    worst, at = _ordering(*_hats(summaries))
     witness = None
     if worst > 0:
-        witness = {"point": summaries[int(np.argmax(gap))].point}
+        witness = {"point": summaries[at[0]].point}
     return _result(name, worst <= 0.0, max(worst, 0.0), 0.0, witness)
 
 
@@ -406,8 +413,7 @@ def check_level_sets(entry: ZooEntry, gamma: float, grid: RadiusGrid,
     thresholded sets are nested for every gamma), and for cusp entries the
     above-gamma set localizes around the genuine blow-up point."""
     summaries = scale_summaries(entry.map, grid, points=points)
-    lip_hat, big_hat, loc_hat = _hats(summaries)
-    worst = float(np.max(np.maximum(lip_hat - big_hat, big_hat - loc_hat)))
+    worst, _ = _ordering(*_hats(summaries))
     ok = worst <= 0.0
     witness = None
     detail = ""
@@ -435,20 +441,19 @@ def check_level_sets(entry: ZooEntry, gamma: float, grid: RadiusGrid,
 # set-class sweeps
 
 
-def _field_values(n, levels):
-    return itertools.product(levels, repeat=n)
+#: the field values of the set-class sweeps
+_LEVELS = (-math.inf, 0.0, 1.0, math.inf)
 
 
 def check_setclass_exhaustive(max_ground=4, name="setclass/exhaustive",
-                              levels=(-math.inf, 0.0, 1.0, math.inf),
                               rng=None) -> CheckResult:
     """Family identities plus the semicontinuity duality properties over every
-    topology on grounds of size <= max_ground and all fields on the given
-    level set."""
+    topology on grounds of size <= max_ground and all fields on ``_LEVELS``."""
     failures = []
     for n in range(1, max_ground + 1):
         ground = tuple(range(n))
-        fields = [FiniteField(ground, v) for v in _field_values(n, levels)]
+        fields = [FiniteField(ground, v)
+                  for v in itertools.product(_LEVELS, repeat=n)]
         for masks in setclass.all_topologies(n):
             F = SetFamily(ground, masks)
             for ident in setclass.FAMILY_IDENTITIES:
@@ -476,20 +481,19 @@ def check_setclass_exhaustive(max_ground=4, name="setclass/exhaustive",
                    {"failures": failures[:5]} if failures else None)
 
 
-def check_setclass_random(n=5, cases=500, seed=0,
-                          name="setclass/random") -> CheckResult:
-    """Seeded identity and duality checks on larger grounds."""
+def check_setclass_random(seed=0, name="setclass/random") -> CheckResult:
+    """Seeded identity and duality checks on 500 topologies of 5 points."""
     rng = np.random.default_rng(seed)
+    n = 5
     ground = tuple(range(n))
-    levels = [-math.inf, 0.0, 1.0, math.inf]
     failures = []
-    for _ in range(cases):
+    for _ in range(500):
         F = SetFamily(ground, setclass.random_topology(n, rng))
         ident = list(setclass.FAMILY_IDENTITIES)[int(rng.integers(0, 3))]
         ok, _ = setclass.verify_family_identity(F, ident)
         if not ok:
             failures.append({"identity": ident})
-        vals = [levels[i] for i in rng.integers(0, len(levels), size=n)]
+        vals = [_LEVELS[i] for i in rng.integers(0, len(_LEVELS), size=n)]
         f = FiniteField(ground, vals)
         if setclass.is_A_upper_sc(f, F) or setclass.is_A_lower_sc(f, F):
             rep = setclass.check_duality_props(f, F)
@@ -517,14 +521,14 @@ def _brute_sweep(d, dv, rhos):
 
 
 def check_scale_oracles(space: FiniteMetricSpace, values, radii,
-                        name="oracle_equiv", tol=1e-9,
-                        rho_grid=2000) -> CheckResult:
+                        name="oracle_equiv") -> CheckResult:
     """Every scale functional vs direct-definition enumeration.
 
     The little/big functionals are compared against min/max of the open-ball
     functional over a dense scale grid enriched with the neighbor distances
     (and points just above them), evaluated straight from the definition.
     """
+    tol, rho_grid = 1e-9, 2000
     f = SampledMap.real(space, values)
     radii = np.asarray(radii, dtype=float)
     dist = [space.dist_row(i) for i in range(space.n)]
@@ -600,7 +604,8 @@ class SuiteConfig:
     random_spaces: int = 50
 
 
-def _entry_points(entry: ZooEntry, rng, cap=80):
+def _entry_points(entry: ZooEntry, rng):
+    cap = 80
     ids = list(entry.space.ids)
     if len(ids) <= cap:
         return ids
@@ -655,9 +660,9 @@ def _suite_frechet(cfg, rng, entries):
             for label, (mat, x0) in FRECHET_CASES.items()]
 
 
-def c1_identity_check(entry: ZooEntry, name, rel_tol=0.02) -> CheckResult:
+def c1_identity_check(entry: ZooEntry, name) -> CheckResult:
     """Summary estimates vs |f'| within 2% relative plus 2x resolution."""
-    res = entry.resolution
+    res, rel_tol = entry.resolution, 0.02
     grid = RadiusGrid(32 * res, 0.5, 5, 3)
     margin = grid.r_max
     coords = entry.space.coords[:, 0]
@@ -825,10 +830,9 @@ def _suite_setclass(cfg, rng, entries):
             check_setclass_random(seed=cfg.seed)]
 
 
-def _suite_oracle_equiv(cfg, rng, entries, spaces=None):
+def _suite_oracle_equiv(cfg, rng, entries):
     out = []
-    count = spaces if spaces is not None else cfg.random_spaces
-    for k in range(count):
+    for k in range(cfg.random_spaces):
         sp = random_space(rng, int(rng.integers(3, 13)))
         vals = rng.normal(size=sp.n)
         radii = rng.uniform(0.2, 2.5, size=3)

@@ -274,7 +274,13 @@ class FiniteMetricSpace:
         return d1, j
 
     def diameter(self) -> float:
-        return max(float(np.max(self.dist_row(i))) for i in range(self.n))
+        """Largest distance, from ``cross`` row blocks against every point;
+        four arrays of a block's shape fit in ``BLOCK_ELEMS`` (one row when a
+        row alone exceeds it)."""
+        every = np.arange(self.n)
+        step = max(1, BLOCK_ELEMS // (4 * max(self.n, 1)))
+        return max((float(np.max(self.cross(every[s:s + step], every)))
+                    for s in range(0, self.n, step)), default=0.0)
 
     def nearest_neighbor_distance(self, i: int) -> float:
         d = self.dist_row(i)
@@ -331,7 +337,7 @@ def validate_metric(space: FiniteMetricSpace, tol: float = METRIC_TOL) -> list:
 
 def ball(space: FiniteMetricSpace, x, r: float, closed: bool = False) -> set:
     """Open (default) or closed metric ball around x; always contains x."""
-    if r <= 0:
+    if not r > 0:
         raise InputError("ball radius must be positive")
     i = space.index(x)
     idx = space.ball_indices(i, r, closed=closed)
@@ -340,7 +346,7 @@ def ball(space: FiniteMetricSpace, x, r: float, closed: bool = False) -> set:
 
 def resolution_isolated(space: FiniteMetricSpace, h: float) -> set:
     """Points with no other sample point strictly within distance h."""
-    if h <= 0:
+    if not h > 0:
         raise InputError("h must be positive")
     d1 = space.nearest_neighbors()[0]
     return {space.ids[i] for i in np.flatnonzero(d1 >= h)}

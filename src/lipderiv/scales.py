@@ -96,7 +96,7 @@ class RadiusGrid:
     ``tail_window`` radii at the small end feed the limit estimates and the
     divergence flag.  The flag fires when the tail of the pointwise little
     estimates increases monotonically as r shrinks and grows overall by more
-    than ``divergence_factor``; the stated per-step reading of that factor
+    than ``DIVERGENCE_FACTOR``; the stated per-step reading of that factor
     would never fire for square-root cusps on geometric grids, so the total
     tail growth is used instead.
     """
@@ -104,7 +104,6 @@ class RadiusGrid:
     q: float = 0.5
     steps: int = 8
     tail_window: int = 3
-    divergence_factor: float = DIVERGENCE_FACTOR
 
     def __post_init__(self):
         if not 0 < self.r_max < np.inf:
@@ -303,9 +302,10 @@ def _pair_sup(f: SampledMap, idx) -> float:
         return 0.0
     best = 0.0
     # upper-triangle row blocks: rows idx[s:s + step] against the columns
-    # idx[s:], so each pair is computed once, row before column, and no
-    # block holds more than BLOCK_ELEMS elements
-    step = max(1, min(128, BLOCK_ELEMS // m))
+    # idx[s:], so each pair is computed once, row before column, and two
+    # arrays of a block's shape fit in BLOCK_ELEMS (one row when a row alone
+    # exceeds it)
+    step = max(1, min(128, BLOCK_ELEMS // (2 * m)))
     for s in range(0, m - 1, step):
         rows, cols = idx[s:s + step], idx[s:]
         D = f.domain.cross(rows, cols)
@@ -401,41 +401,10 @@ def loc_field(f: SampledMap, r: float, idx=None) -> np.ndarray:
     return best[inverse]
 
 
-def _row_extremes(f: SampledMap):
-    """``(lip_norm(f), diameter, resolution)`` from row blocks of all
-    ordered pairs.
-
-    Rows ``i`` of a block against every point ``j`` hold the ``cross`` and
-    ``value_cross`` floats of the pair (i, j), which are the ``dist_row``
-    and ``value_dist_from`` floats of row i (a difference and its negation
-    round to the same magnitude).  A block holds at most
-    ``BLOCK_ELEMS // 4`` pairs (one row when a row alone exceeds it), so its
-    distances, value distances and their two temporaries fit in
-    ``BLOCK_ELEMS``.  Max and min are exact, so the result equals the one
-    of a loop over the rows.
-    """
-    sp = f.domain
-    every = np.arange(sp.n)
-    step = max(1, BLOCK_ELEMS // (4 * max(sp.n, 1)))
-    norm, diam, resolution = 0.0, 0.0, np.inf
-    for s in range(0, sp.n, step):
-        rows = every[s:s + step]
-        D = sp.cross(rows, every)
-        V = f.value_cross(rows, every)
-        mask = D > 0
-        diam = max(diam, float(np.max(D)))
-        resolution = min(resolution,
-                         float(np.min(D, where=mask, initial=np.inf)))
-        # pairs at distance 0 divide to inf/NaN and are masked out of the max
-        with np.errstate(divide="ignore", invalid="ignore"):
-            Q = np.divide(V, D, out=V)
-        norm = max(norm, float(np.max(Q, where=mask, initial=0.0)))
-    return norm, diam, resolution
-
-
 def lip_norm(f: SampledMap) -> float:
-    """Supremum of difference quotients over all pairs of distinct points."""
-    return _row_extremes(f)[0]
+    """Supremum of difference quotients over all pairs of distinct points:
+    ``_pair_sup`` over every point, each pair once, lower index first."""
+    return _pair_sup(f, np.arange(f.domain.n))
 
 
 def point_scale_values(f: SampledMap, x, radii) -> dict:
@@ -455,7 +424,6 @@ class PointSummary:
     loc_hat: float
     unresolved: bool
     divergent: bool
-    liminf_surrogate: float | None = None
 
 
 @dataclass
@@ -485,8 +453,7 @@ def _scan_points(f: SampledMap, grid: RadiusGrid, points):
     return list(points), idx, scan, _resolved(scan["d1"], grid.radii)
 
 
-def _summaries(points, grid: RadiusGrid, scan, loc_hat,
-               liminf_surrogate: bool) -> list:
+def _summaries(points, grid: RadiusGrid, scan, loc_hat) -> list:
     """The limit estimates of every point from its ``scan_field`` readings
     and its local functional ``loc_hat[p]`` at the smallest radius whose
     ball holds a neighbour (0 where there is none)."""
@@ -498,18 +465,16 @@ def _summaries(points, grid: RadiusGrid, scan, loc_hat,
     # array, so growth toward small scales means a nondecreasing series)
     divergent = ((series[:, -1] > 0)
                  & np.all(np.diff(series, axis=1) >= 0, axis=1)
-                 & (series[:, -1] > grid.divergence_factor * series[:, 0]))
+                 & (series[:, -1] > DIVERGENCE_FACTOR * series[:, 0]))
     unresolved = scan["d1"] >= radii[-1]
-    surrogate = np.min(scan["lip_upper"][:, tail], axis=1)
     return [PointSummary(
         x, float(series[p, -1]), float(scan["big_below"][p, -1]),
-        float(loc_hat[p]), bool(unresolved[p]), bool(divergent[p]),
-        float(surrogate[p]) if liminf_surrogate else None)
+        float(loc_hat[p]), bool(unresolved[p]), bool(divergent[p]))
         for p, x in enumerate(points)]
 
 
-def scale_profile(f: SampledMap, grid: RadiusGrid, points=None,
-                  liminf_surrogate: bool = False) -> ScaleProfile:
+def scale_profile(f: SampledMap, grid: RadiusGrid,
+                  points=None) -> ScaleProfile:
     """Evaluate all scale functionals on the radius grid.
 
     Limit estimates per point: the big estimate is the exact big functional at
@@ -517,10 +482,8 @@ def scale_profile(f: SampledMap, grid: RadiusGrid, points=None,
     the smallest radius, and the local estimate is the local functional at the
     smallest radius whose ball is resolved (contains a neighbor).
 
-    ``liminf_surrogate`` additionally reports min over the tail window of the
-    raw open-ball functional (off by default).  The scan columns come from
-    one ``scan_field`` over the points, the ``loc`` column from one
-    ``loc_lip_r`` per point and radius.
+    The scan columns come from one ``scan_field`` over the points, the
+    ``loc`` column from one ``loc_lip_r`` per point and radius.
     """
     points, idx, scan, resolved = _scan_points(f, grid, points)
     radii = grid.radii
@@ -530,12 +493,10 @@ def scale_profile(f: SampledMap, grid: RadiusGrid, points=None,
     loc_hat = np.where(resolved >= 0,
                        table["loc"][np.arange(idx.size), resolved], 0.0)
     return ScaleProfile(points, radii, table,
-                        _summaries(points, grid, scan, loc_hat,
-                                   liminf_surrogate))
+                        _summaries(points, grid, scan, loc_hat))
 
 
-def scale_summaries(f: SampledMap, grid: RadiusGrid, points=None,
-                    liminf_surrogate: bool = False) -> list:
+def scale_summaries(f: SampledMap, grid: RadiusGrid, points=None) -> list:
     """The ``PointSummary`` list of ``scale_profile``, without its table.
 
     One ``scan_field`` over the points, reaching the largest radius, and one
@@ -547,4 +508,4 @@ def scale_summaries(f: SampledMap, grid: RadiusGrid, points=None,
     for k in np.unique(resolved[resolved >= 0]):
         at = np.flatnonzero(resolved == k)
         loc_hat[at] = loc_field(f, float(grid.radii[k]), idx[at])
-    return _summaries(points, grid, scan, loc_hat, liminf_surrogate)
+    return _summaries(points, grid, scan, loc_hat)

@@ -82,6 +82,11 @@ class ZooEntry:
         return self.space.ids[i]
 
 
+def _oracles(oracle):
+    """One formula as the little, big and local oracle keywords."""
+    return dict(lip_oracle=oracle, Lip_oracle=oracle, LLip_oracle=oracle)
+
+
 def _entry_1d(name, func, a, b, res, **kw):
     space = FiniteMetricSpace.grid1d(a, b, res)
     values = np.array([func(float(x)) for x in space.ids])
@@ -101,8 +106,7 @@ def _entry_linear(name, matrix, res):
     return ZooEntry(
         name, SampledMap.vector(space, values, p=2.0), step,
         func=lambda u: A @ np.asarray(u, dtype=float),
-        lip_oracle=lambda p: nrm, Lip_oracle=lambda p: nrm,
-        LLip_oracle=lambda p: nrm, lip_norm_oracle=nrm,
+        **_oracles(lambda p: nrm), lip_norm_oracle=nrm,
         convex=True, continuous=True, c1=True,
         meta={"group": "linear", "matrix": A, "operator_norm": nrm})
 
@@ -112,9 +116,7 @@ def _bhmv_entry(name, res):
     f = lambda u: E.intersect(0.0, float(u)).measure()
     entry = _entry_1d(
         name, f, 0.0, 3.0, res,
-        lip_oracle=lambda u: 1.0 if E.distance_to(u) == 0 else 0.0,
-        Lip_oracle=lambda u: 1.0 if E.distance_to(u) == 0 else 0.0,
-        LLip_oracle=lambda u: 1.0 if E.distance_to(u) == 0 else 0.0,
+        **_oracles(lambda u: 1.0 if E.distance_to(u) == 0 else 0.0),
         lip_norm_oracle=1.0, convex=True, continuous=True,
         meta={"group": "bhmv", "interval_union": E})
     return entry
@@ -137,8 +139,7 @@ def _two_point_entry(name):
     # every point of a discrete space is isolated: all derivatives vanish
     return ZooEntry(
         name, SampledMap.real(space, [0.0, 1.0]), 1.0,
-        lip_oracle=lambda p: 0.0, Lip_oracle=lambda p: 0.0,
-        LLip_oracle=lambda p: 0.0, lip_norm_oracle=1.0,
+        **_oracles(lambda p: 0.0), lip_norm_oracle=1.0,
         convex=False, continuous=True, meta={"group": "discrete"})
 
 
@@ -146,47 +147,35 @@ def _two_point_entry(name):
 _BUILDERS = {
     "constant": lambda name, res: _entry_1d(
         name, lambda u: 1.0, -1.0, 1.0, res,
-        lip_oracle=lambda u: 0.0, Lip_oracle=lambda u: 0.0,
-        LLip_oracle=lambda u: 0.0, lip_norm_oracle=0.0,
+        **_oracles(lambda u: 0.0), lip_norm_oracle=0.0,
         c1=True, omega=lambda h: 0.0, meta={"group": "affine"}),
     "affine_slope3": lambda name, res: _entry_1d(
         name, lambda u: 3.0 * u, -1.0, 1.0, res,
-        lip_oracle=lambda u: 3.0, Lip_oracle=lambda u: 3.0,
-        LLip_oracle=lambda u: 3.0, lip_norm_oracle=3.0,
+        **_oracles(lambda u: 3.0), lip_norm_oracle=3.0,
         c1=True, omega=lambda h: 0.0, meta={"group": "affine"}),
     "sin": lambda name, res: _entry_1d(
         name, math.sin, 0.0, math.pi, res,
-        lip_oracle=lambda u: abs(math.cos(u)),
-        Lip_oracle=lambda u: abs(math.cos(u)),
-        LLip_oracle=lambda u: abs(math.cos(u)),
-        lip_norm_oracle=1.0, c1=True, omega=lambda h: h,
+        **_oracles(lambda u: abs(math.cos(u))), lip_norm_oracle=1.0,
+        c1=True, omega=lambda h: h,
         meta={"group": "c1", "max_second_derivative": 1.0}),
     "square": lambda name, res: _entry_1d(
         name, lambda u: u * u, 0.0, 2.0, res,
-        lip_oracle=lambda u: 2.0 * u, Lip_oracle=lambda u: 2.0 * u,
-        LLip_oracle=lambda u: 2.0 * u, lip_norm_oracle=4.0,
+        **_oracles(lambda u: 2.0 * u), lip_norm_oracle=4.0,
         c1=True, omega=lambda h: 2.0 * h,
         meta={"group": "c1", "max_second_derivative": 2.0}),
     "cube": lambda name, res: _entry_1d(
         name, lambda u: u ** 3, -1.0, 1.0, res,
-        lip_oracle=lambda u: 3.0 * u * u,
-        Lip_oracle=lambda u: 3.0 * u * u,
-        LLip_oracle=lambda u: 3.0 * u * u,
-        lip_norm_oracle=3.0, c1=True, omega=lambda h: 6.0 * h,
+        **_oracles(lambda u: 3.0 * u * u), lip_norm_oracle=3.0,
+        c1=True, omega=lambda h: 6.0 * h,
         meta={"group": "c1", "max_second_derivative": 6.0}),
     "abs": lambda name, res: _entry_1d(
         name, abs, -1.0, 1.0, res,
-        lip_oracle=lambda u: 1.0, Lip_oracle=lambda u: 1.0,
-        LLip_oracle=lambda u: 1.0, lip_norm_oracle=1.0,
+        **_oracles(lambda u: 1.0), lip_norm_oracle=1.0,
         omega=lambda h: h, meta={"group": "kink"}),
     "sqrt_abs": lambda name, res: _entry_1d(
         name, lambda u: math.sqrt(abs(u)), -1.0, 1.0, res,
-        lip_oracle=lambda u: math.inf if u == 0
-        else 0.5 / math.sqrt(abs(u)),
-        Lip_oracle=lambda u: math.inf if u == 0
-        else 0.5 / math.sqrt(abs(u)),
-        LLip_oracle=lambda u: math.inf if u == 0
-        else 0.5 / math.sqrt(abs(u)),
+        **_oracles(lambda u: math.inf if u == 0
+                   else 0.5 / math.sqrt(abs(u))),
         lip_norm_oracle=math.inf,
         meta={"group": "cusp", "infinite_big_set": (0.0,)}),
     "dyadic_staircase": lambda name, res: _entry_1d(

@@ -11,8 +11,8 @@ from lipderiv import (FiniteMetricSpace, InputError, IntervalUnion,
                       check_lipnorm_identity, check_openness_surrogate,
                       check_plus_variant, check_scale_oracles,
                       check_semicontinuity_fields, check_setclass_exhaustive,
-                      check_summary_ordering, get_entry, lip_norm, make_zoo,
-                      overall_ok, run_suite)
+                      check_summary_ordering, get_entry, lip_norm,
+                      make_entry, make_zoo, overall_ok, run_suite)
 from lipderiv.harness import random_map, random_space
 from lipderiv.io import report_document
 
@@ -127,6 +127,14 @@ def test_level_sets_ordering_and_localization():
     r = check_level_sets(e, 25.0, RadiusGrid(0.05, 0.5, 4, 2), points=pts)
     assert r.status == "pass"
     assert r.detail.startswith("localized")
+
+
+def test_ordering_checks_pass_on_no_points():
+    e = make_entry("sin", 0.1)
+    grid = RadiusGrid(0.3, 0.5, 3, 2)
+    for r in (check_level_sets(e, 1.0, grid, points=[]),
+              check_summary_ordering(e.map, grid, points=[])):
+        assert r.status == "pass" and r.discrepancy == 0.0
 
 
 def test_summary_ordering_random():

@@ -3,8 +3,8 @@
 ``ball_rows`` gives the balls of many points at once; ``scan_field``, the
 envelopes, the defects and the nearest-neighbour pass read it, and
 ``line_windows`` and ``loc_field`` read balls on one-coordinate domains as
-windows of the sorted coordinate; ``_row_extremes`` takes the pair
-extremes behind ``lip_norm`` from row blocks of all pairs.  Each must give
+windows of the sorted coordinate; ``lip_norm`` and ``diameter`` take the
+pair extremes from row blocks of all pairs.  Each must give
 exactly (``==``) what the per-point computation over full distance rows
 gives, written out here loop by loop or, for the scan, evaluated by
 definition (``test_point_kernel.assert_scan_row_is_definition``).
@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lipderiv import (FiniteMetricSpace, RadiusGrid, SampledMap, ScalarField,
-                      baire_lower, baire_upper, loc_field, loc_lip_r,
+                      baire_lower, baire_upper, lip_norm, loc_field, loc_lip_r,
                       lsc_defect, resolution_isolated, scale_profile,
                       scale_summaries, scan_field, usc_defect)
 from lipderiv import metric, scales
@@ -292,17 +292,27 @@ def test_loc_field_at_points_over_several_blocks():
                                                     for i in idx]
 
 
+def pair_extremes(f):
+    """``(lip_norm, diameter, resolution)`` as the library gives them."""
+    return lip_norm(f), f.domain.diameter(), f.domain.resolution()
+
+
 def row_extremes_by_rows(f):
-    """``(lip_norm, diameter, resolution)`` row by row over full rows."""
+    """``(lip_norm, diameter, resolution)`` row by row over full rows; the
+    quotients of row i over the columns j > i, so each pair is taken once,
+    lower index as the row."""
+    n = f.domain.n
     norm, diam, resolution = 0.0, 0.0, np.inf
-    for i in range(f.domain.n):
+    for i in range(n):
         d = f.domain.dist_row(i)
         dv = f.value_dist_from(i)
         diam = max(diam, float(np.max(d)))
         pos = d > 0
         if np.any(pos):
-            norm = max(norm, float(np.max(dv[pos] / d[pos])))
             resolution = min(resolution, float(np.min(d[pos])))
+        later = pos & (np.arange(n) > i)
+        if np.any(later):
+            norm = max(norm, float(np.max(dv[later] / d[later])))
     return norm, diam, resolution
 
 
@@ -310,7 +320,7 @@ def row_extremes_by_rows(f):
 @settings(max_examples=300, deadline=None)
 def test_row_extremes_equal_the_row_loop(space, data):
     f = map_on(data.draw, space)
-    assert scales._row_extremes(f) == row_extremes_by_rows(f)
+    assert pair_extremes(f) == row_extremes_by_rows(f)
 
 
 def test_row_extremes_on_one_point():
@@ -318,8 +328,30 @@ def test_row_extremes_on_one_point():
     for f in (SampledMap.real(space, [2.0]),
               SampledMap.vector(space, [[1.0, 2.0]], p=np.inf),
               SampledMap(space, value_table=[[0.0]])):
-        assert scales._row_extremes(f) == (0.0, 0.0, np.inf)
-        assert scales._row_extremes(f) == row_extremes_by_rows(f)
+        assert pair_extremes(f) == (0.0, 0.0, np.inf)
+        assert pair_extremes(f) == row_extremes_by_rows(f)
+
+
+def budget_cloud(n):
+    rng = np.random.default_rng(n)
+    coords = rng.integers(0, 6, (n, 2)) * 0.5         # coincident points
+    space = FiniteMetricSpace(range(n), coords=coords, p=1.0)
+    return SampledMap.vector(space, rng.standard_normal((n, 2)))
+
+
+def spy_cross(monkeypatch, arrays, budget):
+    """Record the shape of every ``cross`` block and check that ``arrays``
+    arrays of its shape fit in ``budget`` (or that it is one row)."""
+    shapes = []
+    cross = FiniteMetricSpace.cross
+
+    def spy(self, rows, cols):
+        shapes.append((len(rows), len(cols)))
+        assert len(rows) == 1 or arrays * len(rows) * len(cols) <= budget
+        return cross(self, rows, cols)
+
+    monkeypatch.setattr(FiniteMetricSpace, "cross", spy)
+    return shapes
 
 
 @pytest.mark.parametrize("n, step", [(30, 2), (100, 1)])
@@ -327,24 +359,39 @@ def test_row_extremes_blocks_stay_within_budget(monkeypatch, n, step):
     # four arrays of a block's shape within 256 elements: blocks of two
     # rows of 30 points, and one row per block when four rows of 100 points
     # alone exceed it
-    monkeypatch.setattr(scales, "BLOCK_ELEMS", 256)
-    shapes = []
-    cross = FiniteMetricSpace.cross
-
-    def spy(self, rows, cols):
-        shapes.append((len(rows), len(cols)))
-        assert len(rows) == 1 or 4 * len(rows) * len(cols) <= 256
-        return cross(self, rows, cols)
-
-    monkeypatch.setattr(FiniteMetricSpace, "cross", spy)
-    rng = np.random.default_rng(n)
-    coords = rng.integers(0, 6, (n, 2)) * 0.5         # coincident points
-    space = FiniteMetricSpace(range(n), coords=coords, p=1.0)
-    f = SampledMap.vector(space, rng.standard_normal((n, 2)))
-    got = scales._row_extremes(f)
+    monkeypatch.setattr(metric, "BLOCK_ELEMS", 256)
+    f = budget_cloud(n)
+    shapes = spy_cross(monkeypatch, 4, 256)
+    got = f.domain.diameter()
     assert shapes == [(step, n)] * (n // step)
-    monkeypatch.setattr(FiniteMetricSpace, "cross", cross)
-    assert got == row_extremes_by_rows(f)
+    monkeypatch.undo()
+    assert got == row_extremes_by_rows(f)[1]
+
+
+@pytest.mark.parametrize("n, step", [(30, 4), (100, 1)])
+def test_pair_sup_over_every_point_stays_within_budget(monkeypatch, n, step):
+    # two arrays of a block's shape within 256 elements: upper-triangle
+    # blocks of four rows of 30 points, and one row per block when two rows
+    # of 100 points alone exceed it
+    monkeypatch.setattr(scales, "BLOCK_ELEMS", 256)
+    f = budget_cloud(n)
+    shapes = spy_cross(monkeypatch, 2, 256)
+    got = lip_norm(f)
+    assert shapes == [(min(step, n - s), n - s)
+                      for s in range(0, n - 1, step)]
+    monkeypatch.undo()
+    assert got == row_extremes_by_rows(f)[0]
+
+
+@given(any_spaces(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_lip_norm_is_loc_over_a_ball_holding_every_point(space, data):
+    f = map_on(data.draw, space)
+    diam = space.diameter()
+    r = data.draw(st.one_of(st.just(np.inf),
+                            st.floats(1e-3, 5.0).map(lambda t: diam + t)))
+    for x in space.ids:
+        assert lip_norm(f) == loc_lip_r(f, x, r)
 
 
 def assert_scan_field_is_definition(f, radii, idx=None):
@@ -449,16 +496,14 @@ def line_grids(draw):
                       draw(st.integers(1, steps)))
 
 
-@given(line_spaces(), line_grids(), st.booleans(), st.booleans(), st.data())
+@given(line_spaces(), line_grids(), st.booleans(), st.data())
 @settings(max_examples=200, deadline=None)
-def test_summaries_equal_profile_summaries_on_lines(space, grid, surrogate,
-                                                    subset, data):
+def test_summaries_equal_profile_summaries_on_lines(space, grid, subset,
+                                                    data):
     f = map_on(data.draw, space)
     points = space.ids[::-2] if subset else None
-    assert (scale_summaries(f, grid, points=points,
-                            liminf_surrogate=surrogate)
-            == scale_profile(f, grid, points=points,
-                             liminf_surrogate=surrogate).summaries)
+    assert (scale_summaries(f, grid, points=points)
+            == scale_profile(f, grid, points=points).summaries)
 
 
 def reduce_by_definition(g, h, pick, punctured):

@@ -73,6 +73,15 @@ def test_ball_open_vs_closed():
         ball(sp, x, 0.0)
 
 
+@pytest.mark.parametrize("r", [math.nan, 0.0, -1.0])
+def test_ball_and_isolated_reject_non_positive_radii(r):
+    sp = FiniteMetricSpace.grid1d(0.0, 2.0, 1.0)
+    with pytest.raises(InputError):
+        ball(sp, 1.0, r)
+    with pytest.raises(InputError):
+        resolution_isolated(sp, r)
+
+
 def test_resolution_and_isolated():
     sp = FiniteMetricSpace(range(3), coords=[[0.0], [0.1], [5.0]])
     assert sp.resolution() == pytest.approx(0.1)

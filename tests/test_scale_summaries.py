@@ -17,12 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lipderiv import (FiniteMetricSpace, PointSummary, RadiusGrid,
-                      SampledMap, big_lip_below_r, lip_norm, lip_upper_r,
-                      loc_lip_r, nearest_scale_infimum, scale_profile,
+                      SampledMap, big_lip_below_r, lip_norm, loc_lip_r, nearest_scale_infimum, scale_profile,
                       scale_summaries, scan_field)
 from lipderiv.cli import main
 from lipderiv.harness import derivative_fields
-from lipderiv.scales import _pair_sup, _row_extremes
+from lipderiv import scales
+from lipderiv.scales import _pair_sup
 from lipderiv.zoo import make_entry
 from test_point_kernel import assert_scan_row_is_definition
 
@@ -56,7 +56,7 @@ def grids(draw):
                       draw(st.sampled_from([0.3, 0.5, 0.75])), steps, tail)
 
 
-def summary_by_definition(f, grid, x, surrogate):
+def summary_by_definition(f, grid, x):
     """A point's summary from the one-radius functionals, as the profile
     computed it before the two shared a summary helper."""
     radii = [float(r) for r in grid.radii]
@@ -66,24 +66,22 @@ def summary_by_definition(f, grid, x, surrogate):
     series = [nearest_scale_infimum(f, x, r) for r in tail]
     divergent = bool(series[-1] > 0
                      and all(b >= a for a, b in zip(series, series[1:]))
-                     and series[-1] > grid.divergence_factor * series[0])
+                     and series[-1] > scales.DIVERGENCE_FACTOR * series[0])
     return PointSummary(
         x, nearest_scale_infimum(f, x, r_small),
         big_lip_below_r(f, x, r_small),
         loc_lip_r(f, x, min(resolved)) if resolved else 0.0,
-        d1 >= r_small, divergent,
-        min(lip_upper_r(f, x, r) for r in tail) if surrogate else None)
+        d1 >= r_small, divergent)
 
 
 @settings(max_examples=200, deadline=None)
-@given(sampled_maps(), grids(), st.booleans(), st.booleans())
-def test_summaries_equal_profile_summaries(f, grid, surrogate, subset):
+@given(sampled_maps(), grids(), st.booleans())
+def test_summaries_equal_profile_summaries(f, grid, subset):
     points = f.domain.ids[::2] if subset else None
-    prof = scale_profile(f, grid, points=points, liminf_surrogate=surrogate)
-    got = scale_summaries(f, grid, points=points, liminf_surrogate=surrogate)
+    prof = scale_profile(f, grid, points=points)
+    got = scale_summaries(f, grid, points=points)
     assert got == prof.summaries
-    assert got == [summary_by_definition(f, grid, x, surrogate)
-                   for x in prof.points]
+    assert got == [summary_by_definition(f, grid, x) for x in prof.points]
 
 
 @pytest.mark.parametrize("coords, values", [
@@ -99,12 +97,9 @@ def test_summaries_equal_profile_summaries(f, grid, surrogate, subset):
 def test_summaries_small_clouds(coords, values, grid):
     f = SampledMap.real(FiniteMetricSpace(range(len(values)), coords=coords),
                         values)
-    for surrogate in (False, True):
-        got = scale_summaries(f, grid, liminf_surrogate=surrogate)
-        assert got == scale_profile(f, grid,
-                                    liminf_surrogate=surrogate).summaries
-        assert got == [summary_by_definition(f, grid, x, surrogate)
-                       for x in f.domain.ids]
+    got = scale_summaries(f, grid)
+    assert got == scale_profile(f, grid).summaries
+    assert got == [summary_by_definition(f, grid, x) for x in f.domain.ids]
 
 
 @settings(max_examples=150, deadline=None)
@@ -224,16 +219,16 @@ def test_derivative_fields_equal_one_radius_functionals():
 @pytest.mark.parametrize("name", ["sin", "sqrt_abs", "linear_shear",
                                   "two_point_discrete"])
 def test_row_extremes(name):
+    # the extremes over all pairs: each pair once, lower index as the row
     f = make_entry(name, 0.05).map
     everything = np.arange(f.domain.n)
     D = f.domain.cross(everything, everything)
     V = f.value_cross(everything, everything)
     pos = D > 0
-    want = (float(np.max(V[pos] / D[pos])), float(np.max(D)),
+    upper = pos & np.triu(np.ones(D.shape, dtype=bool), 1)
+    want = (float(np.max(V[upper] / D[upper])), float(np.max(D)),
             float(np.min(D[pos])))
-    assert _row_extremes(f) == want
-    assert lip_norm(f) == want[0]
-    assert (f.domain.diameter(), f.domain.resolution()) == want[1:]
+    assert (lip_norm(f), f.domain.diameter(), f.domain.resolution()) == want
 
 
 # sha256 of `lipderiv sets --gamma 1.0` on the committed fixture clouds and

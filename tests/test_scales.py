@@ -186,15 +186,6 @@ def test_profile_unresolved_flag():
     assert all(s.lip_hat == 0.0 for s in prof.summaries)
 
 
-def test_liminf_surrogate_reported_on_request():
-    f = line_map([0.0, 0.5, 1.0], [0.0, 0.5, 1.0])
-    grid = RadiusGrid(1.0, 0.5, 3, 2)
-    off = scale_profile(f, grid)
-    on = scale_profile(f, grid, liminf_surrogate=True)
-    assert off.summaries[0].liminf_surrogate is None
-    assert on.summaries[0].liminf_surrogate is not None
-
-
 def test_vector_codomain():
     sp = FiniteMetricSpace.grid1d(0.0, 1.0, 0.25)
     vals = np.column_stack([np.array(sp.ids) * 3.0, np.zeros(sp.n)])
