@@ -11,6 +11,7 @@ import json
 import math
 import os
 import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -21,10 +22,8 @@ from .scales import SampledMap, ScaleProfile
 
 
 def fmt_float(x) -> str:
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return "%.17g" % x
+    """17 significant digits; ``inf`` and ``-inf`` for the infinities."""
+    return "%.17g" % float(x)
 
 
 def parse_float(s: str, where: str = "value") -> float:
@@ -200,15 +199,20 @@ PROFILE_COLUMNS = ("lip_upper", "lip_upper_closed", "big_below",
 
 
 def save_profile(path: str, profile: ScaleProfile):
-    """One row per (point, radius) with the five functional columns."""
+    """One row per (point, radius) with the five functional columns, from
+    one row template of ``fmt_float``'s ``"%.17g"``.  Only the id is
+    ``csv``-quoted, once per point, as the first of two cells (a lone empty
+    cell is quoted), less the ``",\r\n"`` after it."""
     out = _io.StringIO()
-    w = csv.writer(out)
-    w.writerow(["point", "radius"] + list(PROFILE_COLUMNS))
-    for pi, point in enumerate(profile.points):
-        for ri, r in enumerate(profile.radii):
-            w.writerow([fmt_id(point), fmt_float(r)]
-                       + [fmt_float(profile.table[c][pi, ri])
-                          for c in PROFILE_COLUMNS])
+    csv.writer(out).writerow(["point", "radius"] + list(PROFILE_COLUMNS))
+    template = "%s,%s" + ",%.17g" * len(PROFILE_COLUMNS) + "\r\n"
+    radii = [fmt_float(r) for r in profile.radii]
+    cells = np.stack([profile.table[c] for c in PROFILE_COLUMNS], -1).tolist()
+    # ``writerow`` returns what ``write`` returns: here the line itself
+    quote = csv.writer(SimpleNamespace(write=str))
+    for point, rows in zip(profile.points, cells):
+        pid = quote.writerow([fmt_id(point), ""])[:-3]
+        out.writelines(template % (pid, r, *c) for r, c in zip(radii, rows))
     atomic_write(path, out.getvalue())
 
 

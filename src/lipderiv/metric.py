@@ -274,9 +274,13 @@ class FiniteMetricSpace:
         return d1, j
 
     def diameter(self) -> float:
-        """Largest distance, from ``cross`` row blocks against every point;
-        four arrays of a block's shape fit in ``BLOCK_ELEMS`` (one row when a
-        row alone exceeds it)."""
+        """Largest distance: on a ``line_order`` space that of the first and
+        last sorted points (see ``line_windows``: no distance is larger),
+        else from ``cross`` row blocks against every point; four arrays of a
+        block's shape fit in ``BLOCK_ELEMS`` (one row when a row exceeds it)."""
+        if self.line_order is not None and self.n:
+            first, last = self.coords[self.line_order[[0, -1]]]
+            return float(_norm(last - first, self.p))
         every = np.arange(self.n)
         step = max(1, BLOCK_ELEMS // (4 * max(self.n, 1)))
         return max((float(np.max(self.cross(every[s:s + step], every)))
@@ -284,8 +288,7 @@ class FiniteMetricSpace:
 
     def nearest_neighbor_distance(self, i: int) -> float:
         d = self.dist_row(i)
-        pos = d[d > 0]
-        return float(np.min(pos)) if pos.size else np.inf
+        return float(np.min(d, where=d > 0, initial=np.inf))
 
     def resolution(self) -> float:
         """Smallest nearest-neighbor distance over all points."""

@@ -289,10 +289,16 @@ def nearest_scale_infimum(f: SampledMap, x, r: float) -> float:
 
 def loc_lip_r(f: SampledMap, x, r: float) -> float:
     """Lipschitz constant of f restricted to the open ball B(x, r)."""
-    _positive(r)
-    i = f.domain.index(x)
-    idx = f.domain.ball_indices(i, r)
-    return _pair_sup(f, idx)
+    return float(_loc_radii(f, f.domain.index(x), _positive(r))[0])
+
+
+def _loc_radii(f: SampledMap, i: int, radii: np.ndarray) -> np.ndarray:
+    """``loc_lip_r`` of point index ``i`` at each of the positive ``radii``
+    from one ``dist_row``: the part of the largest ball below a radius holds
+    the ascending indices that ``ball_indices(i, r)`` gives."""
+    d = f.domain.dist_row(i)
+    ball = np.flatnonzero(d < radii.max())
+    return np.array([_pair_sup(f, ball[d[ball] < r]) for r in radii.tolist()])
 
 
 def _pair_sup(f: SampledMap, idx) -> float:
@@ -339,16 +345,15 @@ def loc_field(f: SampledMap, r: float, idx=None) -> np.ndarray:
     block then holds at most 1/8 of ``BLOCK_ELEMS`` elements and a gather
     block at most 3/4 (3/8 over every point; windows wider than
     ``BLOCK_ELEMS / 8`` get one band row per block).  Other domains use
-    ``_pair_sup`` point by point.
+    ``_loc_radii`` point by point.
     """
-    _positive(r)
+    radii = _positive(r)
     sp = f.domain
     n = sp.n
     idx = np.arange(n) if idx is None else np.asarray(idx, dtype=int)
     order = sp.line_order
     if order is None:
-        return np.array([_pair_sup(f, sp.ball_indices(i, r)) for i in idx],
-                        dtype=float)
+        return np.array([_loc_radii(f, i, radii)[0] for i in idx.tolist()])
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)
     # each distinct point once, by sorted position; only windows holding a
@@ -409,11 +414,10 @@ def lip_norm(f: SampledMap) -> float:
 
 def point_scale_values(f: SampledMap, x, radii) -> dict:
     """All five scale functionals of one point on an array of radii."""
-    radii = _positive(radii)
-    scan = _point_scan(f, f.domain.index(x), radii)
-    out = {name: scan[name] for name in _SCAN_COLUMNS}
-    out["loc"] = np.array([loc_lip_r(f, x, float(r)) for r in radii])
-    return out
+    radii, i = _positive(radii), f.domain.index(x)
+    scan = _point_scan(f, i, radii)
+    return dict({k: scan[k] for k in _SCAN_COLUMNS},
+                loc=_loc_radii(f, i, radii))
 
 
 @dataclass
@@ -483,13 +487,13 @@ def scale_profile(f: SampledMap, grid: RadiusGrid,
     smallest radius whose ball is resolved (contains a neighbor).
 
     The scan columns come from one ``scan_field`` over the points, the
-    ``loc`` column from one ``loc_lip_r`` per point and radius.
+    ``loc`` column from one ``_loc_radii`` per point.
     """
     points, idx, scan, resolved = _scan_points(f, grid, points)
     radii = grid.radii
     table = {k: scan[k] for k in _SCAN_COLUMNS}
-    table["loc"] = np.array([[loc_lip_r(f, x, float(r)) for r in radii]
-                             for x in points]).reshape(idx.size, radii.size)
+    table["loc"] = np.reshape([_loc_radii(f, i, radii) for i in idx.tolist()],
+                              (idx.size, radii.size))
     loc_hat = np.where(resolved >= 0,
                        table["loc"][np.arange(idx.size), resolved], 0.0)
     return ScaleProfile(points, radii, table,

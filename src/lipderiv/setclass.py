@@ -40,13 +40,8 @@ class SetFamily:
     def from_sets(cls, ground, members):
         ground = tuple(ground)
         pos = {e: i for i, e in enumerate(ground)}
-        masks = []
-        for member in members:
-            m = 0
-            for e in member:
-                m |= 1 << pos[e]
-            masks.append(m)
-        return cls(ground, masks)
+        return cls(ground, [sum(1 << pos[e] for e in set(member))
+                            for member in members])
 
     @property
     def full_mask(self) -> int:
@@ -54,11 +49,8 @@ class SetFamily:
 
     def members(self):
         """Members as frozensets in canonical (bitmask) order."""
-        out = []
-        for m in sorted(self.masks):
-            out.append(frozenset(e for i, e in enumerate(self.ground)
-                                 if m >> i & 1))
-        return out
+        return [frozenset(e for i, e in enumerate(self.ground) if m >> i & 1)
+                for m in sorted(self.masks)]
 
     def __eq__(self, other):
         return (isinstance(other, SetFamily) and self.ground == other.ground
@@ -152,6 +144,11 @@ def verify_family_identity(F: SetFamily, identity: str):
     return False, diff.members()
 
 
+def _bits(hit: np.ndarray) -> int:
+    """The bitmask with bit i set where ``hit[i]``."""
+    return sum(1 << i for i in np.flatnonzero(hit).tolist())
+
+
 class FiniteField:
     """An extended-real value per element of a finite ground set."""
 
@@ -165,26 +162,14 @@ class FiniteField:
 
     def sublevel_mask(self, gamma: float) -> int:
         """Bitmask of {x : f(x) < gamma}."""
-        m = 0
-        for i, v in enumerate(self.values):
-            if v < gamma:
-                m |= 1 << i
-        return m
+        return _bits(self.values < gamma)
 
     def superlevel_mask(self, gamma: float) -> int:
         """Bitmask of {x : f(x) > gamma}."""
-        m = 0
-        for i, v in enumerate(self.values):
-            if v > gamma:
-                m |= 1 << i
-        return m
+        return _bits(self.values > gamma)
 
     def level_mask(self, value: float) -> int:
-        m = 0
-        for i, v in enumerate(self.values):
-            if v == value:
-                m |= 1 << i
-        return m
+        return _bits(self.values == value)
 
     # The preimage masks the semicontinuity tests read, built once per field
     # (the values are not to be changed after construction).

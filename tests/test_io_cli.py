@@ -1,12 +1,16 @@
+import csv
+import io
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lipderiv import (FiniteMetricSpace, InputError, RadiusGrid, SampledMap,
-                      ScalarField, scale_profile)
+                      ScalarField, ScaleProfile, scale_profile)
 from lipderiv import cli
 from lipderiv import io as lio
 from lipderiv.cli import main
@@ -93,6 +97,81 @@ def test_profile_csv_schema(tmp_path):
     lio.save_summary(spath, prof)
     header = Path(spath).read_text().splitlines()[0]
     assert header == "point,lip_hat,big_hat,loc_hat,unresolved,divergent"
+
+
+def fmt_float_by_cases(x):
+    """17 significant digits, with the infinities spelled out by hand."""
+    x = float(x)
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return "%.17g" % x
+
+
+def save_profile_by_rows(path, profile):
+    """The profile writer as one ``csv.writer`` row of formatted cells per
+    (point, radius): the reference for ``save_profile``'s bytes."""
+    out = io.StringIO()
+    w = csv.writer(out)
+    w.writerow(["point", "radius"] + list(lio.PROFILE_COLUMNS))
+    for pi, point in enumerate(profile.points):
+        for ri, r in enumerate(profile.radii):
+            w.writerow([lio.fmt_id(point), fmt_float_by_cases(r)]
+                       + [fmt_float_by_cases(profile.table[c][pi, ri])
+                          for c in lio.PROFILE_COLUMNS])
+    lio.atomic_write(path, out.getvalue())
+
+
+def assert_profile_bytes(tmp_path, profile):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    lio.save_profile(str(got), profile)
+    save_profile_by_rows(str(want), profile)
+    assert got.read_bytes() == want.read_bytes()
+
+
+#: ids that need quoting, an empty id, tuple and float ids
+QUOTED_IDS = ["a,b", 'say "hi"', "", "two\nlines", "cr\r", " pad ", "p0",
+              (0.5, -math.inf, 1e-300), (-0.0,), 0.1]
+
+
+def test_profile_writer_matches_csv_rows(tmp_path):
+    rng = np.random.default_rng(0)
+    radii = np.array([0.25, 0.1, 5e-324, 1e308])
+    shape = (len(QUOTED_IDS), radii.size)
+    table = {c: rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300,
+                                                                   shape)
+             for c in lio.PROFILE_COLUMNS}
+    planted = np.array([math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+                        1e308, -1e308, 0.1, 1.0 / 3.0])
+    for k, c in enumerate(lio.PROFILE_COLUMNS):
+        table[c].reshape(-1)[:planted.size] = np.roll(planted, k)
+    prof = ScaleProfile(QUOTED_IDS, radii, table)
+    assert_profile_bytes(tmp_path, prof)
+    text = (tmp_path / "got.csv").read_bytes().decode()
+    for cell in ("inf", "-inf", "-0", "4.9406564584124654e-324", "1e+308"):
+        assert f",{cell}," in text or f",{cell}\r\n" in text, cell
+    assert '\r\n"a,b",0.25,' in text and '\r\n"say ""hi""",' in text
+    assert "\r\n,0.25," in text
+
+
+CELL = st.one_of(st.floats(allow_nan=False),
+                 st.sampled_from([math.inf, -math.inf, -0.0, 5e-324]))
+
+
+@given(st.lists(st.one_of(st.text(alphabet='ab,"\r\n ;'),
+                          st.tuples(CELL, CELL)),
+                min_size=0, max_size=4, unique=True),
+       st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=3),
+       st.data())
+@settings(max_examples=100, deadline=None)
+def test_profile_writer_matches_csv_rows_on_any_cells(tmp_path_factory, ids,
+                                                      radii, data):
+    shape = (len(ids), len(radii))
+    table = {c: np.array(data.draw(st.lists(CELL, min_size=shape[0] * shape[1],
+                                            max_size=shape[0] * shape[1])),
+                         dtype=float).reshape(shape)
+             for c in lio.PROFILE_COLUMNS}
+    prof = ScaleProfile(ids, np.array(radii), table)
+    assert_profile_bytes(tmp_path_factory.mktemp("writer"), prof)
 
 
 def test_set_flags_csv(tmp_path):

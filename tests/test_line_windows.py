@@ -323,6 +323,16 @@ def test_row_extremes_equal_the_row_loop(space, data):
     assert pair_extremes(f) == row_extremes_by_rows(f)
 
 
+@given(line_spaces())
+@settings(max_examples=300, deadline=None)
+def test_line_diameter_is_the_cross_maximum(space):
+    # the first and last sorted points; coincident points and 1e-170 gaps
+    # (distance 0 under p = 2) among them
+    every = np.arange(space.n)
+    assert space.line_order is not None
+    assert space.diameter() == float(np.max(space.cross(every, every)))
+
+
 def test_row_extremes_on_one_point():
     space = FiniteMetricSpace(["a"], coords=[[0.5]])
     for f in (SampledMap.real(space, [2.0]),
