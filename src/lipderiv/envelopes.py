@@ -48,8 +48,7 @@ def _ball_reduce(g: ScalarField, h: float, ufunc, punctured: bool):
     check_scale(h)
     identity = -np.inf if ufunc is np.maximum else np.inf
     out = np.empty(g.space.n)
-    for rows, cols, _, valid in g.space.ball_rows(h, punctured=punctured,
-                                                 dists=False):
+    for rows, cols, _, valid in g.space.ball_rows(h, punctured=punctured):
         out[rows] = ufunc.reduce(g.values[cols], axis=1, where=valid,
                                  initial=identity)
     return out

@@ -258,18 +258,24 @@ def report_document(results) -> dict:
 
 
 def save_report(path: str, results):
-    atomic_write(path, json.dumps(report_document(results), indent=2,
-                                  default=_json_default) + "\n")
+    atomic_write(path, json.dumps(_json_ready(report_document(results)),
+                                  indent=2, allow_nan=False, default=str)
+                 + "\n")
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf" if obj > 0 else "-inf"
-    return str(obj)
+def _json_ready(obj):
+    """``obj`` with numpy scalars and arrays as Python values and each
+    non-finite float as the string ``inf``, ``-inf`` or ``nan``, so that
+    strict JSON readers accept the report."""
+    if isinstance(obj, dict):
+        return {k: _json_ready(v) for k, v in obj.items()}
+    if isinstance(obj, (np.ndarray, np.floating, np.integer)):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [_json_ready(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return fmt_float(obj)
+    return obj
 
 
 def summary_table(results) -> str:

@@ -14,6 +14,7 @@ from lipderiv import (FiniteMetricSpace, InputError, RadiusGrid, SampledMap,
 from lipderiv import cli
 from lipderiv import io as lio
 from lipderiv.cli import main
+from lipderiv.harness import CheckResult
 
 
 def test_fmt_float():
@@ -244,6 +245,24 @@ def test_cli_zoo_export(tmp_path):
     assert vals is not None
     assert main(["zoo", "export", "--entry", "nope", "--resolution", "0.1",
                  "--out", out]) == 2
+
+
+def test_report_with_non_finite_numbers_is_strict_json(tmp_path):
+    results = [CheckResult("x", "fail", discrepancy=math.inf,
+                           tolerance=np.float64(math.nan),
+                           witness={"value": np.float64(-math.inf),
+                                    "radii": np.array([0.5, math.inf]),
+                                    "pair": (np.int64(3), -math.inf)})]
+    path = tmp_path / "rep.json"
+    lio.save_report(str(path), results)
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    check = json.loads(path.read_text(), parse_constant=reject)["checks"][0]
+    assert (check["discrepancy"], check["tolerance"]) == ("inf", "nan")
+    assert check["witness"] == {"value": "-inf", "radii": [0.5, "inf"],
+                                "pair": [3, "-inf"]}
 
 
 def test_cli_check_exit_codes(tmp_path, capsys):

@@ -60,7 +60,7 @@ def radius(draw, space):
 
 
 def map_on(draw, space):
-    """Scalar values, vector values or an asymmetric value table."""
+    """Scalar values, vector values or a table of value distances."""
     n = space.n
     kind = draw(st.sampled_from(("scalar", "vector", "table")))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
@@ -69,10 +69,11 @@ def map_on(draw, space):
     if kind == "vector":
         return SampledMap.vector(space, rng.standard_normal((n, 3)),
                                  p=draw(st.sampled_from(NORMS)))
-    # asymmetric, so the row-before-column orientation shows
-    table = rng.random((n, n))
-    np.fill_diagonal(table, 0.0)
-    return SampledMap(space, value_table=table, validate_table=False)
+    # distances between lattice vectors in R^3 (ties and zeros among them),
+    # symmetric bit for bit
+    g = rng.integers(-2, 3, (n, 3)) * 0.5
+    return SampledMap(space, value_table=metric._block(
+        g, g, draw(st.sampled_from(NORMS))))
 
 
 @st.composite

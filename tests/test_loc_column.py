@@ -44,8 +44,8 @@ def radii_for(draw, space):
 @st.composite
 def loc_cases(draw):
     """A map on a line, a plane or a table (coincident points and 1e-170
-    gaps among them) with scalar values, vector values or an asymmetric
-    value table."""
+    gaps among them) with scalar values, vector values or a table of value
+    distances."""
     space = draw(any_spaces())
     return map_on(draw, space), radii_for(draw, space)
 

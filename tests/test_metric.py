@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lipderiv import metric
 from lipderiv import (FiniteMetricSpace, InputError, IntervalUnion,
                       LinearMapSpec, ball, operator_norm,
                       resolution_isolated, validate_metric)
@@ -37,14 +38,56 @@ def test_validate_metric_on_embedding_is_clean():
 
 
 def test_validate_metric_flags_violations():
-    # asymmetric and triangle-breaking table
+    # symmetric with a zero diagonal, but triangle-breaking
     table = np.array([[0.0, 1.0, 5.0],
                       [1.0, 0.0, 1.0],
-                      [5.0, 1.0, 0.1]])
+                      [5.0, 1.0, 0.0]])
     sp = FiniteMetricSpace(["a", "b", "c"], table=table)
     axioms = {v["axiom"] for v in validate_metric(sp)}
-    assert "identity" in axioms      # d(c,c) = 0.1
-    assert "triangle" in axioms      # d(a,c) > d(a,b) + d(b,c)
+    assert axioms == {"triangle"}    # d(a,c) > d(a,b) + d(b,c)
+    table[2, 2] = 0.1                # d(c,c) = 0.1
+    with pytest.raises(InputError):
+        FiniteMetricSpace(["a", "b", "c"], table=table)
+
+
+def metric_table(n=5, seed=0):
+    """Distances between random vectors in R^3, and the vectors."""
+    g = np.random.default_rng(seed).standard_normal((n, 3))
+    return metric._block(g, g, 2.0), g
+
+
+def test_table_rejected_one_ulp_from_symmetric():
+    table, _ = metric_table()
+    assert validate_metric(FiniteMetricSpace(range(5), table=table)) == []
+    table[1, 3] = np.nextafter(table[1, 3], np.inf)
+    with pytest.raises(InputError, match="symmetric"):
+        FiniteMetricSpace(range(5), table=table)
+
+
+@pytest.mark.parametrize("entry", [np.nan, -1.0, -5e-324])
+def test_table_rejected_with_nan_or_negative_entry(entry):
+    table, _ = metric_table()
+    table[0, 4] = table[4, 0] = entry
+    with pytest.raises(InputError, match="nonnegative"):
+        FiniteMetricSpace(range(5), table=table)
+
+
+@pytest.mark.parametrize("entry", [5e-324, 1.0, np.inf])
+def test_table_rejected_with_nonzero_diagonal(entry):
+    table, _ = metric_table()
+    table[2, 2] = entry
+    with pytest.raises(InputError, match="itself"):
+        FiniteMetricSpace(range(5), table=table)
+
+
+def test_table_rejected_beside_coordinates_or_not_square():
+    table, g = metric_table()
+    with pytest.raises(InputError, match="not both"):
+        FiniteMetricSpace(range(5), table=table, coords=g)
+    with pytest.raises(InputError, match="square"):
+        FiniteMetricSpace(range(5), table=table[:, :4])
+    with pytest.raises(InputError, match="square"):
+        FiniteMetricSpace(range(4), table=table)
 
 
 def test_validate_metric_positivity():

@@ -21,7 +21,7 @@ from lipderiv import (FiniteMetricSpace, PointSummary, RadiusGrid,
                       scale_summaries, scan_field)
 from lipderiv.cli import main
 from lipderiv.harness import derivative_fields
-from lipderiv import scales
+from lipderiv import metric, scales
 from lipderiv.scales import _pair_sup
 from lipderiv.zoo import make_entry
 from test_point_kernel import assert_scan_row_is_definition
@@ -164,10 +164,10 @@ def by_kind(kind, coords, values, p, rng):
         return SampledMap.vector(space, vec, p=2.0), (
             lambda a, b: py_norm([float(u - v) for u, v in
                                   zip(vec[a], vec[b])], 2.0))
-    # a slightly asymmetric value table pins the pair orientation
-    table = np.abs(values[:, None] - values[None, :])
-    table *= 1.0 + 1e-9 * rng.uniform(size=table.shape)
-    return SampledMap(space, value_table=table, validate_table=False), (
+    # distances between random vectors in R^3, symmetric bit for bit
+    g = rng.standard_normal((len(values), 3))
+    table = metric._block(g, g, 1.0)
+    return SampledMap(space, value_table=table), (
         lambda a, b: float(table[a, b]))
 
 

@@ -8,6 +8,7 @@ from lipderiv import (FiniteMetricSpace, InputError, RadiusGrid, SampledMap,
                       lip_upper_r_closed, little_lip_below_r, loc_field,
                       loc_lip_r, nearest_scale_infimum, point_scale_values,
                       scale_profile, scan_field)
+from lipderiv.metric import _block
 
 
 def line_map(xs, values):
@@ -104,6 +105,16 @@ def test_value_table_codomain_validated():
     ok = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
     f = SampledMap(sp, value_table=ok)
     assert lip_norm(f) == pytest.approx(2.0)
+
+
+def test_value_table_rejected_one_ulp_from_symmetric():
+    sp = FiniteMetricSpace.grid1d(0.0, 1.0, 0.25)
+    g = np.random.default_rng(1).standard_normal((5, 3))
+    table = _block(g, g, 2.0)
+    SampledMap(sp, value_table=table)
+    table[3, 1] = np.nextafter(table[3, 1], 0.0)
+    with pytest.raises(InputError, match="symmetric"):
+        SampledMap(sp, value_table=table)
 
 
 @given(st.integers(0, 10_000))
