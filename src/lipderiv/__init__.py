@@ -7,7 +7,7 @@ all of these together.
 """
 from .errors import CapacityError, InputError
 from .metric import (FiniteMetricSpace, IntervalUnion, LinearMapSpec, ball,
-                     operator_norm, resolution_isolated, validate_metric)
+                     operator_norm, resolution_isolated)
 from .scales import (PointSummary, RadiusGrid, SampledMap, ScaleProfile,
                      big_lip_below_r, lip_norm, lip_upper_r,
                      lip_upper_r_closed, little_lip_below_r, loc_field,

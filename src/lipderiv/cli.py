@@ -52,12 +52,19 @@ def _load_config(path):
 
 
 def _resolve(args, key, cast=None):
-    """Flag value if given, else config file value, else built-in default."""
+    """Flag value if given, else config file value, else built-in default.
+
+    ``cast`` converts a number or a numeric string; a bool, and for ``int``
+    a number that is not integral, is refused rather than coerced.
+    """
     val = getattr(args, key, None)
     if val is None:
         val = args._config.get(key, _DEFAULTS.get(key))
     if val is not None and cast is not None:
         try:
+            if isinstance(val, bool) or (cast is int and isinstance(val, float)
+                                         and not val.is_integer()):
+                raise TypeError
             val = cast(val)
         except (TypeError, ValueError):
             raise InputError(f"bad value for {key}: {val!r}") from None

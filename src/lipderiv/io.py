@@ -145,15 +145,18 @@ def save_point_cloud(path: str, ids, coords, values=None):
     atomic_write(path, out.getvalue())
 
 
-_METRICS = {"euclidean": 2.0, "manhattan": 1.0, "chebyshev": np.inf}
+#: every accepted metric name: the bare name, or the name with its own
+#: order as a suffix
+_METRICS = {"euclidean": 2.0, "euclidean-2": 2.0, "manhattan": 1.0,
+            "manhattan-1": 1.0, "chebyshev": np.inf, "chebyshev-inf": np.inf}
 
 
 def metric_order(name: str) -> float:
-    """Resolve a metric name like 'euclidean' or 'euclidean-2' to a p-norm."""
-    base = name.split("-")[0].lower()
+    """Resolve a metric name like 'euclidean' or 'euclidean-2',
+    case-insensitively, to a p-norm; ``InputError`` for anything else."""
     try:
-        return _METRICS[base]
-    except KeyError:
+        return _METRICS[name.lower()]
+    except (AttributeError, KeyError):
         raise InputError(f"unknown metric {name!r}") from None
 
 

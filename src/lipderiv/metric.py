@@ -11,11 +11,11 @@ import numpy as np
 
 from .errors import InputError
 
-#: absolute tolerance for metric-axiom validation
-METRIC_TOL = 1e-12
-
 #: most elements a distance, quotient or gather block may hold
 BLOCK_ELEMS = 1 << 18
+
+#: the p-norm orders that ``_norm`` computes
+NORMS = (1.0, 2.0, np.inf)
 
 
 def _norm(diff: np.ndarray, p: float) -> np.ndarray:
@@ -39,7 +39,7 @@ def _block(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
     coordinates numpy switches to pairwise summation, so the broadcast is
     kept there.
     """
-    if not 0 < a.shape[1] < 8 or p not in (1, 2, np.inf):
+    if not 0 < a.shape[1] < 8 or p not in NORMS:
         return _norm(a[:, None, :] - b[None, :, :], p)
     acc = np.maximum if p == np.inf else np.add
     out = None
@@ -57,10 +57,10 @@ class FiniteMetricSpace:
     """A finite set of points with pairwise distances.
 
     Backed either by a dense distance table or by an embedding in R^n with a
-    p-norm (distances computed on demand), never both.  A table must be
-    square, nonnegative (no NaN), zero on the diagonal and symmetric bit for
-    bit; the triangle inequality is left to ``validate_metric``.  Point
-    identifiers are arbitrary hashables, stored in a fixed order.
+    p-norm (distances computed on demand), never both; p must be in
+    ``NORMS``.  A table must be square, nonnegative (no NaN), zero on the
+    diagonal and symmetric bit for bit.  Point identifiers are arbitrary
+    hashables, stored in a fixed order.
     """
 
     def __init__(self, ids, table=None, coords=None, p=2.0):
@@ -68,6 +68,8 @@ class FiniteMetricSpace:
         self._index = {pid: i for i, pid in enumerate(self.ids)}
         if len(self._index) != len(self.ids):
             raise InputError("duplicate point identifiers")
+        if p not in NORMS:
+            raise InputError(f"unsupported norm order {p!r}")
         self.p = float(p)
         if (table is None) == (coords is None):
             raise InputError("need a distance table or an embedding, not both")
@@ -89,10 +91,6 @@ class FiniteMetricSpace:
                 raise InputError("distance table must be symmetric")
         self.coords = coords
         self.table = table
-
-    @classmethod
-    def from_table(cls, ids, table):
-        return cls(ids, table=table)
 
     @classmethod
     def discrete(cls, ids):
@@ -298,30 +296,6 @@ class FiniteMetricSpace:
     def resolution(self) -> float:
         """Smallest nearest-neighbor distance over all points."""
         return float(np.min(self.nearest_neighbors()[0]))
-
-
-def validate_metric(space: FiniteMetricSpace) -> list:
-    """Check the metric axioms that construction leaves open, positivity and
-    the triangle inequality, to ``METRIC_TOL``; returns a list of violations
-    (empty iff valid).
-
-    Each violation is a dict with an ``axiom`` tag, a ``witness`` tuple of
-    point ids and the offending ``amount``.
-    """
-    report = []
-    every = np.arange(space.n)
-    rows = space.cross(every, every)
-    for i, j in np.argwhere(np.triu(rows <= METRIC_TOL, 1)):
-        report.append({"axiom": "positivity",
-                       "witness": (space.ids[i], space.ids[j]),
-                       "amount": float(rows[i, j])})
-    for k in every:
-        slack = rows - (rows[:, k][:, None] + rows[k][None, :])
-        for i, j in np.argwhere(slack > METRIC_TOL):
-            report.append({"axiom": "triangle",
-                           "witness": (space.ids[i], space.ids[k], space.ids[j]),
-                           "amount": float(slack[i, j])})
-    return report
 
 
 def ball(space: FiniteMetricSpace, x, r: float, closed: bool = False) -> set:

@@ -10,8 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .metric import (BLOCK_ELEMS, FiniteMetricSpace, _block, _norm,
-                     validate_metric)
+from .metric import BLOCK_ELEMS, NORMS, FiniteMetricSpace, _block, _norm
 
 #: total tail-growth factor driving the divergence flag (see RadiusGrid docs)
 DIVERGENCE_FACTOR = 2.0
@@ -20,31 +19,24 @@ DIVERGENCE_FACTOR = 2.0
 class SampledMap:
     """A function sampled on a finite metric space.
 
-    The codomain metric is either the real absolute difference (scalar
-    values), a p-norm on R^m (vector values), or an explicit table of value
-    distances indexed like the domain, which must pass the
-    ``FiniteMetricSpace`` table checks and the triangle inequality.
+    ``values`` holds one value per domain point: a 1-d array of reals,
+    whose codomain metric is the absolute difference, or a 2-d array of
+    vectors in R^m, whose codomain metric is the ``codomain_p``-norm, p in
+    ``NORMS``.  Anything else raises ``InputError``.
     """
 
-    def __init__(self, domain: FiniteMetricSpace, values=None, codomain_p=None,
-                 value_table=None):
-        self.domain = domain
-        self.value_table = None
-        self.codomain_p = codomain_p
-        if value_table is not None:
-            # a distance table over the domain's indices
-            probe = FiniteMetricSpace(range(domain.n), table=value_table)
-            if any(v["axiom"] == "triangle" for v in validate_metric(probe)):
-                raise InputError("codomain distances violate triangle")
-            self.value_table = probe.table
-            self.values = None
-            return
+    def __init__(self, domain: FiniteMetricSpace, values=None, codomain_p=None):
         values = np.asarray(values, dtype=float)
-        if values.shape[0] != domain.n:
-            raise InputError("one value per domain point required")
+        if values.ndim not in (1, 2) or values.shape[0] != domain.n:
+            raise InputError("one real or vector value per domain point "
+                             "required")
+        if values.ndim == 2 and codomain_p not in NORMS:
+            raise InputError(f"unsupported norm order {codomain_p!r}")
         if not np.all(np.isfinite(values)):
             raise InputError("values must be finite (no NaN or inf)")
+        self.domain = domain
         self.values = values
+        self.codomain_p = codomain_p
 
     @classmethod
     def real(cls, domain, values):
@@ -56,18 +48,13 @@ class SampledMap:
 
     def value_dist_from(self, i: int) -> np.ndarray:
         """|f(u) - f(x_i)|_Y for every sample point u."""
-        if self.value_table is not None:
-            return self.value_table[i]
         if self.values.ndim == 1:
             return np.abs(self.values - self.values[i])
         return _norm(self.values - self.values[i], self.codomain_p)
 
     def value_cross(self, rows, cols) -> np.ndarray:
-        rows = np.asarray(rows, dtype=int)
-        cols = np.asarray(cols, dtype=int)
-        if self.value_table is not None:
-            return self.value_table[np.ix_(rows, cols)]
-        a, b = self.values[rows], self.values[cols]
+        a = self.values[np.asarray(rows, dtype=int)]
+        b = self.values[np.asarray(cols, dtype=int)]
         if self.values.ndim == 1:
             return np.abs(a[:, None] - b[None, :])
         return _block(a, b, self.codomain_p)
@@ -75,8 +62,6 @@ class SampledMap:
     def value_pairs(self, rows, cols) -> np.ndarray:
         """``value_cross`` entry by entry: |f(rows[k]) - f(cols[k])|_Y over
         two index arrays of one shape, with the same floats."""
-        if self.value_table is not None:
-            return self.value_table[rows, cols]
         a, b = self.values[rows], self.values[cols]
         if self.values.ndim == 1:
             return np.abs(a - b)
@@ -169,8 +154,7 @@ def scan_field(f: SampledMap, radii, idx=None) -> dict:
     idx = np.arange(sp.n) if idx is None else np.asarray(idx, dtype=int)
     out = {kind: np.empty((idx.size, radii.size)) for kind in _FIELD_KINDS}
     out["d1"] = np.full(idx.size, np.inf)
-    vector = f.values is not None and f.values.ndim == 2
-    cost = 8 * (f.values.shape[1] if vector else 1)
+    cost = 8 * (f.values.shape[1] if f.values.ndim == 2 else 1)
     for rows, cols, D, valid in sp.ball_rows(float(np.max(radii)), idx,
                                              closed=True, punctured=True,
                                              cost=cost):

@@ -55,14 +55,12 @@ def test_table_backed_blocks_read_the_table():
     rng = np.random.default_rng(3)
     coords = rng.random((12, 2))
     table = by_definition(coords, coords, 2.0)
-    space = FiniteMetricSpace.from_table(range(12), table)
+    space = FiniteMetricSpace(range(12), table=table)
     vals = rng.random(12)
-    vtable = np.abs(vals[:, None] - vals[None, :])
-    f = SampledMap(space, value_table=vtable)
+    f = SampledMap.real(space, vals)
     rows, cols = [0, 4, 7], [1, 2, 7, 11]
     assert np.array_equal(space.cross(rows, cols), table[np.ix_(rows, cols)])
     assert np.array_equal(space.cross(rows, rows), table[np.ix_(rows, rows)])
-    assert np.array_equal(f.value_cross(rows, cols), vtable[np.ix_(rows, cols)])
     embedded = FiniteMetricSpace(range(12), coords=coords)
     assert loc_lip_r(f, 4, 0.6) == pair_sup_by_definition(
         embedded, vals, space.ball_indices(4, 0.6))
@@ -106,10 +104,6 @@ def test_nan_inputs_rejected():
         SampledMap.real(space, [0.0, np.nan, 1.0])
     with pytest.raises(InputError):
         SampledMap.vector(space, [[0.0, 1.0], [np.nan, 0.0], [1.0, 1.0]])
-    vtable = np.ones((3, 3)) - np.eye(3)
-    vtable[0, 2] = vtable[2, 0] = np.nan
-    with pytest.raises(InputError):
-        SampledMap(space, value_table=vtable)
 
 
 @pytest.mark.parametrize("row", ["p1,nan,0.5,1.0", "p1,0.5,0.5,nan",

@@ -69,6 +69,12 @@ def test_metric_order():
     assert lio.metric_order("chebyshev") == math.inf
     with pytest.raises(InputError):
         lio.metric_order("hamming")
+    # any case, and a suffix only when it is the name's own order
+    assert lio.metric_order("MANHATTAN-1") == 1.0
+    assert lio.metric_order("Chebyshev-INF") == math.inf
+    for bad in ("manhattan-2", "chebyshev-2", "euclidean-inf", 2.0, None):
+        with pytest.raises(InputError):
+            lio.metric_order(bad)
 
 
 def test_scalar_field_roundtrip(tmp_path):
@@ -299,6 +305,68 @@ def test_cli_config_file_and_override(tmp_path):
     bad.write_text("[1,2]")
     assert main(["--config", str(bad), "profile", "--input", src,
                  "--out", out]) == 2
+
+
+def profile_bytes(tmp_path, name, args, config=None):
+    """The profile CSV of ``write_cloud`` under ``args`` and an optional
+    config object, or None when the run exits 2."""
+    argv = ["profile", "--input", write_cloud(tmp_path), "--rmax", "0.5"]
+    if config is not None:
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["--config", str(cfg)] + argv
+    out = tmp_path / f"{name}.csv"
+    code = main(argv + args + ["--out", str(out)])
+    assert code in (0, 2)
+    assert out.exists() == (code == 0)
+    return out.read_bytes() if code == 0 else None
+
+
+@pytest.mark.parametrize("metric", ["manhattan-2", "euclidean-1",
+                                    "chebyshev-2", "euclidean-", "-2",
+                                    "euclidean-2-2", "manhattan-1.0"])
+def test_cli_metric_suffix_other_than_its_order(tmp_path, capsys, metric):
+    assert profile_bytes(tmp_path, "out", ["--metric", metric]) is None
+    assert "unknown metric" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [2, 2.0, None, True, ["euclidean"],
+                                   {"euclidean": 2}])
+def test_cli_config_metric_not_a_string(tmp_path, capsys, value):
+    assert profile_bytes(tmp_path, "out", [], {"metric": value}) is None
+    assert "unknown metric" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [
+    {"steps": True, "tail": 1}, {"steps": False}, {"steps": 2.7},
+    {"tail": True}, {"tail": 1.5}, {"steps": math.inf}, {"steps": math.nan},
+    {"steps": "2.7"},
+])
+def test_cli_config_integer_options_not_coerced(tmp_path, capsys, config):
+    assert profile_bytes(tmp_path, "out", [], config) is None
+    assert "bad value for" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [{"seed": True}, {"seed": 7.5},
+                                    {"random_spaces": False},
+                                    {"random_spaces": 2.5}])
+def test_cli_check_config_integer_options_not_coerced(tmp_path, capsys,
+                                                      config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(config, suite="bhmv")))
+    report = tmp_path / "report.json"
+    assert main(["--config", str(cfg), "check", "--report",
+                 str(report)]) == 2
+    assert "bad value for" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_cli_config_integral_numbers_and_strings_accepted(tmp_path):
+    want = profile_bytes(tmp_path, "flag", ["--steps", "3", "--tail", "2"])
+    assert want is not None
+    for steps, tail in [(3, 2), (3.0, 2.0), ("3", "2")]:
+        assert profile_bytes(tmp_path, "cfg", [],
+                             {"steps": steps, "tail": tail}) == want
 
 
 def test_point_cloud_without_data_rows(tmp_path, capsys):

@@ -60,20 +60,13 @@ def radius(draw, space):
 
 
 def map_on(draw, space):
-    """Scalar values, vector values or a table of value distances."""
+    """Scalar values or vector values."""
     n = space.n
-    kind = draw(st.sampled_from(("scalar", "vector", "table")))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    if kind == "scalar":
+    if draw(st.booleans()):
         return SampledMap.real(space, rng.integers(-3, 4, n) * 0.5)
-    if kind == "vector":
-        return SampledMap.vector(space, rng.standard_normal((n, 3)),
-                                 p=draw(st.sampled_from(NORMS)))
-    # distances between lattice vectors in R^3 (ties and zeros among them),
-    # symmetric bit for bit
-    g = rng.integers(-2, 3, (n, 3)) * 0.5
-    return SampledMap(space, value_table=metric._block(
-        g, g, draw(st.sampled_from(NORMS))))
+    return SampledMap.vector(space, rng.standard_normal((n, 3)),
+                             p=draw(st.sampled_from(NORMS)))
 
 
 @st.composite
@@ -119,8 +112,8 @@ def any_spaces(draw, max_size=10):
     space = FiniteMetricSpace(range(n), coords=coords, p=p)
     if kind in ("line", "plane"):
         return space
-    return FiniteMetricSpace.from_table(
-        range(n), np.vstack([space.dist_row(i) for i in range(n)]))
+    return FiniteMetricSpace(
+        range(n), table=np.vstack([space.dist_row(i) for i in range(n)]))
 
 
 def assert_ball_rows_are_balls(space, r, idx, closed, punctured):
@@ -261,9 +254,9 @@ def test_loc_field_fallback_on_tables_and_planes():
     coords[7] = coords[3]
     plane = FiniteMetricSpace(range(30), coords=coords)
     d = np.vstack([plane.dist_row(i) for i in range(30)])
-    table = FiniteMetricSpace.from_table(range(30), d)
-    line_table = FiniteMetricSpace.from_table(
-        range(30), np.abs(coords[:, :1] - coords[:, 0]))
+    table = FiniteMetricSpace(range(30), table=d)
+    line_table = FiniteMetricSpace(
+        range(30), table=np.abs(coords[:, :1] - coords[:, 0]))
     for space in (plane, table, line_table):
         assert space.line_order is None
         f = SampledMap.real(space, rng.standard_normal(30))
@@ -298,7 +291,7 @@ def pair_extremes(f):
     return lip_norm(f), f.domain.diameter(), f.domain.resolution()
 
 
-def row_extremes_by_rows(f):
+def pair_extremes_by_rows(f):
     """``(lip_norm, diameter, resolution)`` row by row over full rows; the
     quotients of row i over the columns j > i, so each pair is taken once,
     lower index as the row."""
@@ -321,7 +314,7 @@ def row_extremes_by_rows(f):
 @settings(max_examples=300, deadline=None)
 def test_row_extremes_equal_the_row_loop(space, data):
     f = map_on(data.draw, space)
-    assert pair_extremes(f) == row_extremes_by_rows(f)
+    assert pair_extremes(f) == pair_extremes_by_rows(f)
 
 
 @given(line_spaces())
@@ -337,10 +330,9 @@ def test_line_diameter_is_the_cross_maximum(space):
 def test_row_extremes_on_one_point():
     space = FiniteMetricSpace(["a"], coords=[[0.5]])
     for f in (SampledMap.real(space, [2.0]),
-              SampledMap.vector(space, [[1.0, 2.0]], p=np.inf),
-              SampledMap(space, value_table=[[0.0]])):
+              SampledMap.vector(space, [[1.0, 2.0]], p=np.inf)):
         assert pair_extremes(f) == (0.0, 0.0, np.inf)
-        assert pair_extremes(f) == row_extremes_by_rows(f)
+        assert pair_extremes(f) == pair_extremes_by_rows(f)
 
 
 def budget_cloud(n):
@@ -376,7 +368,7 @@ def test_row_extremes_blocks_stay_within_budget(monkeypatch, n, step):
     got = f.domain.diameter()
     assert shapes == [(step, n)] * (n // step)
     monkeypatch.undo()
-    assert got == row_extremes_by_rows(f)[1]
+    assert got == pair_extremes_by_rows(f)[1]
 
 
 @pytest.mark.parametrize("n, step", [(30, 4), (100, 1)])
@@ -391,7 +383,7 @@ def test_pair_sup_over_every_point_stays_within_budget(monkeypatch, n, step):
     assert shapes == [(min(step, n - s), n - s)
                       for s in range(0, n - 1, step)]
     monkeypatch.undo()
-    assert got == row_extremes_by_rows(f)[0]
+    assert got == pair_extremes_by_rows(f)[0]
 
 
 @given(any_spaces(), st.data())
@@ -489,9 +481,9 @@ def test_scan_field_fallback_on_tables_and_planes():
     coords = rng.integers(0, 5, (30, 2)) * 0.25       # ties and coincidences
     plane = FiniteMetricSpace(range(30), coords=coords)
     d = np.vstack([plane.dist_row(i) for i in range(30)])
-    table = FiniteMetricSpace.from_table(range(30), d)
-    line_table = FiniteMetricSpace.from_table(
-        range(30), np.abs(coords[:, :1] - coords[:, 0]))
+    table = FiniteMetricSpace(range(30), table=d)
+    line_table = FiniteMetricSpace(
+        range(30), table=np.abs(coords[:, :1] - coords[:, 0]))
     for space in (plane, table, line_table):
         assert space.line_order is None
         f = SampledMap.real(space, rng.standard_normal(30))
@@ -587,8 +579,8 @@ def test_envelopes_and_oscillation_fallback():
     rng = np.random.default_rng(4)
     coords = rng.integers(0, 4, (25, 2)) * 0.5       # ties and coincidences
     plane = FiniteMetricSpace(range(25), coords=coords)
-    table = FiniteMetricSpace.from_table(
-        range(25), np.vstack([plane.dist_row(i) for i in range(25)]))
+    table = FiniteMetricSpace(
+        range(25), table=np.vstack([plane.dist_row(i) for i in range(25)]))
     values = rng.integers(-2, 3, 25).astype(float)
     values[[3, 11]] = np.inf
     values[5] = -np.inf

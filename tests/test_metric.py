@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from lipderiv import metric
 from lipderiv import (FiniteMetricSpace, InputError, IntervalUnion,
                       LinearMapSpec, ball, operator_norm,
-                      resolution_isolated, validate_metric)
+                      resolution_isolated)
 
 
 def test_norms():
@@ -31,25 +31,6 @@ def test_unknown_point():
         sp.index("nope")
 
 
-def test_validate_metric_on_embedding_is_clean():
-    rng = np.random.default_rng(0)
-    sp = FiniteMetricSpace(range(10), coords=rng.normal(size=(10, 3)))
-    assert validate_metric(sp) == []
-
-
-def test_validate_metric_flags_violations():
-    # symmetric with a zero diagonal, but triangle-breaking
-    table = np.array([[0.0, 1.0, 5.0],
-                      [1.0, 0.0, 1.0],
-                      [5.0, 1.0, 0.0]])
-    sp = FiniteMetricSpace(["a", "b", "c"], table=table)
-    axioms = {v["axiom"] for v in validate_metric(sp)}
-    assert axioms == {"triangle"}    # d(a,c) > d(a,b) + d(b,c)
-    table[2, 2] = 0.1                # d(c,c) = 0.1
-    with pytest.raises(InputError):
-        FiniteMetricSpace(["a", "b", "c"], table=table)
-
-
 def metric_table(n=5, seed=0):
     """Distances between random vectors in R^3, and the vectors."""
     g = np.random.default_rng(seed).standard_normal((n, 3))
@@ -58,7 +39,7 @@ def metric_table(n=5, seed=0):
 
 def test_table_rejected_one_ulp_from_symmetric():
     table, _ = metric_table()
-    assert validate_metric(FiniteMetricSpace(range(5), table=table)) == []
+    FiniteMetricSpace(range(5), table=table)
     table[1, 3] = np.nextafter(table[1, 3], np.inf)
     with pytest.raises(InputError, match="symmetric"):
         FiniteMetricSpace(range(5), table=table)
@@ -72,7 +53,7 @@ def test_table_rejected_with_nan_or_negative_entry(entry):
         FiniteMetricSpace(range(5), table=table)
 
 
-@pytest.mark.parametrize("entry", [5e-324, 1.0, np.inf])
+@pytest.mark.parametrize("entry", [5e-324, 0.1, 1.0, np.inf])
 def test_table_rejected_with_nonzero_diagonal(entry):
     table, _ = metric_table()
     table[2, 2] = entry
@@ -90,20 +71,19 @@ def test_table_rejected_beside_coordinates_or_not_square():
         FiniteMetricSpace(range(4), table=table)
 
 
-def test_validate_metric_positivity():
-    table = np.zeros((2, 2))
-    sp = FiniteMetricSpace(["a", "b"], table=table)
-    axioms = {v["axiom"] for v in validate_metric(sp)}
-    assert axioms == {"positivity"}
-
-
 @given(st.integers(2, 12), st.integers(0, 10_000))
 @settings(max_examples=50, deadline=None)
 def test_embedded_spaces_always_valid(n, seed):
+    # p-norm distances: positive between distinct points, and the triangle
+    # inequality holds to 1e-12
     rng = np.random.default_rng(seed)
     p = rng.choice([1.0, 2.0, np.inf])
     sp = FiniteMetricSpace(range(n), coords=rng.uniform(-1, 1, (n, 2)), p=p)
-    assert validate_metric(sp) == []
+    every = np.arange(n)
+    d = sp.cross(every, every)
+    assert np.all(d[~np.eye(n, dtype=bool)] > 0)
+    # d[i, j] <= d[i, k] + d[k, j], indexed [i, k, j]
+    assert np.all(d[:, None, :] <= d[:, :, None] + d[None, :, :] + 1e-12)
 
 
 def test_ball_open_vs_closed():

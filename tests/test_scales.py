@@ -8,7 +8,6 @@ from lipderiv import (FiniteMetricSpace, InputError, RadiusGrid, SampledMap,
                       lip_upper_r_closed, little_lip_below_r, loc_field,
                       loc_lip_r, nearest_scale_infimum, point_scale_values,
                       scale_profile, scan_field)
-from lipderiv.metric import _block
 
 
 def line_map(xs, values):
@@ -97,24 +96,18 @@ def test_radius_grid_validation():
                           **bad})
 
 
-def test_value_table_codomain_validated():
+def test_map_shape_and_norm_order_checked_at_construction():
     sp = FiniteMetricSpace.grid1d(0.0, 1.0, 0.5)
-    bad = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
     with pytest.raises(InputError):
-        SampledMap(sp, value_table=bad)
-    ok = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
-    f = SampledMap(sp, value_table=ok)
-    assert lip_norm(f) == pytest.approx(2.0)
-
-
-def test_value_table_rejected_one_ulp_from_symmetric():
-    sp = FiniteMetricSpace.grid1d(0.0, 1.0, 0.25)
-    g = np.random.default_rng(1).standard_normal((5, 3))
-    table = _block(g, g, 2.0)
-    SampledMap(sp, value_table=table)
-    table[3, 1] = np.nextafter(table[3, 1], 0.0)
-    with pytest.raises(InputError, match="symmetric"):
-        SampledMap(sp, value_table=table)
+        SampledMap(sp)
+    for values, p in [(5.0, None), (np.zeros((3, 2, 1)), 2.0),
+                      (np.zeros(2), None), (np.zeros((3, 2)), None),
+                      (np.zeros((3, 2)), 3.0), (np.zeros((3, 2)), np.nan)]:
+        with pytest.raises(InputError):
+            SampledMap(sp, values, p)
+    for p in (0.5, 3.0, np.nan, "2"):
+        with pytest.raises(InputError, match="norm order"):
+            FiniteMetricSpace(range(3), coords=np.zeros((3, 1)), p=p)
 
 
 @given(st.integers(0, 10_000))
