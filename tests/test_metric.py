@@ -31,6 +31,23 @@ def test_unknown_point():
         sp.index("nope")
 
 
+def assert_metric_axioms(sp):
+    """Distances of sp are positive between distinct points and satisfy
+    the triangle inequality to 1e-12."""
+    n = len(sp.ids)
+    every = np.arange(n)
+    d = sp.cross(every, every)
+    assert np.all(d[~np.eye(n, dtype=bool)] > 0)
+    # d[i, j] <= d[i, k] + d[k, j], indexed [i, k, j]
+    assert np.all(d[:, None, :] <= d[:, :, None] + d[None, :, :] + 1e-12)
+
+
+def test_validate_metric_on_embedding_is_clean():
+    rng = np.random.default_rng(0)
+    sp = FiniteMetricSpace(range(10), coords=rng.normal(size=(10, 3)))
+    assert_metric_axioms(sp)
+
+
 def metric_table(n=5, seed=0):
     """Distances between random vectors in R^3, and the vectors."""
     g = np.random.default_rng(seed).standard_normal((n, 3))
@@ -74,16 +91,10 @@ def test_table_rejected_beside_coordinates_or_not_square():
 @given(st.integers(2, 12), st.integers(0, 10_000))
 @settings(max_examples=50, deadline=None)
 def test_embedded_spaces_always_valid(n, seed):
-    # p-norm distances: positive between distinct points, and the triangle
-    # inequality holds to 1e-12
     rng = np.random.default_rng(seed)
     p = rng.choice([1.0, 2.0, np.inf])
     sp = FiniteMetricSpace(range(n), coords=rng.uniform(-1, 1, (n, 2)), p=p)
-    every = np.arange(n)
-    d = sp.cross(every, every)
-    assert np.all(d[~np.eye(n, dtype=bool)] > 0)
-    # d[i, j] <= d[i, k] + d[k, j], indexed [i, k, j]
-    assert np.all(d[:, None, :] <= d[:, :, None] + d[None, :, :] + 1e-12)
+    assert_metric_axioms(sp)
 
 
 def test_ball_open_vs_closed():
