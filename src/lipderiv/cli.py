@@ -7,6 +7,7 @@ files.  Exit codes: 0 success, 1 check failure, 2 input/config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -100,6 +101,21 @@ def cmd_profile(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _info_to_stderr():
+    """Print the library's INFO log records to stderr while active."""
+    import logging
+    logger = logging.getLogger("lipderiv")
+    handler, level = logging.StreamHandler(sys.stderr), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
 def cmd_check(args) -> int:
     suite = _resolve(args, "suite")
     if not isinstance(suite, str):
@@ -114,7 +130,8 @@ def cmd_check(args) -> int:
     report = _resolve(args, "report")
     if report:
         lio.check_writable(report)
-    results = run_suite(cfg)
+    with _info_to_stderr() if args.timings else contextlib.nullcontext():
+        results = run_suite(cfg)
     print(lio.summary_table(results))
     if report:
         lio.save_report(report, results)
@@ -198,6 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="self-test: force a failure in the named suite")
     p.add_argument("--zoo-resolution", dest="zoo_resolution", type=float)
     p.add_argument("--random-spaces", dest="random_spaces", type=int)
+    p.add_argument("--timings", action="store_true",
+                   help="print each suite's wall time and the total to stderr")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("envelope", help="Baire envelopes of a scalar field")

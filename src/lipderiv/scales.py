@@ -93,6 +93,14 @@ class RadiusGrid:
             raise InputError("steps must be >= 1")
         if not (1 <= self.tail_window <= self.steps):
             raise InputError("tail_window must be in [1, steps]")
+        # the smallest radius as one float, before any array of `steps`
+        try:
+            smallest = self.r_max * self.q ** (self.steps - 1)
+        except OverflowError:          # steps - 1 does not fit a float
+            smallest = 0.0
+        if not smallest > 0:
+            raise InputError("steps too large: the smallest radius "
+                             "r_max * q**(steps-1) underflows to 0")
 
     @property
     def radii(self) -> np.ndarray:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import logging
 import math
 from pathlib import Path
 
@@ -289,6 +290,26 @@ def test_cli_check_exit_codes(tmp_path, capsys):
                  "openness"]) == 1
 
 
+def test_cli_check_timings(tmp_path, capsys):
+    suites = ["bhmv", "frechet", "separation"]
+    runs = []
+    for flags in ([], ["--timings"]):
+        report = tmp_path / f"rep{len(flags)}.json"
+        assert main(["check", "--suite", ",".join(suites), "--seed", "3",
+                     "--random-spaces", "2", "--report", str(report)]
+                    + flags) == 0
+        captured = capsys.readouterr()
+        runs.append((captured.out, report.read_bytes(), captured.err))
+    (table, report, quiet), (timed_table, timed_report, timings) = runs
+    assert (timed_table, timed_report) == (table, report)
+    assert quiet == ""
+    *per_suite, total = timings.splitlines()
+    assert sorted(line.split(":")[0] for line in per_suite) == [
+        f"suite {name}" for name in sorted(suites)]
+    assert total.startswith("total: ")
+    assert logging.getLogger("lipderiv").handlers == []
+
+
 def test_cli_config_file_and_override(tmp_path):
     src = write_cloud(tmp_path)
     cfg = tmp_path / "cfg.json"
@@ -516,6 +537,11 @@ def refuse(*args):
     ["envelope", "--input", "{src}", "--h", "nan", "--out", "{out}"],
     ["envelope", "--input", "{src}", "--h", "inf", "--out", "{out}"],
     ["envelope", "--input", "{src}", "--h", "0", "--out", "{out}"],
+    # a grid too long to allocate is refused before its radii exist
+    ["profile", "--input", "{src}", "--rmax", "0.5", "--steps",
+     "1000000000000000000", "--out", "{out}"],
+    ["sets", "--input", "{src}", "--gamma", "1", "--steps",
+     "1000000000000000000", "--out", "{out}"],
 ])
 def test_cli_fails_before_computing(tmp_path, capsys, monkeypatch, args):
     for name in ("run_suite", "scale_profile", "scale_summaries",
@@ -531,7 +557,8 @@ def test_cli_fails_before_computing(tmp_path, capsys, monkeypatch, args):
     assert captured.out == ""
     assert ("cannot write" in captured.err
             or "gamma must be finite" in captured.err
-            or "h must be positive and finite" in captured.err)
+            or "h must be positive and finite" in captured.err
+            or "underflows" in captured.err)
     assert not (tmp_path / "o.csv").exists()
 
 

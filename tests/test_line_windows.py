@@ -312,7 +312,7 @@ def pair_extremes_by_rows(f):
 
 @given(any_spaces(), st.data())
 @settings(max_examples=300, deadline=None)
-def test_row_extremes_equal_the_row_loop(space, data):
+def test_pair_extremes_equal_the_row_loop(space, data):
     f = map_on(data.draw, space)
     assert pair_extremes(f) == pair_extremes_by_rows(f)
 
@@ -327,7 +327,7 @@ def test_line_diameter_is_the_cross_maximum(space):
     assert space.diameter() == float(np.max(space.cross(every, every)))
 
 
-def test_row_extremes_on_one_point():
+def test_pair_extremes_on_one_point():
     space = FiniteMetricSpace(["a"], coords=[[0.5]])
     for f in (SampledMap.real(space, [2.0]),
               SampledMap.vector(space, [[1.0, 2.0]], p=np.inf)):
@@ -358,7 +358,7 @@ def spy_cross(monkeypatch, arrays, budget):
 
 
 @pytest.mark.parametrize("n, step", [(30, 2), (100, 1)])
-def test_row_extremes_blocks_stay_within_budget(monkeypatch, n, step):
+def test_pair_extremes_blocks_stay_within_budget(monkeypatch, n, step):
     # four arrays of a block's shape within 256 elements: blocks of two
     # rows of 30 points, and one row per block when four rows of 100 points
     # alone exceed it

@@ -212,7 +212,7 @@ def test_derivative_fields_equal_one_radius_functionals():
 
 @pytest.mark.parametrize("name", ["sin", "sqrt_abs", "linear_shear",
                                   "two_point_discrete"])
-def test_row_extremes(name):
+def test_pair_extremes(name):
     # the extremes over all pairs: each pair once, lower index as the row
     f = make_entry(name, 0.05).map
     everything = np.arange(f.domain.n)

@@ -96,6 +96,14 @@ def test_radius_grid_validation():
                           **bad})
 
 
+def test_radius_grid_rejects_underflow():
+    # 0.5**1074 is the smallest positive float; 0.5**1075 rounds to 0
+    assert RadiusGrid(1.0, 0.5, 1075, 3).radii[-1] == 0.5 ** 1074
+    for steps in (1076, 10**18, 10**400):
+        with pytest.raises(InputError, match="underflows"):
+            RadiusGrid(1.0, 0.5, steps, 3)
+
+
 def test_map_shape_and_norm_order_checked_at_construction():
     sp = FiniteMetricSpace.grid1d(0.0, 1.0, 0.5)
     with pytest.raises(InputError):
