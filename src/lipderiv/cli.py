@@ -11,6 +11,7 @@ import contextlib
 import json
 import os
 import sys
+import time
 
 from . import io as lio
 from .envelopes import ScalarField, baire_lower, baire_upper, check_scale
@@ -92,12 +93,17 @@ def _sibling(path: str, suffix: str) -> str:
 
 
 def cmd_profile(args) -> int:
+    t0 = time.perf_counter()
     grid, out = _grid(args), lio.check_writable(_require(args, "out"))
     f = lio.load_sampled_map(_require(args, "input"),
                              _resolve(args, "metric"))
-    profile = scale_profile(f, grid)
+    seconds = {"load": time.perf_counter() - t0}
+    profile = scale_profile(f, grid, seconds=seconds)
+    t1 = time.perf_counter()
     lio.save_profile(out, profile)
     lio.save_summary(_sibling(out, ".summary"), profile)
+    seconds["write"] = time.perf_counter() - t1
+    _log_stages(args, seconds, t0)
     return 0
 
 
@@ -114,6 +120,21 @@ def _info_to_stderr():
     finally:
         logger.removeHandler(handler)
         logger.setLevel(level)
+
+
+def _log_stages(args, seconds, t0):
+    """Under ``--timings``, print each stage's wall time in ``seconds`` and
+    the total since ``t0`` to stderr, as ``check --timings`` does."""
+    if not args.timings:
+        return
+    # logging is imported here: at module level it would slow every command
+    import logging
+    # named, since under ``python -m`` this module is ``__main__``
+    log = logging.getLogger("lipderiv.cli")
+    with _info_to_stderr():
+        for stage, s in seconds.items():
+            log.info("stage %s: %.3f s", stage, s)
+        log.info("total: %.3f s", time.perf_counter() - t0)
 
 
 def cmd_check(args) -> int:
@@ -157,12 +178,17 @@ def cmd_envelope(args) -> int:
 
 
 def cmd_sets(args) -> int:
+    t0 = time.perf_counter()
     gamma = lio.check_gamma(_require(args, "gamma", float))
     grid, out = _grid(args), lio.check_writable(_require(args, "out"))
     f = lio.load_sampled_map(_require(args, "input"),
                              _resolve(args, "metric"))
-    summaries = scale_summaries(f, grid)
+    seconds = {"load": time.perf_counter() - t0}
+    summaries = scale_summaries(f, grid, seconds=seconds)
+    t1 = time.perf_counter()
     lio.save_set_flags(out, summaries, gamma)
+    seconds["write"] = time.perf_counter() - t1
+    _log_stages(args, seconds, t0)
     return 0
 
 
@@ -199,24 +225,26 @@ def build_parser() -> argparse.ArgumentParser:
             "seed": dict(type=int, help="random seed"),
             "out": dict(help="output file path"),
             "report": dict(help="JSON report path"),
+            "timings": dict(action="store_true",
+                            help="print the wall time of each stage (check: "
+                                 "each suite) and the total to stderr"),
         }
         for name in names:
             p.add_argument(f"--{name}", **opts[name])
 
     p = sub.add_parser("profile", help="scale profile of a sampled map")
-    shared(p, "input", "metric", "rmax", "q", "steps", "tail", "out")
+    shared(p, "input", "metric", "rmax", "q", "steps", "tail", "out",
+           "timings")
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("check", help="run verification suites")
-    shared(p, "seed", "report")
+    shared(p, "seed", "report", "timings")
     p.add_argument("--suite", help="comma-separated suite names or 'all'")
     p.add_argument("--inject-fault", dest="inject_fault",
                    choices=("chain", "openness"),
                    help="self-test: force a failure in the named suite")
     p.add_argument("--zoo-resolution", dest="zoo_resolution", type=float)
     p.add_argument("--random-spaces", dest="random_spaces", type=int)
-    p.add_argument("--timings", action="store_true",
-                   help="print each suite's wall time and the total to stderr")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("envelope", help="Baire envelopes of a scalar field")
@@ -224,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_envelope)
 
     p = sub.add_parser("sets", help="threshold membership flags per point")
-    shared(p, "input", "metric", "rmax", "q", "steps", "tail", "gamma", "out")
+    shared(p, "input", "metric", "rmax", "q", "steps", "tail", "gamma", "out",
+           "timings")
     p.set_defaults(func=cmd_sets)
 
     p = sub.add_parser("zoo", help="built-in test functions")

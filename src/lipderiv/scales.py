@@ -5,7 +5,9 @@ approximations live in the per-point limit estimates of a scale profile.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
+from math import isqrt
 
 import numpy as np
 
@@ -101,6 +103,10 @@ class RadiusGrid:
         if not smallest > 0:
             raise InputError("steps too large: the smallest radius "
                              "r_max * q**(steps-1) underflows to 0")
+        # one radius per step: no grid longer than a block is built
+        if self.steps > BLOCK_ELEMS:
+            raise InputError("steps too large: a grid holds at most "
+                             f"{BLOCK_ELEMS} radii")
 
     @property
     def radii(self) -> np.ndarray:
@@ -274,42 +280,128 @@ def nearest_scale_infimum(f: SampledMap, x, r: float) -> float:
 
 
 def loc_lip_r(f: SampledMap, x, r: float) -> float:
-    """Lipschitz constant of f restricted to the open ball B(x, r)."""
-    return float(_loc_radii(f, f.domain.index(x), _positive(r))[0])
+    """Lipschitz constant of f restricted to the open ball B(x, r): one
+    ``_loc_table`` centre."""
+    return float(_loc_table(f, [f.domain.index(x)], _positive(r))[0, 0])
 
 
 def _loc_radii(f: SampledMap, i: int, radii: np.ndarray) -> np.ndarray:
     """``loc_lip_r`` of point index ``i`` at each of the positive ``radii``
-    from one ``dist_row``: the part of the largest ball below a radius holds
-    the ascending indices that ``ball_indices(i, r)`` gives."""
+    from one ``dist_row`` and one ``_pair_sup`` triangle per radius: the
+    part of the largest ball below a radius holds the ascending indices
+    that ``ball_indices(i, r)`` gives.  ``scale_profile`` reads it on
+    lines."""
     d = f.domain.dist_row(i)
     ball = np.flatnonzero(d < radii.max())
     return np.array([_pair_sup(f, ball[d[ball] < r]) for r in radii.tolist()])
 
 
-def _pair_sup(f: SampledMap, idx) -> float:
-    idx = np.asarray(idx, dtype=int)
+def _quotient_rows(f: SampledMap, idx: np.ndarray):
+    """Upper-triangle row blocks of the pair quotients of the points
+    ``idx``: yields ``(s, Q)`` where ``Q[a, b]`` is the quotient of the pair
+    ``(idx[s + a], idx[s + b])`` for ``b > a`` at positive distance, and 0
+    elsewhere.  Rows ``idx[s:s + step]`` meet the columns ``idx[s:]``, so
+    each pair is computed once, and two arrays of a block's shape fit in
+    ``BLOCK_ELEMS`` (one row when a row alone exceeds it)."""
     m = idx.size
-    if m < 2:
-        return 0.0
-    best = 0.0
-    # upper-triangle row blocks: rows idx[s:s + step] against the columns
-    # idx[s:], so each pair is computed once, and two
-    # arrays of a block's shape fit in BLOCK_ELEMS (one row when a row alone
-    # exceeds it)
-    step = max(1, min(128, BLOCK_ELEMS // (2 * m)))
+    step = max(1, min(128, BLOCK_ELEMS // (2 * max(m, 1))))
     for s in range(0, m - 1, step):
         rows, cols = idx[s:s + step], idx[s:]
         D = f.domain.cross(rows, cols)
         V = f.value_cross(rows, cols)
-        # keep strictly-upper pairs only
-        mask = np.arange(cols.size)[None, :] > np.arange(rows.size)[:, None]
-        mask &= D > 0
-        # pairs at distance 0 divide to inf/NaN and are masked out of the max
+        # pairs at distance 0 divide to inf/NaN and are zeroed with the
+        # diagonal and the lower part
         with np.errstate(divide="ignore", invalid="ignore"):
             Q = np.divide(V, D, out=V)
-        best = max(best, float(np.max(Q, where=mask, initial=0.0)))
-    return best
+        lower = np.arange(cols.size)[None, :] <= np.arange(rows.size)[:, None]
+        np.copyto(Q, 0.0, where=lower | (D == 0))
+        yield s, Q
+
+
+def _pair_sup(f: SampledMap, idx) -> float:
+    # np.maximum keeps a NaN quotient (inf / inf, both floats overflowed),
+    # whichever block holds it, as the 1-d band and ``_loc_table`` do
+    best = 0.0
+    for _, Q in _quotient_rows(f, np.asarray(idx, dtype=int)):
+        best = np.maximum(best, Q.max())
+    return float(best)
+
+
+def _loc_table(f: SampledMap, idx, radii: np.ndarray) -> np.ndarray:
+    """``loc_lip_r(f, x_i, r)`` at the point indices ``i`` of ``idx``
+    (repeats allowed) and each of the positive ``radii``, as an
+    ``(idx, radii)`` array.
+
+    Centres go in groups whose balls of radius the reach ``max(radii)``
+    overlap.  The first centre not yet in a group is the seed; the other
+    free centres within twice the reach of it join, nearest to the seed
+    first, while the union U of the group's balls holds at most
+    ``isqrt(BLOCK_ELEMS)`` points.  The seed always joins, so one ball
+    alone may exceed that.  U is sorted by distance to the seed and its
+    ``_quotient_rows`` are computed once.  A centre's ball, in its own
+    distance order, is a list P of positions in U, and its ball of radius r
+    is the first c of them, c the count of distances below r: its pair
+    supremum is the largest entry of ``Q[P[:c]][:, P[:c]]``, which holds
+    every pair of that ball in both orientations, one of them as its
+    quotient and the other as 0 (0 for c < 2).  The seed's P is the start
+    of U, so it reads the row blocks as they come; the other members read
+    one gather of the stored U x U array Q, which a group of one never
+    builds.  Q and a gather hold at most ``BLOCK_ELEMS`` elements each.
+
+    Why this is exact: every quotient is the float ``_pair_sup`` takes
+    (``cross`` and ``value_cross`` give a pair the same float in either
+    orientation, and tables are symmetric by construction), every ball is
+    the set ``ball_indices`` gives from the same ``dist_row`` floats, and
+    max does not depend on order; it keeps a NaN quotient (inf / inf, both
+    floats overflowed) on every path, as ``_pair_sup`` does.
+    """
+    sp = f.domain
+    centres, inverse = np.unique(np.asarray(idx, dtype=int),
+                                 return_inverse=True)
+    out = np.zeros((centres.size, radii.size))
+    reach = float(radii.max())
+    cap = isqrt(BLOCK_ELEMS)
+    free = np.ones(centres.size, dtype=bool)
+    pos = np.empty(sp.n, dtype=np.intp)
+    for seed in range(centres.size):
+        if not free[seed]:
+            continue
+        free[seed] = False
+        d0 = sp.dist_row(centres[seed])
+        union = d0 < reach
+        group = []
+        if np.count_nonzero(union) <= cap:
+            near = np.flatnonzero(free & (d0[centres] < 2 * reach))
+            for k in near[np.argsort(d0[centres[near]], kind="stable")]:
+                d = sp.dist_row(centres[k])
+                inside = d < reach
+                both = union | inside
+                if np.count_nonzero(both) > cap:
+                    break
+                union = both
+                free[k] = False
+                # the ball in its own distance order, and those distances
+                ball = np.flatnonzero(inside)
+                ball = ball[np.argsort(d[ball], kind="stable")]
+                group.append((k, ball, d[ball]))
+        U = np.flatnonzero(union)
+        U = U[np.argsort(d0[U], kind="stable")]
+        pos[U] = np.arange(U.size)
+        Q = np.zeros((U.size, U.size)) if group else None
+        counts = np.searchsorted(d0[U], radii).tolist()
+        for s, block in _quotient_rows(f, U):
+            if Q is not None:
+                Q[s:s + block.shape[0], s:] = block
+            for j, c in enumerate(counts):
+                if c - s >= 2:
+                    out[seed, j] = np.maximum(out[seed, j],
+                                              block[:c - s, :c - s].max())
+        for k, ball, d in group:
+            P = pos[ball]
+            M = Q[P][:, P]
+            out[k] = [M[:c, :c].max() if c >= 2 else 0.0
+                      for c in np.searchsorted(d, radii).tolist()]
+    return out[inverse]
 
 
 def loc_field(f: SampledMap, r: float, idx=None) -> np.ndarray:
@@ -329,8 +421,9 @@ def loc_field(f: SampledMap, r: float, idx=None) -> np.ndarray:
     and each point reads the rows of a block that its window meets: a band
     block then holds at most 1/8 of ``BLOCK_ELEMS`` elements and a gather
     block at most 3/4 (3/8 over every point; windows wider than
-    ``BLOCK_ELEMS / 8`` get one band row per block).  Other domains use
-    ``_loc_radii`` point by point.
+    ``BLOCK_ELEMS / 8`` get one band row per block).  Other domains read
+    the one-radius ``_loc_table``, one quotient block per group of nearby
+    centres.
     """
     radii = _positive(r)
     sp = f.domain
@@ -338,7 +431,7 @@ def loc_field(f: SampledMap, r: float, idx=None) -> np.ndarray:
     idx = np.arange(n) if idx is None else np.asarray(idx, dtype=int)
     order = sp.line_order
     if order is None:
-        return np.array([_loc_radii(f, i, radii)[0] for i in idx.tolist()])
+        return _loc_table(f, idx, radii)[:, 0]
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)
     # each distinct point once, by sorted position; only windows holding a
@@ -401,7 +494,7 @@ def point_scale_values(f: SampledMap, x, radii) -> dict:
     radii, i = _positive(radii), f.domain.index(x)
     scan = _point_scan(f, i, radii)
     return dict({k: scan[k] for k in _SCAN_COLUMNS},
-                loc=_loc_radii(f, i, radii))
+                loc=_loc_table(f, [i], radii)[0])
 
 
 @dataclass
@@ -461,8 +554,8 @@ def _summaries(points, grid: RadiusGrid, scan, loc_hat) -> list:
         for p, x in enumerate(points)]
 
 
-def scale_profile(f: SampledMap, grid: RadiusGrid,
-                  points=None) -> ScaleProfile:
+def scale_profile(f: SampledMap, grid: RadiusGrid, points=None,
+                  seconds=None) -> ScaleProfile:
     """Evaluate all scale functionals on the radius grid.
 
     Limit estimates per point: the big estimate is the exact big functional at
@@ -470,30 +563,52 @@ def scale_profile(f: SampledMap, grid: RadiusGrid,
     the smallest radius, and the local estimate is the local functional at the
     smallest radius whose ball is resolved (contains a neighbor).
 
-    The scan columns come from one ``scan_field`` over the points, the
-    ``loc`` column from one ``_loc_radii`` per point.
+    The scan columns come from one ``scan_field`` over the points.  The
+    ``loc`` column comes from one ``_loc_table`` over the points, which
+    computes the pair quotients of a neighbourhood of centres once for all
+    of them, or, on a ``line_order`` domain, from one ``_loc_radii`` per
+    point.  A ``seconds`` dict gets the wall times of the ``"scan"`` and
+    the ``"loc"`` stage.
     """
+    t0 = time.perf_counter()
     points, idx, scan, resolved = _scan_points(f, grid, points)
+    t1 = time.perf_counter()
     radii = grid.radii
     table = {k: scan[k] for k in _SCAN_COLUMNS}
-    table["loc"] = np.reshape([_loc_radii(f, i, radii) for i in idx.tolist()],
-                              (idx.size, radii.size))
+    if f.domain.line_order is None:
+        table["loc"] = _loc_table(f, idx, radii)
+    else:
+        # lines keep one triangle per point and radius until the benchmark
+        # reads each job's own peak memory (ROADMAP item 1): a faster line
+        # profile runs more jobs, and its inherited peak reads higher.  The
+        # 1-d band of ROADMAP item 2 then replaces this
+        table["loc"] = np.reshape(
+            [_loc_radii(f, i, radii) for i in idx.tolist()],
+            (idx.size, radii.size))
     loc_hat = np.where(resolved >= 0,
                        table["loc"][np.arange(idx.size), resolved], 0.0)
+    if seconds is not None:
+        seconds.update(scan=t1 - t0, loc=time.perf_counter() - t1)
     return ScaleProfile(points, radii, table,
                         _summaries(points, grid, scan, loc_hat))
 
 
-def scale_summaries(f: SampledMap, grid: RadiusGrid, points=None) -> list:
+def scale_summaries(f: SampledMap, grid: RadiusGrid, points=None,
+                    seconds=None) -> list:
     """The ``PointSummary`` list of ``scale_profile``, without its table.
 
     One ``scan_field`` over the points, reaching the largest radius, and one
     ``loc_field`` per distinct smallest resolved radius, over the points
-    resolved there.
+    resolved there.  A ``seconds`` dict gets the wall times of the
+    ``"scan"`` and the ``"loc"`` stage.
     """
+    t0 = time.perf_counter()
     points, idx, scan, resolved = _scan_points(f, grid, points)
+    t1 = time.perf_counter()
     loc_hat = np.zeros(idx.size)
     for k in np.unique(resolved[resolved >= 0]):
         at = np.flatnonzero(resolved == k)
         loc_hat[at] = loc_field(f, float(grid.radii[k]), idx[at])
+    if seconds is not None:
+        seconds.update(scan=t1 - t0, loc=time.perf_counter() - t1)
     return _summaries(points, grid, scan, loc_hat)

@@ -310,6 +310,58 @@ def test_cli_check_timings(tmp_path, capsys):
     assert logging.getLogger("lipderiv").handlers == []
 
 
+@pytest.mark.parametrize("command, outputs", [
+    (["profile"], ("o.csv", "o.summary.csv")),
+    (["sets", "--gamma", "1"], ("o.csv",)),
+])
+def test_cli_stage_timings(tmp_path, capsys, command, outputs):
+    # a 2-d cloud and a line: the grouped and the 1-d loc paths
+    rng = np.random.default_rng(4)
+    plane = str(tmp_path / "plane.csv")
+    lio.save_point_cloud(plane, [f"p{i}" for i in range(60)],
+                         rng.random((60, 2)), rng.random(60))
+    for src in (plane, write_cloud(tmp_path)):
+        runs = []
+        for flags in ([], ["--timings"]):
+            run = tmp_path / f"run{len(flags)}"
+            run.mkdir(exist_ok=True)
+            assert main(command + ["--input", src, "--rmax", "0.5",
+                                   "--steps", "3", "--out",
+                                   str(run / "o.csv")] + flags) == 0
+            captured = capsys.readouterr()
+            runs.append(([(run / name).read_bytes() for name in outputs],
+                         captured.out, captured.err))
+        (files, out, quiet), (timed_files, timed_out, timings) = runs
+        assert (timed_files, timed_out) == (files, out)
+        assert quiet == ""
+        *stages, total = timings.splitlines()
+        assert [line.split(":")[0] for line in stages] == [
+            f"stage {name}" for name in ("load", "scan", "loc", "write")]
+        assert total.startswith("total: ")
+        assert logging.getLogger("lipderiv").handlers == []
+
+
+def test_cli_refuses_a_grid_longer_than_a_block(tmp_path, capsys,
+                                                 monkeypatch):
+    # q just below 1 keeps the smallest radius positive, so only the bound
+    # on steps stops a grid of 8 TB; nothing is loaded or computed
+    import tracemalloc
+    monkeypatch.setattr(cli, "scale_profile", refuse)
+    monkeypatch.setattr(lio, "load_sampled_map", refuse)
+    tracemalloc.start()
+    try:
+        code = main(["profile", "--input", write_cloud(tmp_path), "--rmax",
+                     "0.5", "--q", "0.9999999999999999", "--steps",
+                     str(10**12), "--out", str(tmp_path / "o.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "steps too large" in capsys.readouterr().err
+    assert peak < 1 << 20
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_cli_config_file_and_override(tmp_path):
     src = write_cloud(tmp_path)
     cfg = tmp_path / "cfg.json"

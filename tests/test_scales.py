@@ -104,6 +104,14 @@ def test_radius_grid_rejects_underflow():
             RadiusGrid(1.0, 0.5, steps, 3)
 
 
+def test_radius_grid_holds_at_most_a_block_of_radii():
+    from lipderiv.metric import BLOCK_ELEMS
+    assert RadiusGrid(1.0, 0.9999, BLOCK_ELEMS, 3).radii.size == BLOCK_ELEMS
+    for steps in (BLOCK_ELEMS + 1, 10**12):
+        with pytest.raises(InputError, match="at most"):
+            RadiusGrid(0.5, 0.9999999999999999, steps, 3)
+
+
 def test_map_shape_and_norm_order_checked_at_construction():
     sp = FiniteMetricSpace.grid1d(0.0, 1.0, 0.5)
     with pytest.raises(InputError):
