@@ -2,7 +2,9 @@
 
 Every emitted number comes from a library call; the CLI only parses inputs,
 resolves configuration (config file values overridden by flags) and writes
-files.  Exit codes: 0 success, 1 check failure, 2 input/config error.
+files.  Exit codes: 0 success, 1 check failure, 2 input/config error,
+3 internal error (any other exception: one line, and the traceback under
+``-v``).
 """
 from __future__ import annotations
 
@@ -210,6 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Scale-indexed Lipschitz derivative estimation and "
                     "verification on finite metric data.")
     parser.add_argument("--config", help="JSON config file; flags override")
+    parser.add_argument("-v", "--verbose", action="store_true",
+                        help="print the traceback of an internal error")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def shared(p, *names):
@@ -276,6 +280,14 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        if args.verbose:
+            import traceback
+            traceback.print_exc()
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}",
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -116,10 +116,14 @@ class FiniteMetricSpace:
             raise InputError(f"unknown point id {point!r}") from None
 
     def dist_row(self, i: int) -> np.ndarray:
-        """Distances from point index i to every point."""
+        """Distances from point index i to every point: a row of the table,
+        or the one-row ``_block`` against every point.  That is, bit for
+        bit, ``_norm(coords - coords[i], p)`` (see ``_block``; a difference
+        and its negation have the same absolute value and square) and the
+        row ``cross([i], every)``."""
         if self.table is not None:
             return self.table[i]
-        return _norm(self.coords - self.coords[i], self.p)
+        return _block(self.coords[i:i + 1], self.coords, self.p)[0]
 
     def cross(self, rows, cols) -> np.ndarray:
         """Distance block between two index lists."""

@@ -344,16 +344,27 @@ def _loc_table(f: SampledMap, idx, radii: np.ndarray) -> np.ndarray:
     supremum is the largest entry of ``Q[P[:c]][:, P[:c]]``, which holds
     every pair of that ball in both orientations, one of them as its
     quotient and the other as 0 (0 for c < 2).  The seed's P is the start
-    of U, so it reads the row blocks as they come; the other members read
-    one gather of the stored U x U array Q, which a group of one never
-    builds.  Q and a gather hold at most ``BLOCK_ELEMS`` elements each.
+    of U, so it reads the row blocks as they come.  The other members read
+    the stored U x U array Q, which a group of one never builds, made
+    symmetric once as ``Q + Q.T``, with the row bounds ``Q.max(axis=1)``
+    over all of U.  A member's ball of the largest radius is all of P: it
+    reads the row of P with the largest bound, restricted to P, and then
+    one gather of the rows of P whose bound is not at most that maximum.
+    Its smaller balls come from one gather of the longest prefix of P that
+    a smaller ball holds.  Q and a gather hold at most ``BLOCK_ELEMS``
+    elements each.
 
     Why this is exact: every quotient is the float ``_pair_sup`` takes
     (``cross`` and ``value_cross`` give a pair the same float in either
     orientation, and tables are symmetric by construction), every ball is
     the set ``ball_indices`` gives from the same ``dist_row`` floats, and
     max does not depend on order; it keeps a NaN quotient (inf / inf, both
-    floats overflowed) on every path, as ``_pair_sup`` does.
+    floats overflowed) on every path, as ``_pair_sup`` does.  ``Q + Q.T``
+    adds 0 to each quotient, which leaves a finite float, inf and NaN as
+    they are.  A row's bound is a maximum over a superset of the row's
+    entries in P, so a row whose bound is at most a maximum already read
+    holds nothing larger there; a NaN in the row makes its bound NaN, and
+    ``NaN <= x`` is false, so that row is read and the NaN kept.
     """
     sp = f.domain
     centres, inverse = np.unique(np.asarray(idx, dtype=int),
@@ -396,11 +407,25 @@ def _loc_table(f: SampledMap, idx, radii: np.ndarray) -> np.ndarray:
                 if c - s >= 2:
                     out[seed, j] = np.maximum(out[seed, j],
                                               block[:c - s, :c - s].max())
+        if group:
+            # each pair holds its quotient in one orientation and 0 in the
+            # other, so the sum is exact
+            Q += Q.T
+            bound = Q.max(axis=1)
         for k, ball, d in group:
             P = pos[ball]
-            M = Q[P][:, P]
-            out[k] = [M[:c, :c].max() if c >= 2 else 0.0
-                      for c in np.searchsorted(d, radii).tolist()]
+            counts = np.searchsorted(d, radii)
+            # the whole ball: the row with the largest bound, then the rows
+            # whose bound is not at most that (a NaN bound is always read)
+            ub = bound[P]
+            top = Q[P[np.argmax(ub)], P].max()
+            rest = P[~(ub <= top)]
+            if rest.size:
+                top = np.maximum(top, Q[rest][:, P].max())
+            c2 = counts.max(initial=0, where=counts < P.size)
+            M = Q[P[:c2]][:, P[:c2]]
+            out[k] = [top if c == P.size else M[:c, :c].max() if c >= 2
+                      else 0.0 for c in counts.tolist()]
     return out[inverse]
 
 

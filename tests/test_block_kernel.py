@@ -5,6 +5,8 @@ change how a block is computed, never a float in it.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lipderiv import FiniteMetricSpace, InputError, SampledMap
 from lipderiv.cli import main
@@ -49,6 +51,45 @@ def test_blocks_match_definition(p, dim):
     f = SampledMap.vector(space, coords[::-1] * 3.0, p=p)
     va, vb = f.values[rows], f.values[cols]
     assert np.array_equal(f.value_cross(rows, cols), by_definition(va, vb, p))
+
+
+@st.composite
+def coordinate_sets(draw):
+    """1-9 points with 1-9 coordinates each: seeded normal floats of mixed
+    scales, lattice values, 1e-170 multiples (squares that underflow) and
+    values near 1e308 (differences that overflow), with coincident
+    points."""
+    n, dim = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    coords = (rng.standard_normal((n, dim))
+              * 10.0 ** rng.integers(-3, 4, (n, 1)))
+    special = {"lattice": 0.5 * rng.integers(-3, 4, (n, dim)),
+               "tiny": 1e-170 * rng.integers(-3, 4, (n, dim)),
+               "huge": rng.choice([-1.7e308, -9e307, 9e307, 1.7e308],
+                                  (n, dim))}
+    kinds = draw(st.lists(st.sampled_from(["normal", "normal", *special]),
+                          min_size=n * dim, max_size=n * dim))
+    for kind, values in special.items():
+        mask = (np.array(kinds) == kind).reshape(n, dim)
+        coords[mask] = values[mask]
+    for k in draw(st.lists(st.integers(1, n - 1), max_size=2)) if n > 1 else ():
+        coords[k] = coords[k - 1]
+    return coords, draw(st.sampled_from(NORMS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(coordinate_sets())
+def test_dist_row_is_the_norm_of_the_differences(case):
+    # bit for bit, also across the switch to pairwise summation at 8
+    # coordinates and where a difference overflows to inf
+    coords, p = case
+    space = FiniteMetricSpace(range(len(coords)), coords=coords, p=p)
+    every = np.arange(space.n)
+    with np.errstate(over="ignore", under="ignore"):
+        for i in range(space.n):
+            row = space.dist_row(i)
+            assert np.array_equal(row, _norm(coords - coords[i], p))
+            assert np.array_equal(row, space.cross([i], every)[0])
 
 
 def test_table_backed_blocks_read_the_table():

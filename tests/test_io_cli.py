@@ -290,6 +290,39 @@ def test_cli_check_exit_codes(tmp_path, capsys):
                  "openness"]) == 1
 
 
+def test_cli_internal_error_is_one_line_and_exit_3(monkeypatch, capsys):
+    def crash(args):
+        raise ZeroDivisionError("planted\nin check")
+
+    monkeypatch.setattr(cli, "cmd_check", crash)
+    assert main(["check", "--suite", "bhmv"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: ZeroDivisionError: planted in check\n"
+    assert main(["-v", "check", "--suite", "bhmv"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert "in crash" in err
+    assert err.endswith("\ninternal error: ZeroDivisionError: planted in "
+                        "check\n")
+
+
+@pytest.mark.parametrize("verbose", [[], ["-v"]])
+def test_cli_input_error_and_failing_check_keep_their_codes(
+        monkeypatch, capsys, verbose):
+    assert main(verbose + ["check", "--suite", "chain", "--random-spaces",
+                           "2", "--zoo-resolution", "0.05",
+                           "--inject-fault", "chain"]) == 1
+    assert "internal error" not in capsys.readouterr().err
+
+    def refuse(args):
+        raise InputError("planted")
+
+    monkeypatch.setattr(cli, "cmd_check", refuse)
+    assert main(verbose + ["check"]) == 2
+    assert capsys.readouterr().err == "error: planted\n"
+
+
 def test_cli_check_timings(tmp_path, capsys):
     suites = ["bhmv", "frechet", "separation"]
     runs = []

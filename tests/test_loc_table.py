@@ -140,3 +140,97 @@ def test_overflowed_quotient_reads_nan_on_every_path():
             want = scales._loc_radii(f, i, radii)
             assert np.isnan(got[row, 0]) and np.isnan(want[0])
             assert got[row, 1] == want[1] == loc_by_definition(f, i, 2.0)
+
+
+def loc_keeping_nan(f, i, r):
+    """``loc_by_definition``, or NaN where a pair of the ball has both its
+    distance and its value increment overflowed to inf."""
+    ball = f.domain.ball_indices(i, r)
+    D = np.array([f.domain.dist_row(u)[ball] for u in ball.tolist()])
+    V = np.array([f.value_dist_from(u)[ball] for u in ball.tolist()])
+    if np.any(np.isinf(D) & np.isinf(V)):
+        return np.nan
+    return loc_by_definition(f, i, r)
+
+
+def assert_planted(f, idx, radii):
+    """``_loc_table == _loc_radii == loc_keeping_nan`` at every centre and
+    radius, NaN equal to NaN, with a cap of isqrt(64) = 8 points."""
+    with pytest.MonkeyPatch.context() as mp, \
+            np.errstate(over="ignore", invalid="ignore"):
+        mp.setattr(scales, "BLOCK_ELEMS", 64)
+        got = scales._loc_table(f, idx, radii)
+        for row, i in enumerate(idx):
+            want = [loc_keeping_nan(f, i, r) for r in radii.tolist()]
+            assert np.array_equal(got[row], want, equal_nan=True), (i, want)
+            assert np.array_equal(got[row], scales._loc_radii(f, i, radii),
+                                  equal_nan=True), i
+    return got
+
+
+def loose_bound_map():
+    # the seed s = 0 and the member m = 0.5 form one group; the union's
+    # steepest pair (s, a) has quotient 400 / 3, and a lies outside the
+    # ball of m, so the row of s bounds the ball of m at 400 / 3 while its
+    # largest quotient there is 1 / 1.375; the ball's steepest pair is
+    # (b, c) at 8
+    x = np.array([0.0, 0.5, -0.75, 1.25, 1.375])
+    coords = np.column_stack([x, np.zeros(5)])
+    space = FiniteMetricSpace(["s", "m", "a", "b", "c"], coords=coords)
+    return SampledMap.real(space, [0.0, 0.0, 100.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("radii", [
+    [1.0],
+    # the largest radius repeated, unsorted, beside smaller ones
+    [0.6, 1.0, 0.3, 1.0, 0.96],
+], ids=["reach", "repeated-unsorted"])
+def test_member_ball_inside_a_loose_bound(radii):
+    f = loose_bound_map()
+    got = assert_planted(f, [0, 1], np.array(radii))
+    assert got[1, radii.index(1.0)] == 8.0
+
+
+# units of 1e152: distances beyond about 134 units overflow to inf in the
+# Euclidean norm, and the map is the identity, so such a pair divides inf
+# by inf to NaN and every other pair's quotient is exactly 1
+UNIT = 1e152
+
+
+def overflow_map(with_nan_pair_in_ball):
+    """Identity map on the seed s = (-110, 0), z = (-130, 0) in the ball of
+    s only, the member m = (0, 0) and t = (10, 0), so that the NaN pair
+    (t, z) lies in the union but outside the ball of m (radius 100), and
+    the row of t, the first NaN-bound row in the ball of m, reads 1 there.
+    With ``with_nan_pair_in_ball``, a = (0, 90) and b = (0, -90) join the
+    ball of m after t: their pair overflows, on rows other than the top."""
+    coords = [[-110, 0], [-130, 0], [0, 0], [10, 0]]
+    if with_nan_pair_in_ball:
+        coords += [[0, 90], [0, -90]]
+    coords = np.array(coords, dtype=float) * UNIT
+    space = FiniteMetricSpace(range(len(coords)), coords=coords)
+    return SampledMap.vector(space, coords, p=2.0)
+
+
+@pytest.mark.parametrize("with_nan_pair_in_ball", [True, False],
+                         ids=["nan-in-ball", "nan-outside-ball"])
+@pytest.mark.parametrize("idx", [[0, 2], [2, 1, 0, 3, 2]],
+                         ids=["seed-member", "repeated-centres"])
+def test_member_ball_beside_overflowed_quotients(with_nan_pair_in_ball, idx):
+    f = overflow_map(with_nan_pair_in_ball)
+    radii = np.array([100.0, 20.0, 100.0]) * UNIT
+    got = assert_planted(f, idx, radii)
+    m = idx.index(2)
+    assert np.isnan(got[m, 0]) == with_nan_pair_in_ball
+    assert got[m, 1] == 1.0
+
+
+def test_bounds_equal_to_the_running_maximum():
+    # an identity map: every quotient and every row bound is exactly 1, so
+    # every member reads its top row only
+    rng = np.random.default_rng(11)
+    coords = rng.random((12, 2))
+    space = FiniteMetricSpace(range(12), coords=coords)
+    f = SampledMap.vector(space, coords, p=2.0)
+    got = assert_planted(f, list(range(12)), np.array([0.5, 0.2]))
+    assert np.all(got[:, 0] == 1.0)

@@ -201,3 +201,31 @@ def test_profile_golden_digests(tmp_path, cloud, steps, metric):
     digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
                     for path in (out, tmp_path / "profile.summary.csv"))
     assert digests == GOLDEN[(cloud, steps, metric)]
+
+# the same for perfbench's 1,200-point cloud at seed 7, job 0, recorded
+# before each member read its largest ball through row bounds
+GOLDEN_BENCHMARK_SCALE = (
+    "e57e891bad3a0fa8ca949cf346ea367c74fc966ba830ab24b9b5628b4696709b",
+    "f6537296198956e0398b400687fff8b65d5b4da183c4854104745fb53003993d")
+
+
+def test_profile_golden_digest_at_benchmark_scale(tmp_path):
+    # 1,200 points in the unit square: about 12 loc groups of about 100
+    # members, whose largest balls hold about 190 points, where the
+    # fixture cloud's hold about 30
+    rng = np.random.default_rng([7, 0])
+    xy = rng.uniform(0.0, 1.0, size=(1200, 2))
+    x, y = xy[:, 0], xy[:, 1]
+    val = np.sin(3.0 * x) * np.cos(2.0 * y) + np.abs(x - 0.5)
+    src = tmp_path / "cloud.csv"
+    src.write_text("id,x1,x2,val\n" + "".join(
+        f"p{i:05d},{a!r},{b!r},{v!r}\n"
+        for i, (a, b, v) in enumerate(zip(x.tolist(), y.tolist(),
+                                          val.tolist()))))
+    out = tmp_path / "profile.csv"
+    assert main(["profile", "--input", str(src), "--rmax", "0.25",
+                 "--q", "0.5", "--steps", "5", "--tail", "3",
+                 "--out", str(out)]) == 0
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                    for path in (out, tmp_path / "profile.summary.csv"))
+    assert digests == GOLDEN_BENCHMARK_SCALE
