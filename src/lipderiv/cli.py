@@ -37,6 +37,12 @@ _DEFAULTS = {
     "random_spaces": 50,
 }
 
+#: the options that name files: a config value for one must be a string
+_PATHS = ("input", "out", "report")
+
+#: the suites ``check --inject-fault`` can force to fail
+_FAULTS = ("chain", "openness")
+
 
 def _load_config(path):
     if path is None:
@@ -72,6 +78,8 @@ def _resolve(args, key, cast=None):
             val = cast(val)
         except (TypeError, ValueError):
             raise InputError(f"bad value for {key}: {val!r}") from None
+    if key in _PATHS and val is not None and not isinstance(val, str):
+        raise InputError(f"bad value for {key}: {val!r} (expected a path)")
     return val
 
 
@@ -144,10 +152,14 @@ def cmd_check(args) -> int:
     if not isinstance(suite, str):
         raise InputError(f"bad value for suite: {suite!r} "
                          "(expected comma-separated names)")
+    fault = _resolve(args, "inject_fault")
+    if fault is not None and fault not in _FAULTS:
+        raise InputError(f"bad value for inject_fault: {fault!r} "
+                         f"(expected one of {', '.join(_FAULTS)})")
     cfg = SuiteConfig(
         seed=_resolve(args, "seed", int),
         suite=tuple(s.strip() for s in suite.split(",") if s.strip()),
-        inject_fault=_resolve(args, "inject_fault"),
+        inject_fault=fault,
         zoo_resolution=_resolve(args, "zoo_resolution", float),
         random_spaces=_resolve(args, "random_spaces", int))
     report = _resolve(args, "report")
@@ -245,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared(p, "seed", "report", "timings")
     p.add_argument("--suite", help="comma-separated suite names or 'all'")
     p.add_argument("--inject-fault", dest="inject_fault",
-                   choices=("chain", "openness"),
+                   choices=_FAULTS,
                    help="self-test: force a failure in the named suite")
     p.add_argument("--zoo-resolution", dest="zoo_resolution", type=float)
     p.add_argument("--random-spaces", dest="random_spaces", type=int)

@@ -41,47 +41,42 @@ def check_scale(h: float) -> float:
     return h
 
 
-def _ball_reduce(g: ScalarField, h: float, ufunc, punctured: bool):
-    """``ufunc`` (max or min) of g over every open ball B(x, h), or over its
-    punctured part 0 < d(x, u) < h; -inf (max) or inf (min) where that set
-    is empty, which only a punctured ball can be."""
+def _ball_max(g: ScalarField, h: float, punctured: bool):
+    """Max of g over every open ball B(x, h), or over its punctured part
+    0 < d(x, u) < h; -inf where that set is empty, which only a punctured
+    ball can be."""
     check_scale(h)
-    identity = -np.inf if ufunc is np.maximum else np.inf
     out = np.empty(g.space.n)
     for rows, cols, _, valid in g.space.ball_rows(h, punctured=punctured):
-        out[rows] = ufunc.reduce(g.values[cols], axis=1, where=valid,
-                                 initial=identity)
+        out[rows] = np.maximum.reduce(g.values[cols], axis=1, where=valid,
+                                      initial=-np.inf)
     return out
-
-
-def _defect(gap: np.ndarray) -> np.ndarray:
-    """max(0, gap), with 0 for inf - inf gaps (empty punctured balls give
-    gaps of -inf or inf - inf)."""
-    return np.maximum(np.where(np.isnan(gap), 0.0, gap), 0.0)
 
 
 def baire_upper(g: ScalarField, h: float) -> ScalarField:
     """Pointwise max of g over the open ball B(x, h); >= g everywhere."""
-    return ScalarField(g.space, _ball_reduce(g, h, np.maximum, False))
+    return ScalarField(g.space, _ball_max(g, h, punctured=False))
 
 
 def baire_lower(g: ScalarField, h: float) -> ScalarField:
-    """Pointwise min of g over the open ball B(x, h); <= g everywhere."""
-    return ScalarField(g.space, _ball_reduce(g, h, np.minimum, False))
+    """Pointwise min of g over the open ball B(x, h), that is -max(-g), exact
+    float for float; <= g everywhere."""
+    return -baire_upper(-g, h)
 
 
 def usc_defect(g: ScalarField, h: float) -> ScalarField:
     """max(0, sup over the punctured ball - g(x)); 0 on empty punctured balls.
 
     Zero everywhere is the finite-scale signature of upper semicontinuity.
+    A NaN gap (inf - inf, as where an empty ball meets g(x) = -inf) reads 0.
     """
     with np.errstate(invalid="ignore"):
-        gap = _ball_reduce(g, h, np.maximum, punctured=True) - g.values
-    return ScalarField(g.space, _defect(gap))
+        gap = _ball_max(g, h, punctured=True) - g.values
+    return ScalarField(g.space,
+                       np.maximum(np.where(np.isnan(gap), 0.0, gap), 0.0))
 
 
 def lsc_defect(g: ScalarField, h: float) -> ScalarField:
-    """Dual of usc_defect: max(0, g(x) - inf over the punctured ball)."""
-    with np.errstate(invalid="ignore"):
-        gap = g.values - _ball_reduce(g, h, np.minimum, punctured=True)
-    return ScalarField(g.space, _defect(gap))
+    """Dual of usc_defect: max(0, g(x) - inf over the punctured ball), which
+    is usc_defect of -g float for float, since g - m = (-m) - (-g)."""
+    return usc_defect(-g, h)

@@ -146,7 +146,7 @@ def verify_family_identity(F: SetFamily, identity: str):
 
 def _bits(hit: np.ndarray) -> int:
     """The bitmask with bit i set where ``hit[i]``."""
-    return sum(1 << i for i in np.flatnonzero(hit).tolist())
+    return sum(1 << i for i in hit.nonzero()[0].tolist())
 
 
 class FiniteField:
@@ -157,32 +157,39 @@ class FiniteField:
         self.values = np.asarray(values, dtype=float).reshape(-1)
         if self.values.shape[0] != len(self.ground):
             raise InputError("one value per ground element required")
-        if np.any(np.isnan(self.values)):
+        if np.isnan(self.values).any():
             raise InputError("NaN is not a valid value")
+        self._negation = None
 
     def sublevel_mask(self, gamma: float) -> int:
         """Bitmask of {x : f(x) < gamma}."""
         return _bits(self.values < gamma)
 
-    def superlevel_mask(self, gamma: float) -> int:
-        """Bitmask of {x : f(x) > gamma}."""
-        return _bits(self.values > gamma)
-
     def level_mask(self, value: float) -> int:
         return _bits(self.values == value)
 
-    # The preimage masks the semicontinuity tests read, built once per field
-    # (the values are not to be changed after construction).
+    # Preimage masks, built once per field (its values are not to be changed
+    # after construction); the lower side's are -f's: {f > g} = {-f < -g}.
+
+    def __neg__(self) -> FiniteField:
+        """-f, built once; -(-f) is f, so no field builds its masks twice."""
+        if self._negation is None:
+            self._negation = FiniteField(self.ground, -self.values)
+            self._negation._negation = self
+        return self._negation
 
     @cached_property
     def upper_masks(self) -> tuple:
-        """Sublevel masks {f < gamma} over ``_upper_thresholds``."""
-        return tuple(self.sublevel_mask(g) for g in _upper_thresholds(self))
+        """Sublevel masks {f < gamma}, one gamma per constancy region: the
+        finite values of f and one above the largest (0 if none is finite)."""
+        finite = sorted(set(self.values[np.isfinite(self.values)].tolist()))
+        gammas = finite + [finite[-1] + 1.0] if finite else [0.0]
+        return tuple(self.sublevel_mask(g) for g in gammas)
 
     @cached_property
     def lower_masks(self) -> tuple:
-        """Superlevel masks {f > gamma} over ``_lower_thresholds``."""
-        return tuple(self.superlevel_mask(g) for g in _lower_thresholds(self))
+        """Superlevel masks {f > gamma}: the sublevel masks of -f."""
+        return (-self).upper_masks
 
     @cached_property
     def plus_inf_mask(self) -> int:
@@ -190,27 +197,7 @@ class FiniteField:
 
     @cached_property
     def minus_inf_mask(self) -> int:
-        return self.level_mask(-np.inf)
-
-
-def _upper_thresholds(f: FiniteField):
-    """Finitely many gammas whose sublevel preimages cover all of R.
-
-    Preimages {f < gamma} change only at finite values of f, so each constancy
-    region needs one representative: the finite values themselves plus one
-    gamma above the largest.
-    """
-    finite = sorted({float(v) for v in f.values if np.isfinite(v)})
-    if not finite:
-        return [0.0]
-    return finite + [finite[-1] + 1.0]
-
-
-def _lower_thresholds(f: FiniteField):
-    finite = sorted({float(v) for v in f.values if np.isfinite(v)})
-    if not finite:
-        return [0.0]
-    return [finite[0] - 1.0] + finite
+        return (-self).plus_inf_mask
 
 
 def is_A_upper_sc(f: FiniteField, F: SetFamily) -> bool:
@@ -221,10 +208,18 @@ def is_A_upper_sc(f: FiniteField, F: SetFamily) -> bool:
 
 
 def is_A_lower_sc(f: FiniteField, F: SetFamily) -> bool:
-    """True iff every strict superlevel preimage of f belongs to F."""
+    """True iff -f is F-upper sc: every {f > g} = {-f < -g} lies in F."""
     if f.ground != F.ground:
         raise InputError("field and family must share the ground set")
     return F.masks.issuperset(f.lower_masks)
+
+
+_UPPER_KEYS = ("closed_superlevels_in_c", "finite_part_in_s",
+               "plus_inf_level_in_sc", "minus_inf_level_in_d",
+               "lower_sc_wrt_cs")
+_LOWER_KEYS = ("closed_sublevels_in_c", "finite_part_in_s",
+               "minus_inf_level_in_sc", "plus_inf_level_in_d",
+               "upper_sc_wrt_cs")
 
 
 def check_duality_props(f: FiniteField, F: SetFamily) -> dict:
@@ -233,59 +228,44 @@ def check_duality_props(f: FiniteField, F: SetFamily) -> dict:
     For an F-upper sc field: (i) all closed superlevel preimages lie in F_c,
     (ii) the finite part lies in F_s and the +inf level in F_sc, (iii) the
     -inf level lies in F_d, (iv) f is F_cs-lower sc.  For an F-lower sc field
-    the dual statements are checked.  Raises InputError when neither
-    hypothesis holds.
+    they are checked on -f and reported under their duals' names (closed
+    sublevels in F_c, ...).  Raises InputError when neither hypothesis holds.
     """
+    keys = _UPPER_KEYS
+    if not is_A_upper_sc(f, F):
+        keys, f = _LOWER_KEYS, -f
+        if not is_A_upper_sc(f, F):
+            raise InputError(
+                "field is neither F-upper nor F-lower semicontinuous")
     full = F.full_mask
-    if is_A_upper_sc(f, F):
-        Fc = apply_ops(F, "c")
-        report = {
-            "closed_superlevels_in_c":
-                Fc.masks.issuperset(full ^ m for m in f.upper_masks),
-            "finite_part_in_s":
-                (full ^ f.plus_inf_mask) in apply_ops(F, "s").masks,
-            "plus_inf_level_in_sc":
-                f.plus_inf_mask in apply_ops(F, "sc").masks,
-            "minus_inf_level_in_d":
-                f.minus_inf_mask in apply_ops(F, "d").masks,
-            "lower_sc_wrt_cs": is_A_lower_sc(f, apply_ops(F, "cs")),
-        }
-    elif is_A_lower_sc(f, F):
-        Fc = apply_ops(F, "c")
-        report = {
-            "closed_sublevels_in_c":
-                Fc.masks.issuperset(full ^ m for m in f.lower_masks),
-            "finite_part_in_s":
-                (full ^ f.minus_inf_mask) in apply_ops(F, "s").masks,
-            "minus_inf_level_in_sc":
-                f.minus_inf_mask in apply_ops(F, "sc").masks,
-            "plus_inf_level_in_d":
-                f.plus_inf_mask in apply_ops(F, "d").masks,
-            "upper_sc_wrt_cs": is_A_upper_sc(f, apply_ops(F, "cs")),
-        }
-    else:
-        raise InputError("field is neither F-upper nor F-lower semicontinuous")
+    report = {
+        keys[0]: apply_ops(F, "c").masks.issuperset(
+            full ^ m for m in f.upper_masks),
+        keys[1]: (full ^ f.plus_inf_mask) in apply_ops(F, "s").masks,
+        keys[2]: f.plus_inf_mask in apply_ops(F, "sc").masks,
+        keys[3]: f.minus_inf_mask in apply_ops(F, "d").masks,
+        keys[4]: is_A_lower_sc(f, apply_ops(F, "cs"))}
     report["all"] = all(report.values())
     return report
 
 
 def check_sup_inf_props(fs, F: SetFamily, mode: str) -> bool:
     """Pointwise sup of F-upper sc fields is F_cs-lower sc (mode="sup");
-    pointwise inf of F-lower sc fields is F_cs-upper sc (mode="inf")."""
+    pointwise inf of F-lower sc fields is F_cs-upper sc (mode="inf"), which
+    is the sup statement on the negated fields, since min f = -max(-f)."""
     fs = list(fs)
     if not fs:
         raise InputError("need at least one field")
-    if mode == "sup":
-        if not all(is_A_upper_sc(f, F) for f in fs):
-            raise InputError("every field must be F-upper semicontinuous")
-        agg = FiniteField(F.ground, np.max([f.values for f in fs], axis=0))
-        return is_A_lower_sc(agg, apply_ops(F, "cs"))
     if mode == "inf":
-        if not all(is_A_lower_sc(f, F) for f in fs):
-            raise InputError("every field must be F-lower semicontinuous")
-        agg = FiniteField(F.ground, np.min([f.values for f in fs], axis=0))
-        return is_A_upper_sc(agg, apply_ops(F, "cs"))
-    raise InputError("mode must be 'sup' or 'inf'")
+        fs = [-f for f in fs]
+    elif mode != "sup":
+        raise InputError("mode must be 'sup' or 'inf'")
+    if not all(is_A_upper_sc(f, F) for f in fs):
+        side = "upper" if mode == "sup" else "lower"
+        raise InputError(f"every field must be F-{side} semicontinuous")
+    # the sup is F_cs-lower sc iff -sup is F_cs-upper sc
+    neg_sup = FiniteField(F.ground, -np.max([f.values for f in fs], axis=0))
+    return is_A_upper_sc(neg_sup, apply_ops(F, "cs"))
 
 
 def all_topologies(n: int):

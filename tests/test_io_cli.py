@@ -521,6 +521,60 @@ def test_cli_check_config_suite_not_a_string(tmp_path, capsys, suite):
     assert main(["--config", str(cfg), "check", "--suite", "bhmv"]) == 0
 
 
+def refuse_to_run(monkeypatch):
+    """Make every input read and every suite run fail the test."""
+    for module, name in ((cli, "run_suite"), (lio, "load_sampled_map"),
+                         (lio, "_read_rows")):
+        monkeypatch.setattr(module, name, refuse)
+
+
+@pytest.mark.parametrize("key,argv", [
+    # 0 would name standard input (fd 0), and 5 or 1 an open descriptor
+    ("input", ["profile", "--rmax", "0.5", "--out", "{out}"]),
+    ("out", ["profile", "--input", "{src}", "--rmax", "0.5"]),
+    ("report", ["check", "--suite", "bhmv"]),
+], ids=["input", "out", "report"])
+@pytest.mark.parametrize("value", [0, 5, 1.5, True, ["o.csv"]])
+def test_cli_config_path_not_a_string(tmp_path, capsys, monkeypatch, key,
+                                      argv, value):
+    src = write_cloud(tmp_path)
+    refuse_to_run(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    out = tmp_path / "o.csv"
+    argv = [a.format(src=src, out=out) for a in argv]
+    assert main(["--config", str(cfg)] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"bad value for {key}: {value!r} (expected a path)" in captured.err
+    assert not out.exists()
+
+
+def test_cli_check_config_inject_fault_is_validated(tmp_path, capsys,
+                                                    monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"inject_fault": "openness"}))
+    # a known name from the config forces its failure, as the flag does
+    assert main(["--config", str(cfg), "check", "--suite", "openness",
+                 "--random-spaces", "2", "--zoo-resolution", "0.05"]) == 1
+    capsys.readouterr()
+    refuse_to_run(monkeypatch)
+    for value in ("bogus", "Chain", "", 1, ["chain"]):
+        cfg.write_text(json.dumps({"inject_fault": value}))
+        assert main(["--config", str(cfg), "check", "--suite",
+                     "chain"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"bad value for inject_fault: {value!r} (expected one of "
+                "chain, openness)") in captured.err
+    # the flag takes the same choices
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--suite", "chain", "--inject-fault", "bogus"])
+    assert exc.value.code == 2
+    assert cli.build_parser().parse_args(
+        ["check", "--inject-fault", "openness"]).inject_fault == "openness"
+
+
 def test_cli_check_negative_random_spaces(capsys):
     assert main(["check", "--suite", "oracle_equiv",
                  "--random-spaces", "-1"]) == 2

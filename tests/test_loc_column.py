@@ -16,7 +16,9 @@ from test_line_windows import any_spaces, map_on, radius
 
 def loc_by_definition(f, i, r):
     """max ``value_dist_from(u)[v] / dist_row(u)[v]`` over u < v in the ball
-    ``d(x_i, .) < r`` with ``d(u, v) > 0`` (0 over no pair)."""
+    ``d(x_i, .) < r`` with ``d(u, v) > 0`` (0 over no pair).  The fold is
+    ``np.maximum``, so a NaN quotient (inf / inf, both overflowed) makes the
+    result NaN, as in every kernel."""
     ball = f.domain.ball_indices(i, r)
     best = 0.0
     for a, u in enumerate(ball.tolist()):
@@ -25,8 +27,8 @@ def loc_by_definition(f, i, r):
         dv = f.value_dist_from(u)[later]
         pos = d > 0
         if np.any(pos):
-            with np.errstate(over="ignore"):
-                best = max(best, float(np.max(dv[pos] / d[pos])))
+            with np.errstate(over="ignore", invalid="ignore"):
+                best = float(np.maximum(best, np.max(dv[pos] / d[pos])))
     return best
 
 

@@ -142,26 +142,15 @@ def test_overflowed_quotient_reads_nan_on_every_path():
             assert got[row, 1] == want[1] == loc_by_definition(f, i, 2.0)
 
 
-def loc_keeping_nan(f, i, r):
-    """``loc_by_definition``, or NaN where a pair of the ball has both its
-    distance and its value increment overflowed to inf."""
-    ball = f.domain.ball_indices(i, r)
-    D = np.array([f.domain.dist_row(u)[ball] for u in ball.tolist()])
-    V = np.array([f.value_dist_from(u)[ball] for u in ball.tolist()])
-    if np.any(np.isinf(D) & np.isinf(V)):
-        return np.nan
-    return loc_by_definition(f, i, r)
-
-
 def assert_planted(f, idx, radii):
-    """``_loc_table == _loc_radii == loc_keeping_nan`` at every centre and
+    """``_loc_table == _loc_radii == loc_by_definition`` at every centre and
     radius, NaN equal to NaN, with a cap of isqrt(64) = 8 points."""
     with pytest.MonkeyPatch.context() as mp, \
             np.errstate(over="ignore", invalid="ignore"):
         mp.setattr(scales, "BLOCK_ELEMS", 64)
         got = scales._loc_table(f, idx, radii)
         for row, i in enumerate(idx):
-            want = [loc_keeping_nan(f, i, r) for r in radii.tolist()]
+            want = [loc_by_definition(f, i, r) for r in radii.tolist()]
             assert np.array_equal(got[row], want, equal_nan=True), (i, want)
             assert np.array_equal(got[row], scales._loc_radii(f, i, radii),
                                   equal_nan=True), i

@@ -1,4 +1,7 @@
+import functools
+import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -153,3 +156,116 @@ def test_usc_fields_satisfy_duality_everywhere(seed):
     f = FiniteField(tuple(range(n)), vals)
     if is_A_upper_sc(f, F) or is_A_lower_sc(f, F):
         assert check_duality_props(f, F)["all"]
+
+
+def _unions(masks):
+    """Every union of a nonempty subfamily: the sigma closure by definition."""
+    return {functools.reduce(operator.or_, pick)
+            for k in range(1, len(masks) + 1)
+            for pick in itertools.combinations(sorted(masks), k)}
+
+
+def _intersections(masks):
+    return {functools.reduce(operator.and_, pick)
+            for k in range(1, len(masks) + 1)
+            for pick in itertools.combinations(sorted(masks), k)}
+
+
+def _mask(values, hit):
+    return sum(1 << i for i, v in enumerate(values) if hit(v))
+
+
+#: one gamma inside every constancy region of the preimages of a field on
+#: _LEVELS, open or closed, above or below
+_GAMMAS = (-1.0, 0.0, 0.5, 1.0, 2.0)
+_LEVELS = (-math.inf, 0.0, 1.0, math.inf)
+
+
+def _sc_by_definition(values, masks, above):
+    """Every strict super- (or sub-) level preimage over _GAMMAS is in masks."""
+    return all(_mask(values, (lambda v: v > g) if above else
+                     (lambda v: v < g)) in masks for g in _GAMMAS)
+
+
+def _statements_by_definition(values, full, comp, sigma, delta, comp_sigma):
+    """Each report entry of check_duality_props, read from the preimages and
+    from the closures F_c, F_s, F_d and F_cs as defined, for an F-upper and
+    for an F-lower sc field."""
+    sigma_c = {full ^ m for m in sigma}
+    plus, minus = (_mask(values, lambda v: v == s * math.inf)
+                   for s in (1, -1))
+    upper = {
+        "closed_superlevels_in_c": all(
+            _mask(values, lambda v: v >= g) in comp for g in _GAMMAS),
+        "finite_part_in_s": full ^ plus in sigma,
+        "plus_inf_level_in_sc": plus in sigma_c,
+        "minus_inf_level_in_d": minus in delta,
+        "lower_sc_wrt_cs": _sc_by_definition(values, comp_sigma, True),
+    }
+    lower = {
+        "closed_sublevels_in_c": all(
+            _mask(values, lambda v: v <= g) in comp for g in _GAMMAS),
+        "finite_part_in_s": full ^ minus in sigma,
+        "minus_inf_level_in_sc": minus in sigma_c,
+        "plus_inf_level_in_d": plus in delta,
+        "upper_sc_wrt_cs": _sc_by_definition(values, comp_sigma, False),
+    }
+    for report in (upper, lower):
+        report["all"] = all(report.values())
+    return upper, lower
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_duality_statements_equal_their_definitions(n):
+    """Every topology on n <= 3 points and every field on _LEVELS: the report
+    of an F-lower (F-upper) sc field carries the lower (upper) key names,
+    each equal to its statement read from the definitions, and the sup / inf
+    statements equal theirs."""
+    ground = tuple(range(n))
+    full = (1 << n) - 1
+    value_lists = list(itertools.product(_LEVELS, repeat=n))
+    lower_seen = 0
+    for masks in all_topologies(n):
+        F = SetFamily(ground, masks)
+        comp = {full ^ m for m in masks}
+        comp_sigma = _unions(comp)
+        closures = (comp, _unions(masks), _intersections(masks), comp_sigma)
+        uppers, lowers = [], []
+        for values in value_lists:
+            f = FiniteField(ground, values)
+            is_upper = _sc_by_definition(values, masks, above=False)
+            is_lower = _sc_by_definition(values, masks, above=True)
+            assert is_A_upper_sc(f, F) == is_upper
+            assert is_A_lower_sc(f, F) == is_lower
+            upper, lower = _statements_by_definition(values, full, *closures)
+            if is_upper:
+                uppers.append(f)
+                assert check_duality_props(f, F) == upper, (values, masks)
+            elif is_lower:
+                lower_seen += 1
+                rep = check_duality_props(f, F)
+                assert list(rep) == list(lower)
+                assert rep == lower, (values, sorted(masks))
+            else:
+                with pytest.raises(InputError, match="neither"):
+                    check_duality_props(f, F)
+            if is_lower:
+                lowers.append(f)
+                # the inf of one field is the field
+                assert check_sup_inf_props([f], F, "inf") == (
+                    _sc_by_definition(values, comp_sigma, above=False))
+            else:
+                with pytest.raises(InputError, match="F-lower"):
+                    check_sup_inf_props([f], F, "inf")
+            if is_upper:
+                assert check_sup_inf_props([f], F, "sup") == (
+                    _sc_by_definition(values, comp_sigma, above=True))
+        for fields, mode, above, agg in ((lowers, "inf", False, min),
+                                         (uppers, "sup", True, max)):
+            if fields:
+                values = [agg(col) for col in zip(*(f.values.tolist()
+                                                    for f in fields))]
+                assert check_sup_inf_props(fields, F, mode) == (
+                    _sc_by_definition(values, comp_sigma, above))
+    # on one point every field is constant, so upper sc as well
+    assert lower_seen > 0 or n == 1
