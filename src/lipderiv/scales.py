@@ -549,14 +549,12 @@ def _resolved(d1, radii) -> np.ndarray:
                     radii.size - 1 - np.argmax(hit[:, ::-1], axis=1), -1)
 
 
-def _scan_points(f: SampledMap, grid: RadiusGrid, points):
-    """The points (every id by default), their indices, their
-    ``scan_field`` readings on the grid and their ``_resolved`` indices."""
+def _point_indices(f: SampledMap, points):
+    """The points (every id by default) and their indices."""
     if points is None:
         points = list(f.domain.ids)
-    idx = np.array([f.domain.index(x) for x in points], dtype=int)
-    scan = scan_field(f, grid.radii, idx)
-    return list(points), idx, scan, _resolved(scan["d1"], grid.radii)
+    return list(points), np.array([f.domain.index(x) for x in points],
+                                  dtype=int)
 
 
 def _summaries(points, grid: RadiusGrid, scan, loc_hat) -> list:
@@ -579,8 +577,128 @@ def _summaries(points, grid: RadiusGrid, scan, loc_hat) -> list:
         for p, x in enumerate(points)]
 
 
+def _columns(f: SampledMap, radii: np.ndarray, idx: np.ndarray,
+             seconds: dict) -> dict:
+    """The ``scan_field`` readings of the points ``idx`` and their ``loc``
+    table under ``"loc"``; ``seconds`` gets the wall times of the
+    ``"scan"`` and the ``"loc"`` stage."""
+    t0 = time.perf_counter()
+    cols = scan_field(f, radii, idx)
+    t1 = time.perf_counter()
+    if f.domain.line_order is None:
+        cols["loc"] = _loc_table(f, idx, radii)
+    else:
+        # lines keep one triangle per point and radius, in process, until
+        # the benchmark reads each job's own peak memory (ROADMAP item 1):
+        # a faster line profile runs more jobs, and its inherited peak
+        # reads higher.  The 1-d band of ROADMAP item 2 then replaces this
+        cols["loc"] = np.reshape(
+            [_loc_radii(f, i, radii) for i in idx.tolist()],
+            (idx.size, radii.size))
+    seconds.update(scan=t1 - t0, loc=time.perf_counter() - t1)
+    return cols
+
+
+#: the (points, radii) columns of a slab's block, in order; ``d1`` follows
+_BLOCK_COLUMNS = _FIELD_KINDS + ("loc",)
+
+
+def _packed(cols: dict) -> np.ndarray:
+    """``_columns`` readings as one ``(points, 6 * radii + 1)`` array."""
+    return np.column_stack([cols[k] for k in _BLOCK_COLUMNS] + [cols["d1"]])
+
+
+def _slab_worker(f, radii, idx, fd, cpu, inherited):
+    """In a forked child: close the ``inherited`` pipe ends, pin to ``cpu``
+    (None: unpinned), write the raw bytes of the ``_packed`` block of the
+    points ``idx`` to the pipe ``fd`` and exit 0; on any error exit 1 (an
+    error before the write leaves the pipe empty).  It never returns."""
+    import os
+    status = 1
+    try:
+        for end in inherited:
+            os.close(end)
+        if cpu is not None:
+            os.sched_setaffinity(0, {cpu})
+        block = _packed(_columns(f, radii, idx, {}))
+        with open(fd, "wb") as pipe:
+            pipe.write(block.tobytes())
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _forked_columns(f: SampledMap, radii: np.ndarray, idx: np.ndarray,
+                    parts: int, seconds: dict) -> dict:
+    """``_columns`` of the points ``idx``, computed in ``parts`` slabs.
+
+    The points are cut into ``parts`` slabs of equal count along the first
+    coordinate (index order on a distance table), so that each slab's
+    balls overlap and ``_loc_table`` finds dense groups.  This process
+    computes the first slab, pinned to the first CPU of its affinity set,
+    and each other slab goes to a forked child pinned to the next CPU
+    (round robin), which sends its ``_packed`` block back through a pipe.
+    The affinity set is restored and every child reaped whatever happens;
+    a child that fails makes this raise ``RuntimeError``.  ``seconds`` gets
+    this process's own stages, and ``"loc"`` includes the wait for the
+    children.
+    """
+    import os
+    sp = f.domain
+    key = idx if sp.coords is None else sp.coords[idx, 0]
+    slabs = np.array_split(np.argsort(key, kind="stable"), parts)
+    cpus = (sorted(os.sched_getaffinity(0))
+            if hasattr(os, "sched_setaffinity") else None)
+    children, data = [], []
+    try:
+        for k, slab in enumerate(slabs[1:], start=1):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                # the read ends of this pipe and the earlier children's
+                _slab_worker(f, radii, idx[slab], w,
+                             cpus and cpus[k % len(cpus)],
+                             [r] + [end for _, end in children])
+            os.close(w)
+            children.append((pid, r))
+        if cpus:
+            os.sched_setaffinity(0, {cpus[0]})
+        blocks = [_packed(_columns(f, radii, idx[slabs[0]], seconds))]
+        t0 = time.perf_counter()
+        for _, r in children:
+            with open(r, "rb", closefd=False) as pipe:
+                data.append(pipe.read())
+    finally:
+        codes = []
+        for pid, r in children:
+            os.close(r)
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+        if cpus:
+            os.sched_setaffinity(0, cpus)
+    width = len(_BLOCK_COLUMNS) * radii.size + 1
+    for k, (code, raw) in enumerate(zip(codes, data), start=1):
+        if code or len(raw) != slabs[k].size * width * 8:
+            raise RuntimeError(f"profile worker {k} of {parts - 1} failed "
+                               f"(exit code {code})")
+        blocks.append(np.frombuffer(raw).reshape(slabs[k].size, width))
+    seconds["loc"] += time.perf_counter() - t0
+    m = radii.size
+    out = {k: np.empty((idx.size, m)) for k in _BLOCK_COLUMNS}
+    out["d1"] = np.empty(idx.size)
+    for slab, block in zip(slabs, blocks):
+        for j, k in enumerate(_BLOCK_COLUMNS):
+            out[k][slab] = block[:, j * m:(j + 1) * m]
+        out["d1"][slab] = block[:, -1]
+    return out
+
+
 def scale_profile(f: SampledMap, grid: RadiusGrid, points=None,
-                  seconds=None) -> ScaleProfile:
+                  seconds=None, workers=1) -> ScaleProfile:
     """Evaluate all scale functionals on the radius grid.
 
     Limit estimates per point: the big estimate is the exact big functional at
@@ -594,28 +712,33 @@ def scale_profile(f: SampledMap, grid: RadiusGrid, points=None,
     of them, or, on a ``line_order`` domain, from one ``_loc_radii`` per
     point.  A ``seconds`` dict gets the wall times of the ``"scan"`` and
     the ``"loc"`` stage.
+
+    With ``workers`` >= 2 on a domain that is not a line, on a platform
+    with ``os.fork``, the points are split into up to ``workers`` slabs,
+    computed at once in this process and in forked children
+    (``_forked_columns``).  The result is the same bit for bit: every
+    scan value is read from its own point's row, whichever rows share a
+    block, and each centre's ``loc`` is exact whatever other centres
+    share its group (see ``_loc_table``), so no float depends on how the
+    points are split.
     """
-    t0 = time.perf_counter()
-    points, idx, scan, resolved = _scan_points(f, grid, points)
-    t1 = time.perf_counter()
+    import os
+    points, idx = _point_indices(f, points)
     radii = grid.radii
-    table = {k: scan[k] for k in _SCAN_COLUMNS}
-    if f.domain.line_order is None:
-        table["loc"] = _loc_table(f, idx, radii)
+    stages = {}
+    parts = min(workers, idx.size)
+    if parts >= 2 and f.domain.line_order is None and hasattr(os, "fork"):
+        cols = _forked_columns(f, radii, idx, parts, stages)
     else:
-        # lines keep one triangle per point and radius until the benchmark
-        # reads each job's own peak memory (ROADMAP item 1): a faster line
-        # profile runs more jobs, and its inherited peak reads higher.  The
-        # 1-d band of ROADMAP item 2 then replaces this
-        table["loc"] = np.reshape(
-            [_loc_radii(f, i, radii) for i in idx.tolist()],
-            (idx.size, radii.size))
+        cols = _columns(f, radii, idx, stages)
+    resolved = _resolved(cols["d1"], radii)
     loc_hat = np.where(resolved >= 0,
-                       table["loc"][np.arange(idx.size), resolved], 0.0)
+                       cols["loc"][np.arange(idx.size), resolved], 0.0)
     if seconds is not None:
-        seconds.update(scan=t1 - t0, loc=time.perf_counter() - t1)
-    return ScaleProfile(points, radii, table,
-                        _summaries(points, grid, scan, loc_hat))
+        seconds.update(stages)
+    return ScaleProfile(points, radii,
+                        {k: cols[k] for k in _SCAN_COLUMNS + ("loc",)},
+                        _summaries(points, grid, cols, loc_hat))
 
 
 def scale_summaries(f: SampledMap, grid: RadiusGrid, points=None,
@@ -628,7 +751,9 @@ def scale_summaries(f: SampledMap, grid: RadiusGrid, points=None,
     ``"scan"`` and the ``"loc"`` stage.
     """
     t0 = time.perf_counter()
-    points, idx, scan, resolved = _scan_points(f, grid, points)
+    points, idx = _point_indices(f, points)
+    scan = scan_field(f, grid.radii, idx)
+    resolved = _resolved(scan["d1"], grid.radii)
     t1 = time.perf_counter()
     loc_hat = np.zeros(idx.size)
     for k in np.unique(resolved[resolved >= 0]):

@@ -8,7 +8,7 @@ represented as bitmasks over the ground tuple.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -268,8 +268,10 @@ def check_sup_inf_props(fs, F: SetFamily, mode: str) -> bool:
     return is_A_upper_sc(neg_sup, apply_ops(F, "cs"))
 
 
-def all_topologies(n: int):
-    """All topologies on an n-element ground set {0..n-1}, as mask frozensets.
+@cache
+def all_topologies(n: int) -> tuple:
+    """All topologies on an n-element ground set {0..n-1}, as a tuple of
+    mask frozensets, computed once per n (later calls return that tuple).
 
     Brute force over families containing the empty set and the whole set,
     filtered for closure under union and intersection; fine for n <= 4.
@@ -285,7 +287,7 @@ def all_topologies(n: int):
         if all(a | b in members and a & b in members
                for a, b in itertools.combinations(members, 2)):
             topologies.append(frozenset(members))
-    return topologies
+    return tuple(topologies)
 
 
 def random_topology(n: int, rng) -> frozenset:

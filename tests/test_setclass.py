@@ -132,6 +132,13 @@ def test_topology_counts():
         all_topologies(5)
 
 
+def test_topologies_are_computed_once_per_n():
+    for n, count in zip(range(1, 5), (1, 4, 29, 355)):
+        first = all_topologies(n)
+        assert isinstance(first, tuple) and len(first) == count
+        assert all_topologies(n) is first
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_random_topology_is_topology(seed):
@@ -169,6 +176,32 @@ def _intersections(masks):
     return {functools.reduce(operator.and_, pick)
             for k in range(1, len(masks) + 1)
             for pick in itertools.combinations(sorted(masks), k)}
+
+
+def every_small_family():
+    """Every family of subsets of a ground set of 0 to 3 points."""
+    for n in range(4):
+        subsets = range(1 << n)
+        for k in range(len(subsets) + 1):
+            for masks in itertools.combinations(subsets, k):
+                yield SetFamily(range(n), masks)
+
+
+def seeded_families(count=120, seed=20):
+    """Families of 1 to 9 random subsets of a ground set of 4 or 5 points."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(4, 6))
+        size = int(rng.integers(1, 10))
+        yield SetFamily(range(n), rng.integers(0, 1 << n, size=size).tolist())
+
+
+def test_closures_equal_their_definition():
+    families = list(every_small_family())
+    assert len(families) == 2 + 4 + 16 + 256
+    for F in families + list(seeded_families()):
+        assert sigma_closure(F).masks == _unions(F.masks)
+        assert delta_closure(F).masks == _intersections(F.masks)
 
 
 def _mask(values, hit):
