@@ -15,10 +15,11 @@ from .scales import (PointSummary, RadiusGrid, SampledMap, ScaleProfile,
                      scale_profile, scale_summaries, scan_field)
 from .envelopes import (ScalarField, baire_lower, baire_upper, lsc_defect,
                         usc_defect)
-from .setclass import (FiniteField, SetFamily, all_topologies, apply_ops,
-                       check_duality_props, check_sup_inf_props, complements,
-                       delta_closure, is_A_lower_sc, is_A_upper_sc,
-                       random_topology, sigma_closure, verify_family_identity)
+from .setclass import (FieldBatch, FiniteField, SetFamily, all_topologies,
+                       apply_ops, check_duality_props, check_sup_inf_props,
+                       complements, delta_closure, is_A_lower_sc,
+                       is_A_upper_sc, random_topology, sc_table,
+                       sigma_closure, verify_family_identity)
 from .zoo import ZooEntry, get_entry, make_entry, make_zoo, oracle_field
 from .harness import (CheckResult, SuiteConfig, check_bhmv_bound, check_chain,
                       check_envelope_identity, check_frechet,

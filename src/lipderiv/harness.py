@@ -269,29 +269,38 @@ def bhmv_map(E: IntervalUnion, span, resolution: float) -> SampledMap:
 
 def check_bhmv_bound(E: IntervalUnion, span, resolution: float,
                      name="bhmv") -> CheckResult:
-    """|f(a)-f(b)| equals the measure of [a,b] within E, plus slope bounds."""
+    """|f(a)-f(b)| equals the measure of [a,b] within E, plus slope bounds.
+
+    The values of f come from ``bhmv_map``'s scalar ``intersect().measure()``
+    and the measures of all pairs from one ``E.intersect_measures`` call, so
+    the check compares the two.  The witness is the first pair (in
+    ``itertools.combinations`` order), then point, with the largest gap.
+    """
     tol = 1e-12
     f = bhmv_map(E, span, resolution)
     xs = np.array([float(u) for u in f.domain.ids])
     vals = f.values
-    worst = 0.0
-    witness = None
-    for i, j in itertools.combinations(range(len(xs)), 2):
-        mu = E.intersect(xs[i], xs[j]).measure()
-        gap = abs(abs(vals[j] - vals[i]) - mu) - tol
-        if gap > worst:
-            worst = gap
-            witness = {"a": xs[i], "b": xs[j], "mu": mu}
+    i, j = np.triu_indices(len(xs), 1)
+    mu = E.intersect_measures(xs[i], xs[j])
     r_small = 2.0 * resolution
-    for i, u in enumerate(xs):
-        hat = nearest_scale_infimum(f, f.domain.ids[i], r_small)
-        dist = E.distance_to(float(u))
-        bound = 1.0 + tol if dist == 0.0 else (np.inf if dist <= r_small else tol)
-        gap = hat - bound
-        if gap > worst:
-            worst = gap
-            witness = {"point": float(u), "little_hat": hat}
-    return _result(name, worst <= 0.0, max(worst, 0.0), tol, witness)
+    hat = scan_field(f, r_small)["nearest_scale_inf"][:, 0]
+    dist = np.array([E.distance_to(float(u)) for u in xs])
+    bound = np.where(dist == 0.0, 1.0 + tol,
+                     np.where(dist <= r_small, np.inf, tol))
+    with np.errstate(invalid="ignore"):
+        gaps = np.concatenate((np.abs(np.abs(vals[j] - vals[i]) - mu) - tol,
+                               hat - bound))
+    # a gap of inf - inf is no gap
+    gaps[np.isnan(gaps)] = -np.inf
+    k = int(np.argmax(gaps))
+    if gaps[k] <= 0.0:
+        return _result(name, True, 0.0, tol)
+    if k < i.size:
+        witness = {"a": xs[i[k]], "b": xs[j[k]], "mu": float(mu[k])}
+    else:
+        p = k - i.size
+        witness = {"point": float(xs[p]), "little_hat": float(hat[p])}
+    return _result(name, False, gaps[k], tol, witness)
 
 
 def derivative_fields(f: SampledMap, r_fine: float, r_loc: float):
@@ -447,38 +456,109 @@ def check_level_sets(entry: ZooEntry, gamma: float, grid: RadiusGrid,
 _LEVELS = (-math.inf, 0.0, 1.0, math.inf)
 
 
+#: every operator string that the set-class checks apply
+_OPS_IN_USE = ("c", "s", "d", "sc", "cs", "cd", "dc", "cdc")
+
+
+def _closures_by_definition(n: int) -> dict:
+    """``{ops: table}`` for every string of ``_OPS_IN_USE``: ``table[p]`` is
+    the presence bitmap of ``apply_ops(F, ops)`` for the family F on n points
+    whose presence bitmap is p, read from the definitions alone.
+
+    The complements of F are {full ^ m : m in F}; its sigma (delta) closure
+    is the set of the unions (intersections) of its non-empty subfamilies,
+    each (family, subfamily) pair enumerated.
+    """
+    full = (1 << n) - 1
+    masks = np.arange(full + 1)
+    fams = np.arange(1 << (full + 1))
+    member = ((fams[:, None] >> masks) & 1) == 1
+    comp = np.bitwise_or.reduce(np.where(member, 1 << (full ^ masks), 0),
+                                axis=1)
+    sub, fam = np.nonzero((fams[:, None] & ~fams) == 0)
+    sub, fam = sub[sub > 0], fam[sub > 0]
+    tables = {"c": comp}
+    for op, ufunc, empty in (("s", np.bitwise_or, 0),
+                             ("d", np.bitwise_and, full)):
+        value = ufunc.reduce(np.where(member, masks, empty), axis=1)
+        tables[op] = np.zeros_like(fams)
+        np.bitwise_or.at(tables[op], fam, 1 << value[sub])
+    out = {}
+    for ops in _OPS_IN_USE:
+        out[ops] = fams
+        for op in ops:
+            out[ops] = tables[op][out[ops]]
+    return out
+
+
+def _closure_failures(n: int) -> list:
+    """Every family on n points whose ``apply_ops`` closures differ from
+    their definitions, one entry per string."""
+    failures = []
+    expected = _closures_by_definition(n)
+    for p in range(1 << (1 << n)):
+        F = SetFamily(range(n), [m for m in range(1 << n) if p >> m & 1])
+        for ops in _OPS_IN_USE:
+            if setclass.apply_ops(F, ops).presence != expected[ops][p]:
+                failures.append({"n": n, "closure": ops,
+                                 "family": sorted(F.masks)})
+    return failures
+
+
 def check_setclass_exhaustive(max_ground=4, name="setclass/exhaustive",
                               rng=None) -> CheckResult:
     """Family identities plus the semicontinuity duality properties over every
-    topology on grounds of size <= max_ground and all fields on ``_LEVELS``."""
+    topology on grounds of size <= max_ground and all fields on ``_LEVELS``,
+    and the closures of every family on at most 3 points (and at most
+    max_ground) against their definitions.
+
+    One ``setclass.sc_table`` call per topology answers every field; the
+    sup (inf) statements of all topologies of one size are read from one
+    more, on the sups of their F-upper sc fields (of -f for the F-lower sc
+    ones) against the topologies' F_cs.
+    """
     failures = []
+    for n in range(min(max_ground, 3) + 1):
+        failures += _closure_failures(n)
     for n in range(1, max_ground + 1):
         ground = tuple(range(n))
-        fields = [FiniteField(ground, v)
-                  for v in itertools.product(_LEVELS, repeat=n)]
-        for masks in setclass.all_topologies(n):
+        values = np.array(list(itertools.product(_LEVELS, repeat=n)))
+        fields = setclass.FieldBatch(ground, values)
+        found = []              # failures per topology, in check order
+        sups, of = [], []       # sup fields; (topology, failure, F_cs) each
+        for t, masks in enumerate(setclass.all_topologies(n)):
             F = SetFamily(ground, masks)
-            for ident in setclass.FAMILY_IDENTITIES:
-                ok, _ = setclass.verify_family_identity(F, ident)
-                if not ok:
-                    failures.append({"n": n, "identity": ident})
-            upper = [f for f in fields if setclass.is_A_upper_sc(f, F)]
-            lower = [f for f in fields if setclass.is_A_lower_sc(f, F)]
-            for f in upper + lower:
-                rep = setclass.check_duality_props(f, F)
-                if not rep["all"]:
-                    failures.append({"n": n, "field": list(f.values),
-                                     "family": sorted(masks)})
-            if upper and not setclass.check_sup_inf_props(upper, F, "sup"):
-                failures.append({"n": n, "prop": "sup", "family": sorted(masks)})
-            if lower and not setclass.check_sup_inf_props(lower, F, "inf"):
-                failures.append({"n": n, "prop": "inf", "family": sorted(masks)})
-            if rng is not None and len(upper) >= 2:
+            found.append([{"n": n, "identity": ident}
+                          for ident in setclass.FAMILY_IDENTITIES
+                          if not setclass.verify_family_identity(F, ident)[0]])
+            sc, holds = setclass.sc_table(fields, F)
+            upper, lower = np.flatnonzero(sc[0]), np.flatnonzero(sc[1])
+            both = np.concatenate((upper, lower))
+            for i in both[~holds[:, both].all(axis=0)]:
+                found[t].append({"n": n, "field": list(values[i]),
+                                 "family": sorted(masks)})
+            picks = []
+            if upper.size:
+                picks.append((values[upper], "sup"))
+            if lower.size:
+                picks.append((-values[lower], "inf"))
+            if rng is not None and upper.size >= 2:
                 for _ in range(3):
-                    pick = rng.choice(len(upper), size=2, replace=False)
-                    if not setclass.check_sup_inf_props(
-                            [upper[i] for i in pick], F, "sup"):
-                        failures.append({"n": n, "prop": "sup-pair"})
+                    pick = rng.choice(upper.size, size=2, replace=False)
+                    picks.append((values[upper[pick]], "sup-pair"))
+            for rows, prop in picks:
+                sups.append(rows.max(axis=0))
+                failure = {"n": n, "prop": prop}
+                if prop != "sup-pair":
+                    failure["family"] = sorted(masks)
+                of.append((t, failure, setclass.apply_ops(F, "cs")))
+        if sups:
+            sc, _ = setclass.sc_table(setclass.FieldBatch(ground, sups),
+                                      [cs for *_, cs in of], statements=False)
+            for (t, failure, _), ok in zip(of, sc[1]):
+                if not ok:
+                    found[t].append(failure)
+        failures += itertools.chain.from_iterable(found)
     return _result(name, not failures, float(len(failures)), 0.0,
                    {"failures": failures[:5]} if failures else None)
 
@@ -488,19 +568,29 @@ def check_setclass_random(seed=0, name="setclass/random") -> CheckResult:
     rng = np.random.default_rng(seed)
     n = 5
     ground = tuple(range(n))
-    failures = []
+    draws = []
     for _ in range(500):
         F = SetFamily(ground, setclass.random_topology(n, rng))
         ident = list(setclass.FAMILY_IDENTITIES)[int(rng.integers(0, 3))]
-        ok, _ = setclass.verify_family_identity(F, ident)
-        if not ok:
-            failures.append({"identity": ident})
         vals = [_LEVELS[i] for i in rng.integers(0, len(_LEVELS), size=n)]
-        f = FiniteField(ground, vals)
-        if setclass.is_A_upper_sc(f, F) or setclass.is_A_lower_sc(f, F):
-            rep = setclass.check_duality_props(f, F)
-            if not rep["all"]:
-                failures.append({"field": vals})
+        draws.append((F, ident, vals))
+    families = [F for F, _, _ in draws]
+    values = np.array([vals for *_, vals in draws])
+    sc, _ = setclass.sc_table(setclass.FieldBatch(ground, values), families,
+                              statements=False)
+    wrong = np.zeros(len(draws), dtype=bool)
+    some = np.flatnonzero(sc.any(axis=0))
+    if some.size:
+        _, holds = setclass.sc_table(
+            setclass.FieldBatch(ground, values[some]),
+            [families[i] for i in some])
+        wrong[some] = ~holds.all(axis=0)
+    failures = []
+    for (F, ident, vals), bad in zip(draws, wrong):
+        if not setclass.verify_family_identity(F, ident)[0]:
+            failures.append({"identity": ident})
+        if bad:
+            failures.append({"field": vals})
     return _result(name, not failures, float(len(failures)), 0.0,
                    {"failures": failures[:5]} if failures else None)
 

@@ -351,6 +351,26 @@ class IntervalUnion:
                 out.append((a2, b2))
         return IntervalUnion(out)
 
+    def intersect_measures(self, lo, hi) -> np.ndarray:
+        """``intersect(lo[k], hi[k]).measure()`` for every k, as one array.
+
+        Each stored interval adds ``b2 - a2`` where its clip [a2, b2] to
+        [lo, hi] is not empty, in interval order from 0.0, as ``measure``'s
+        ``sum`` adds them: the clips of disjoint sorted intervals are
+        disjoint and sorted, so ``intersect`` merges none of them, and
+        adding a length to 0.0 or 0.0 to a sum changes no float.  So every
+        float equals the scalar one.
+        """
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        lo, hi = np.where(hi < lo, hi, lo), np.where(hi < lo, lo, hi)
+        total = np.zeros(np.broadcast(lo, hi).shape)
+        # as silent as Python floats on inf - inf and overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a, b in self.intervals:
+                a2, b2 = np.maximum(a, lo), np.minimum(b, hi)
+                total += np.where(a2 <= b2, b2 - a2, 0.0)
+        return total
+
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
         return IntervalUnion(self.intervals + other.intervals)
 

@@ -226,8 +226,10 @@ def _read_rows(D, V, m, radii, out):
         np.minimum.accumulate(gaps, axis=1, out=gaps)
     # entries below (up to) each radius, which end a tie group; padding is
     # never below a radius, but up to an infinite one
-    k = np.sum(D[:, :, None] < radii, axis=1)
-    kc = np.minimum(np.sum(D[:, :, None] <= radii, axis=1), m[:, None])
+    # summed along the contiguous last axis
+    k = np.sum(D[:, None, :] < radii[:, None], axis=2)
+    kc = np.minimum(np.sum(D[:, None, :] <= radii[:, None], axis=2),
+                    m[:, None])
     top = run[rows, k] / radii
     out["lip_upper"][:] = top
     out["lip_upper_closed"][:] = run[rows, kc] / radii

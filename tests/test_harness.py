@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -12,7 +13,9 @@ from lipderiv import (FiniteMetricSpace, InputError, IntervalUnion,
                       check_plus_variant, check_scale_oracles,
                       check_semicontinuity_fields, check_setclass_exhaustive,
                       check_summary_ordering, get_entry, lip_norm,
-                      make_entry, make_zoo, overall_ok, run_suite)
+                      make_entry, make_zoo, nearest_scale_infimum,
+                      overall_ok, run_suite)
+from lipderiv import harness
 from lipderiv.harness import random_map, random_space
 from lipderiv.io import report_document
 
@@ -91,6 +94,50 @@ def test_bhmv_bound_two_blocks():
     assert r.tolerance == 1e-12
 
 
+def _bhmv_by_loops(E, f, resolution, tol=1e-12):
+    """(worst gap, witness) of the bhmv check, one pair and one point at a
+    time, through the scalar intersect().measure() and
+    nearest_scale_infimum."""
+    xs = [float(u) for u in f.domain.ids]
+    worst, witness = 0.0, None
+    for i, j in itertools.combinations(range(len(xs)), 2):
+        mu = E.intersect(xs[i], xs[j]).measure()
+        gap = abs(abs(f.values[j] - f.values[i]) - mu) - tol
+        if gap > worst:
+            worst, witness = gap, {"a": xs[i], "b": xs[j], "mu": mu}
+    r_small = 2.0 * resolution
+    for i, u in enumerate(xs):
+        hat = nearest_scale_infimum(f, f.domain.ids[i], r_small)
+        dist = E.distance_to(u)
+        bound = 1.0 + tol if dist == 0.0 else (
+            math.inf if dist <= r_small else tol)
+        gap = hat - bound
+        if gap > worst:
+            worst, witness = gap, {"point": u, "little_hat": hat}
+    return worst, witness
+
+
+@pytest.mark.parametrize("plant", ["none", "pair", "point", "both"])
+def test_bhmv_witness_equals_the_loops(monkeypatch, plant):
+    """With values planted off the measure function, the vectorised check
+    reports the gap and the witness the pair and point loops find first."""
+    E = IntervalUnion([(0.0, 1.0), (2.0, 3.0)])
+    f = harness.bhmv_map(E, (0.0, 3.0), 0.05)
+    values = f.values.copy()
+    if plant in ("pair", "both"):
+        values *= 0.5               # slopes stay below 1: only pairs fail
+    if plant in ("point", "both"):
+        values[30:] += 0.5          # a jump at 1.5, far from E
+    planted = SampledMap.real(f.domain, values)
+    monkeypatch.setattr(harness, "bhmv_map", lambda *args: planted)
+    r = check_bhmv_bound(E, (0.0, 3.0), 0.05)
+    worst, witness = _bhmv_by_loops(E, planted, 0.05)
+    assert r.status == ("pass" if plant == "none" else "fail")
+    assert r.discrepancy == worst and r.witness == witness
+    if plant == "pair":
+        assert set(witness) == {"a", "b", "mu"}
+
+
 def test_envelope_identity_quadratic():
     f = get_entry(make_zoo(2e-3), "square").map
     r = check_envelope_identity(f, 0.05, 2e-3)
@@ -159,6 +206,19 @@ def test_scale_oracles_random():
 def test_setclass_exhaustive_small():
     r = check_setclass_exhaustive(max_ground=3)
     assert r.status == "pass"
+
+
+def test_setclass_exhaustive_sees_a_one_round_closure(monkeypatch):
+    """Every topology is closed already, so only the comparison of the
+    closures of general families with their definitions can see a closure
+    that takes one round of pairwise operations and stops."""
+    def one_round(masks, op):
+        return set(masks) | {op(a, b) for a in masks for b in masks}
+
+    monkeypatch.setattr(harness.setclass, "_closure", one_round)
+    r = check_setclass_exhaustive(max_ground=3)
+    assert r.status == "fail"
+    assert all("closure" in f for f in r.witness["failures"])
 
 
 def test_run_suite_unknown_and_empty():

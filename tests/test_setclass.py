@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lipderiv import (CapacityError, FiniteField, InputError, SetFamily,
-                      all_topologies, apply_ops, check_duality_props,
-                      check_sup_inf_props, complements, delta_closure,
-                      is_A_lower_sc, is_A_upper_sc, random_topology,
-                      sigma_closure, verify_family_identity)
+from lipderiv import (CapacityError, FieldBatch, FiniteField, InputError,
+                      SetFamily, all_topologies, apply_ops,
+                      check_duality_props, check_sup_inf_props, complements,
+                      delta_closure, is_A_lower_sc, is_A_upper_sc,
+                      random_topology, sc_table, sigma_closure,
+                      verify_family_identity)
+from lipderiv.setclass import _LOWER_KEYS, _UPPER_KEYS
 
 
 def family(ground, *members):
@@ -187,11 +189,12 @@ def every_small_family():
                 yield SetFamily(range(n), masks)
 
 
-def seeded_families(count=120, seed=20):
-    """Families of 1 to 9 random subsets of a ground set of 4 or 5 points."""
+def seeded_families(count=120, seed=20, points=(4, 6)):
+    """Families of 1 to 9 random subsets of a ground set of ``points[0]`` to
+    ``points[1] - 1`` points."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
-        n = int(rng.integers(4, 6))
+        n = int(rng.integers(*points))
         size = int(rng.integers(1, 10))
         yield SetFamily(range(n), rng.integers(0, 1 << n, size=size).tolist())
 
@@ -202,6 +205,29 @@ def test_closures_equal_their_definition():
     for F in families + list(seeded_families()):
         assert sigma_closure(F).masks == _unions(F.masks)
         assert delta_closure(F).masks == _intersections(F.masks)
+
+
+#: every operator string the library and the check sweeps apply
+_OPS_IN_USE = ("c", "s", "d", "sc", "cs", "cd", "dc", "cdc")
+
+
+def test_ops_strings_equal_their_definition():
+    """Every operator string in use, on every family of up to 3 points and
+    on seeded families of 4 to 6 points, equals the composition of the
+    definitions: complements, all unions and all intersections of
+    non-empty subfamilies.  Each string takes at most one closure, so the
+    subfamilies enumerated are those of F or of its complements."""
+    by_op = {"s": _unions, "d": _intersections}
+    families = list(every_small_family()) + list(
+        seeded_families(seed=21, points=(4, 7)))
+    for F in families:
+        full = F.full_mask
+        for ops in _OPS_IN_USE:
+            masks = set(F.masks)
+            for op in ops:
+                masks = ({full ^ m for m in masks} if op == "c"
+                         else by_op[op](masks))
+            assert apply_ops(F, ops).masks == masks, (ops, sorted(F.masks))
 
 
 def _mask(values, hit):
@@ -302,3 +328,121 @@ def test_duality_statements_equal_their_definitions(n):
                     _sc_by_definition(values, comp_sigma, above))
     # on one point every field is constant, so upper sc as well
     assert lower_seen > 0 or n == 1
+
+
+def _topologies_by_brute_force(n):
+    """Every family holding the empty and the whole set, in increasing
+    candidate bits, kept when every pair of members is closed under union
+    and intersection."""
+    full = (1 << n) - 1
+    inner = list(range(1, full))
+    out = []
+    for bits in range(1 << len(inner)):
+        members = {0, full} | {inner[i] for i in range(len(inner))
+                               if bits >> i & 1}
+        if all(a | b in members and a & b in members
+               for a, b in itertools.combinations(members, 2)):
+            out.append(frozenset(members))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_topologies_equal_brute_force_in_order(n):
+    assert all_topologies(n) == _topologies_by_brute_force(n)
+
+
+def _sc_families():
+    """(ground, family) of every topology on at most 3 points and of seeded
+    random topologies on 5 points."""
+    for n in (1, 2, 3):
+        for masks in all_topologies(n):
+            yield tuple(range(n)), SetFamily(range(n), masks)
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        yield tuple(range(5)), SetFamily(range(5), random_topology(5, rng))
+
+
+def test_per_field_wrappers_equal_the_batched_kernel():
+    """is_A_upper_sc, is_A_lower_sc and check_duality_props on one field
+    give, key for key, what one sc_table call gives for every field: every
+    field on _LEVELS up to 3 points, 64 seeded ones on 5."""
+    value_lists = {n: list(itertools.product(_LEVELS, repeat=n))
+                   for n in (1, 2, 3)}
+    rng = np.random.default_rng(3)
+    for ground, F in _sc_families():
+        rows = value_lists.get(len(ground)) or [
+            [_LEVELS[i] for i in rng.integers(0, 4, size=5)]
+            for _ in range(64)]
+        sc, holds = sc_table(FieldBatch(ground, rows), F)
+        assert sc.shape == (2, len(rows)) and holds.shape == (5, len(rows))
+        for k, values in enumerate(rows):
+            f = FiniteField(ground, values)
+            assert is_A_upper_sc(f, F) is bool(sc[0, k])
+            assert is_A_lower_sc(f, F) is bool(sc[1, k])
+            if not sc[:, k].any():
+                with pytest.raises(InputError, match="neither"):
+                    check_duality_props(f, F)
+                continue
+            keys = _UPPER_KEYS if sc[0, k] else _LOWER_KEYS
+            expected = dict(zip(keys, holds[:, k].tolist()))
+            expected["all"] = bool(holds[:, k].all())
+            assert check_duality_props(f, F) == expected
+
+
+def test_kernel_takes_one_family_per_field():
+    pairs = list(_sc_families())[-40:]
+    rng = np.random.default_rng(9)
+    rows = [[_LEVELS[i] for i in rng.integers(0, 4, size=5)] for _ in pairs]
+    families = [F for _, F in pairs]
+    sc, holds = sc_table(FieldBatch(range(5), rows), families)
+    for k, F in enumerate(families):
+        one_sc, one_holds = sc_table(FieldBatch(range(5), rows[k:k + 1]), F)
+        assert np.array_equal(sc[:, k], one_sc[:, 0])
+        assert np.array_equal(holds[:, k], one_holds[:, 0])
+    with pytest.raises(InputError, match="one per field"):
+        sc_table(FieldBatch(range(5), rows), families[:2])
+
+
+def test_batch_bitmaps_fold_the_field_masks():
+    """The batch's required bitmaps are the presence bitmaps of each field's
+    upper masks, of their complements and of -f's upper masks."""
+    for n in (0, 1, 2, 3, 7):
+        rng = np.random.default_rng(n)
+        levels = [-math.inf, -2.5, 0.0, 1.0, 3e17, math.inf]
+        rows = [[levels[i] for i in rng.integers(0, 6, size=n)]
+                for _ in range(30)]
+        batch = FieldBatch(range(n), rows)
+        full = (1 << n) - 1
+        for k, values in enumerate(rows):
+            f = FiniteField(range(n), values)
+            for side, g in enumerate((f, -f)):
+                assert int(batch.upper[side, k]) == sum(
+                    1 << m for m in set(g.upper_masks))
+                assert int(batch.closed[side, k]) == sum(
+                    1 << (full ^ m) for m in set(g.upper_masks))
+                assert int(batch.plus[side, k]) == g.plus_inf_mask
+
+
+def test_sublevels_above_a_huge_largest_value():
+    # {f < gamma} = {0} for every gamma above 1e17: one above the largest
+    # finite value, in floats, would be 1e17 itself
+    f = FiniteField((0, 1), [1e17, math.inf])
+    assert 0b01 in f.upper_masks
+    assert not is_A_upper_sc(f, SetFamily((0, 1), {0b00, 0b11}))
+    assert is_A_upper_sc(f, SetFamily((0, 1), {0b00, 0b01, 0b11}))
+
+
+def test_batch_input_errors():
+    with pytest.raises(InputError, match="at least one"):
+        FieldBatch((0, 1), np.empty((0, 2)))
+    with pytest.raises(InputError, match="one value per ground"):
+        FieldBatch((0, 1), [[0.0, 1.0, 2.0]])
+    with pytest.raises(InputError, match="NaN"):
+        FieldBatch((0,), [[math.nan]])
+    with pytest.raises(InputError, match="share one ground"):
+        FieldBatch.of([FiniteField((0,), [1.0]), FiniteField((1,), [1.0])])
+    with pytest.raises(InputError, match="share the ground"):
+        sc_table(FieldBatch((0,), [[1.0]]), SetFamily((1,), [0]))
+    with pytest.raises(CapacityError):
+        is_A_upper_sc(FiniteField(range(13), np.zeros(13)),
+                      SetFamily(range(13), [0]))
