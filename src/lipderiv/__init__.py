@@ -6,8 +6,8 @@ semicontinuity on finite grounds, and verify the structural identities tying
 all of these together.
 """
 from .errors import CapacityError, InputError
-from .metric import (FiniteMetricSpace, IntervalUnion, LinearMapSpec, ball,
-                     operator_norm, resolution_isolated)
+from .metric import (FiniteMetricSpace, IntervalUnion, LinearMapSpec,
+                     operator_norm)
 from .scales import (PointSummary, RadiusGrid, SampledMap, ScaleProfile,
                      big_lip_below_r, lip_norm, lip_upper_r,
                      lip_upper_r_closed, little_lip_below_r, loc_field,

@@ -15,10 +15,10 @@ import os
 import sys
 import time
 
-from . import io as lio
+from . import io as lio, workers
 from .envelopes import ScalarField, baire_lower, baire_upper, check_scale
 from .errors import InputError
-from .harness import SuiteConfig, _usable_cpus, overall_ok, run_suite
+from .harness import SuiteConfig, overall_ok, run_suite
 from .metric import FiniteMetricSpace
 from .scales import RadiusGrid, scale_profile, scale_summaries
 from .zoo import make_entry
@@ -108,7 +108,8 @@ def cmd_profile(args) -> int:
     f = lio.load_sampled_map(_require(args, "input"),
                              _resolve(args, "metric"))
     seconds = {"load": time.perf_counter() - t0}
-    profile = scale_profile(f, grid, seconds=seconds, workers=_usable_cpus())
+    profile = scale_profile(f, grid, seconds=seconds,
+                            workers=workers.usable_cpus())
     t1 = time.perf_counter()
     lio.save_profile(out, profile)
     lio.save_summary(_sibling(out, ".summary"), profile)

@@ -12,6 +12,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .scales import (RadiusGrid, SampledMap, _point_scan, big_lip_below_r,
                      lip_norm, loc_field, loc_lip_r, nearest_scale_infimum,
                      point_scale_values, scale_profile, scale_summaries,
                      scan_field)
-from . import setclass
+from . import setclass, workers
 from .setclass import FiniteField, SetFamily
 from .zoo import ZooEntry, get_entry, make_entry, make_zoo
 
@@ -955,15 +956,6 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform
-    has one, else every CPU."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _timed_suite(config, entries, name):
     """(wall seconds, results) of one suite; an ``InputError`` inside it
     becomes the one failed result ``<name>/input``."""
@@ -976,63 +968,38 @@ def _timed_suite(config, entries, name):
     return time.perf_counter() - t0, results
 
 
-#: (config, zoo entries) of the run, set in each forked pool worker
-_worker_run = None
-
-
-def _set_worker_run(config, entries):
-    global _worker_run
-    _worker_run = config, entries
-
-
-def _worker_suite(name):
-    return _timed_suite(*_worker_run, name)
-
-
 def run_suite(config: SuiteConfig) -> list:
     """Run the configured check suites; results sorted by canonical name.
 
-    The zoo is built once here.  With two or more selected suites and CPUs,
-    the suites run in a pool of forked workers, one per CPU up to one per
-    suite, which inherit the config and the zoo rather than receive them
-    pickled; otherwise they run in this process.  Each suite's wall time,
-    measured where it ran, and the total are logged at INFO.
+    Each selected suite runs once.  The zoo is built once here.  With two
+    or more selected suites and CPUs, the suites run on forked workers
+    (``workers.fork_map``), one per CPU up to one per suite, which inherit
+    the config and the zoo rather than receive them pickled; otherwise
+    they run in this process.  Each suite's wall time, measured where it
+    ran, and the total are logged at INFO.
     """
     t0 = time.perf_counter()
     names = config.suite
     if not names:
         raise InputError("no suite selected")
-    if "all" in names:
-        names = SUITE_NAMES
-    unknown = [n for n in names if n not in _SUITES]
+    unknown = [n for n in names if n != "all" and n not in _SUITES]
     if unknown:
         raise InputError(f"unknown suite(s): {unknown}")
+    if "all" in names:
+        names = SUITE_NAMES
     if config.random_spaces < 0:
         raise InputError("random_spaces must be >= 0")
-    # SUITE_NAMES order puts the longest suite, chain, first in the pool
-    names = sorted(names, key=SUITE_NAMES.index)
+    # SUITE_NAMES order puts the longest suite, chain, first
+    names = sorted(dict.fromkeys(names), key=SUITE_NAMES.index)
     entries = make_zoo(config.zoo_resolution)
-    # logging, multiprocessing and concurrent.futures are imported here:
-    # at module level they would slow every import of lipderiv
+    # logging is imported here: at module level it would slow every import
+    # of lipderiv
     import logging
-    workers = min(len(names), _usable_cpus())
-    if workers >= 2:
-        import multiprocessing
-        if "fork" not in multiprocessing.get_all_start_methods():
-            workers = 1
-    if workers < 2:
-        outcomes = [_timed_suite(config, entries, n) for n in names]
-        where = "in process"
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork"),
-            initializer=_set_worker_run, initargs=(config, entries))
-        try:
-            outcomes = list(pool.map(_worker_suite, names))
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
-        where = f"on {workers} forked workers"
+    n_workers = min(len(names), workers.usable_cpus())
+    outcomes = workers.fork_map(partial(_timed_suite, config, entries),
+                                names, n_workers)
+    where = (f"on {n_workers} forked workers"
+             if n_workers >= 2 and hasattr(os, "fork") else "in process")
     log = logging.getLogger(__name__)
     results = []
     for name, (seconds, suite_results) in zip(names, outcomes):

@@ -302,23 +302,6 @@ class FiniteMetricSpace:
         return float(np.min(self.nearest_neighbors()[0]))
 
 
-def ball(space: FiniteMetricSpace, x, r: float, closed: bool = False) -> set:
-    """Open (default) or closed metric ball around x; always contains x."""
-    if not r > 0:
-        raise InputError("ball radius must be positive")
-    i = space.index(x)
-    idx = space.ball_indices(i, r, closed=closed)
-    return {space.ids[j] for j in idx} | {x}
-
-
-def resolution_isolated(space: FiniteMetricSpace, h: float) -> set:
-    """Points with no other sample point strictly within distance h."""
-    if not h > 0:
-        raise InputError("h must be positive")
-    d1 = space.nearest_neighbors()[0]
-    return {space.ids[i] for i in np.flatnonzero(d1 >= h)}
-
-
 class IntervalUnion:
     """A finite union of closed real intervals, kept normalized.
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import InputError
 from .metric import BLOCK_ELEMS, NORMS, FiniteMetricSpace, _block, _norm
+from .workers import fork_map
 
 #: total tail-growth factor driving the divergence flag (see RadiusGrid docs)
 DIVERGENCE_FACTOR = 2.0
@@ -601,102 +602,29 @@ def _columns(f: SampledMap, radii: np.ndarray, idx: np.ndarray,
     return cols
 
 
-#: the (points, radii) columns of a slab's block, in order; ``d1`` follows
-_BLOCK_COLUMNS = _FIELD_KINDS + ("loc",)
-
-
-def _packed(cols: dict) -> np.ndarray:
-    """``_columns`` readings as one ``(points, 6 * radii + 1)`` array."""
-    return np.column_stack([cols[k] for k in _BLOCK_COLUMNS] + [cols["d1"]])
-
-
-def _slab_worker(f, radii, idx, fd, cpu, inherited):
-    """In a forked child: close the ``inherited`` pipe ends, pin to ``cpu``
-    (None: unpinned), write the raw bytes of the ``_packed`` block of the
-    points ``idx`` to the pipe ``fd`` and exit 0; on any error exit 1 (an
-    error before the write leaves the pipe empty).  It never returns."""
-    import os
-    status = 1
-    try:
-        for end in inherited:
-            os.close(end)
-        if cpu is not None:
-            os.sched_setaffinity(0, {cpu})
-        block = _packed(_columns(f, radii, idx, {}))
-        with open(fd, "wb") as pipe:
-            pipe.write(block.tobytes())
-        status = 0
-    finally:
-        os._exit(status)
-
-
 def _forked_columns(f: SampledMap, radii: np.ndarray, idx: np.ndarray,
                     parts: int, seconds: dict) -> dict:
-    """``_columns`` of the points ``idx``, computed in ``parts`` slabs.
+    """``_columns`` of the points ``idx``, in ``parts`` slabs on ``fork_map``.
 
     The points are cut into ``parts`` slabs of equal count along the first
     coordinate (index order on a distance table), so that each slab's
-    balls overlap and ``_loc_table`` finds dense groups.  This process
-    computes the first slab, pinned to the first CPU of its affinity set,
-    and each other slab goes to a forked child pinned to the next CPU
-    (round robin), which sends its ``_packed`` block back through a pipe.
-    The affinity set is restored and every child reaped whatever happens;
-    a child that fails makes this raise ``RuntimeError``.  ``seconds`` gets
-    this process's own stages, and ``"loc"`` includes the wait for the
-    children.
+    balls overlap and ``_loc_table`` finds dense groups.  ``seconds`` gets
+    the slowest slab's ``"scan"`` and, as ``"loc"``, the rest of the wait.
     """
-    import os
-    sp = f.domain
-    key = idx if sp.coords is None else sp.coords[idx, 0]
+    t0 = time.perf_counter()
+    key = idx if f.domain.coords is None else f.domain.coords[idx, 0]
     slabs = np.array_split(np.argsort(key, kind="stable"), parts)
-    cpus = (sorted(os.sched_getaffinity(0))
-            if hasattr(os, "sched_setaffinity") else None)
-    children, data = [], []
-    try:
-        for k, slab in enumerate(slabs[1:], start=1):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:
-                # the read ends of this pipe and the earlier children's
-                _slab_worker(f, radii, idx[slab], w,
-                             cpus and cpus[k % len(cpus)],
-                             [r] + [end for _, end in children])
-            os.close(w)
-            children.append((pid, r))
-        if cpus:
-            os.sched_setaffinity(0, {cpus[0]})
-        blocks = [_packed(_columns(f, radii, idx[slabs[0]], seconds))]
-        t0 = time.perf_counter()
-        for _, r in children:
-            with open(r, "rb", closefd=False) as pipe:
-                data.append(pipe.read())
-    finally:
-        codes = []
-        for pid, r in children:
-            os.close(r)
-            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-        if cpus:
-            os.sched_setaffinity(0, cpus)
-    width = len(_BLOCK_COLUMNS) * radii.size + 1
-    for k, (code, raw) in enumerate(zip(codes, data), start=1):
-        if code or len(raw) != slabs[k].size * width * 8:
-            raise RuntimeError(f"profile worker {k} of {parts - 1} failed "
-                               f"(exit code {code})")
-        blocks.append(np.frombuffer(raw).reshape(slabs[k].size, width))
-    seconds["loc"] += time.perf_counter() - t0
-    m = radii.size
-    out = {k: np.empty((idx.size, m)) for k in _BLOCK_COLUMNS}
-    out["d1"] = np.empty(idx.size)
-    for slab, block in zip(slabs, blocks):
-        for j, k in enumerate(_BLOCK_COLUMNS):
-            out[k][slab] = block[:, j * m:(j + 1) * m]
-        out["d1"][slab] = block[:, -1]
-    return out
+
+    def slab_columns(slab):
+        stages = {}
+        return _columns(f, radii, idx[slab], stages), stages
+
+    blocks = fork_map(slab_columns, slabs, parts)
+    seconds["scan"] = max(stages["scan"] for _, stages in blocks)
+    seconds["loc"] = time.perf_counter() - t0 - seconds["scan"]
+    back = np.argsort(np.concatenate(slabs))
+    return {k: np.concatenate([cols[k] for cols, _ in blocks])[back]
+            for k in blocks[0][0]}
 
 
 def scale_profile(f: SampledMap, grid: RadiusGrid, points=None,
@@ -715,21 +643,19 @@ def scale_profile(f: SampledMap, grid: RadiusGrid, points=None,
     point.  A ``seconds`` dict gets the wall times of the ``"scan"`` and
     the ``"loc"`` stage.
 
-    With ``workers`` >= 2 on a domain that is not a line, on a platform
-    with ``os.fork``, the points are split into up to ``workers`` slabs,
-    computed at once in this process and in forked children
+    With ``workers`` >= 2 on a domain that is not a line, the points are
+    split into up to ``workers`` slabs, computed at once on forked workers
     (``_forked_columns``).  The result is the same bit for bit: every
     scan value is read from its own point's row, whichever rows share a
     block, and each centre's ``loc`` is exact whatever other centres
     share its group (see ``_loc_table``), so no float depends on how the
     points are split.
     """
-    import os
     points, idx = _point_indices(f, points)
     radii = grid.radii
     stages = {}
     parts = min(workers, idx.size)
-    if parts >= 2 and f.domain.line_order is None and hasattr(os, "fork"):
+    if parts >= 2 and f.domain.line_order is None:
         cols = _forked_columns(f, radii, idx, parts, stages)
     else:
         cols = _columns(f, radii, idx, stages)

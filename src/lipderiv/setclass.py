@@ -209,17 +209,8 @@ class FiniteField:
         return tuple(self.sublevel_mask(g) for g in finite + [np.inf])
 
     @cached_property
-    def lower_masks(self) -> tuple:
-        """Superlevel masks {f > gamma}: the sublevel masks of -f."""
-        return (-self).upper_masks
-
-    @cached_property
     def plus_inf_mask(self) -> int:
         return self.level_mask(np.inf)
-
-    @cached_property
-    def minus_inf_mask(self) -> int:
-        return (-self).plus_inf_mask
 
 
 class FieldBatch:

@@ -93,10 +93,8 @@ def test_field_masks_match_level_sets():
     for values in itertools.product(LEVELS, repeat=3):
         f = FiniteField((0, 1, 2), values)
         assert f.plus_inf_mask == f.level_mask(math.inf)
-        assert f.minus_inf_mask == f.level_mask(-math.inf)
         # read twice, built once
         assert f.upper_masks is f.upper_masks
-        assert f.lower_masks is f.lower_masks
 
 
 @pytest.mark.parametrize("entry", ["dyadic_staircase", "oscillator"])

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from lipderiv import metric
 from lipderiv import (FiniteMetricSpace, InputError, IntervalUnion,
-                      LinearMapSpec, ball, operator_norm,
-                      resolution_isolated)
+                      LinearMapSpec, operator_norm)
 
 
 def test_norms():
@@ -97,31 +96,9 @@ def test_embedded_spaces_always_valid(n, seed):
     assert_metric_axioms(sp)
 
 
-def test_ball_open_vs_closed():
-    sp = FiniteMetricSpace.grid1d(0.0, 1.0, 0.25)
-    x = sp.ids[2]          # 0.5
-    assert ball(sp, x, 0.25) == {x}
-    closed = ball(sp, x, 0.25, closed=True)
-    assert len(closed) == 3
-    with pytest.raises(InputError):
-        ball(sp, x, 0.0)
-
-
-@pytest.mark.parametrize("r", [math.nan, 0.0, -1.0])
-def test_ball_and_isolated_reject_non_positive_radii(r):
-    sp = FiniteMetricSpace.grid1d(0.0, 2.0, 1.0)
-    with pytest.raises(InputError):
-        ball(sp, 1.0, r)
-    with pytest.raises(InputError):
-        resolution_isolated(sp, r)
-
-
 def test_resolution_and_isolated():
     sp = FiniteMetricSpace(range(3), coords=[[0.0], [0.1], [5.0]])
     assert sp.resolution() == pytest.approx(0.1)
-    assert resolution_isolated(sp, 1.0) == {2}
-    assert resolution_isolated(sp, 0.2) == {2}
-    assert resolution_isolated(sp, 0.05) == {0, 1, 2}
 
 
 def test_cross_matches_pairwise():

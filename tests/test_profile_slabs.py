@@ -1,10 +1,10 @@
 """scale_profile split into slabs of points, computed in forked workers.
 
 Off a line, ``scale_profile(..., workers=k)`` cuts the points into k slabs
-along the first coordinate; this process computes one and forked children
-the others.  Every table entry and every summary must equal the in-process
-profile bit for bit.  The forked path is forced with 2 and 3 parts, so it
-runs on a one-CPU machine too, and no child may outlive a test.
+along the first coordinate, each computed by a forked child.  Every table
+entry and every summary must equal the in-process profile bit for bit.
+The forked path is forced with 2 and 3 parts, so it runs on a one-CPU
+machine too, and no child may outlive a test.
 """
 import os
 
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from lipderiv import FiniteMetricSpace, RadiusGrid, SampledMap, scale_profile
-from lipderiv import cli, scales
+from lipderiv import cli, scales, workers
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="the platform cannot fork")
@@ -73,8 +73,8 @@ def test_forked_profile_equals_in_process(forks, p, dim, width, parts):
     affinity = getattr(os, "sched_getaffinity", lambda pid: None)
     before = affinity(0)
     assert_same_profile(scale_profile(f, GRID, workers=parts), want)
-    assert len(forks) == parts - 1
-    # the parent pinned itself for its own slab, and is unpinned again
+    assert len(forks) == parts
+    # only the children are pinned
     assert affinity(0) == before
 
 
@@ -88,7 +88,7 @@ def test_repeated_points_and_more_parts_than_points(forks):
     # two points make at most two slabs
     assert_same_profile(scale_profile(f, GRID, points=points[:2], workers=3),
                         scale_profile(f, GRID, points=points[:2]))
-    assert len(forks) == 2 + 1
+    assert len(forks) == 3 + 2
 
 
 def test_unpinned_where_affinity_cannot_be_set(forks, monkeypatch):
@@ -96,7 +96,7 @@ def test_unpinned_where_affinity_cannot_be_set(forks, monkeypatch):
     want = scale_profile(f, GRID)
     monkeypatch.delattr(os, "sched_setaffinity", raising=False)
     assert_same_profile(scale_profile(f, GRID, workers=2), want)
-    assert len(forks) == 1
+    assert len(forks) == 2
 
 
 def test_distance_table_splits_in_index_order(forks):
@@ -106,7 +106,7 @@ def test_distance_table_splits_in_index_order(forks):
     g = SampledMap.real(table, f.values)
     assert_same_profile(scale_profile(g, GRID, workers=3),
                         scale_profile(g, GRID))
-    assert len(forks) == 2
+    assert len(forks) == 3
 
 
 def test_a_line_stays_in_process_and_splits_exactly(forks):
@@ -121,7 +121,7 @@ def test_a_line_stays_in_process_and_splits_exactly(forks):
     assert split.keys() == whole.keys()
     for name, column in whole.items():
         assert split[name].tobytes() == column.tobytes(), name
-    assert len(forks) == 2
+    assert len(forks) == 3
 
 
 def test_one_worker_never_forks(forks):
@@ -130,13 +130,12 @@ def test_one_worker_never_forks(forks):
     assert forks == []
 
 
-def planted(monkeypatch, where):
-    """``_loc_table`` raises in the forked children (``where="child"``) or
-    in this process only."""
+def planted(monkeypatch):
+    """``_loc_table`` raises in the forked children only."""
     parent, loc_table = os.getpid(), scales._loc_table
 
     def loc(*args):
-        if (os.getpid() != parent) == (where == "child"):
+        if os.getpid() != parent:
             raise RuntimeError("planted")
         return loc_table(*args)
 
@@ -144,7 +143,7 @@ def planted(monkeypatch, where):
 
 
 def test_a_failing_parent_slab_reaps_its_children(monkeypatch):
-    planted(monkeypatch, "parent")
+    planted(monkeypatch)
     with pytest.raises(RuntimeError, match="planted"):
         scale_profile(cloud(11, 40, 2), GRID, workers=3)
 
@@ -166,14 +165,13 @@ def profile_argv(src, out, *flags):
 def test_cli_failing_worker_is_an_internal_error(tmp_path, capsys,
                                                  monkeypatch):
     src = write_input(tmp_path)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    planted(monkeypatch, "child")
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    planted(monkeypatch)
     out = tmp_path / "o.csv"
     assert cli.main(profile_argv(src, out)) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("internal error: RuntimeError: profile worker 1 "
-                            "of 1 failed (exit code 1)\n")
+    assert captured.err == "internal error: RuntimeError: planted\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["plane.csv"]
 
 
@@ -182,7 +180,7 @@ def test_cli_forked_profile_keeps_bytes_and_stages(tmp_path, capsys,
     src = write_input(tmp_path)
     outputs = []
     for n_cpus in (1, 2):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: n_cpus)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: n_cpus)
         out = tmp_path / f"cpus{n_cpus}.csv"
         assert cli.main(profile_argv(src, out, "--timings")) == 0
         outputs.append([out.read_bytes(),
@@ -192,4 +190,4 @@ def test_cli_forked_profile_keeps_bytes_and_stages(tmp_path, capsys,
             f"stage {name}" for name in ("load", "scan", "loc", "write")]
         assert total.startswith("total: ")
     assert outputs[0] == outputs[1]
-    assert len(forks) == 1
+    assert len(forks) == 2

@@ -1,20 +1,18 @@
-"""run_suite's pool of forked workers against its in-process path.
+"""run_suite's forked workers against its in-process path.
 
-The CPU-set lookup ``harness._usable_cpus`` is monkeypatched: one CPU forces
-the in-process path, two force the pool even on a one-CPU machine.  Workers
-are forked, so a suite monkeypatched here runs in them too.
+The CPU-set lookup ``workers.usable_cpus`` is monkeypatched: one CPU forces
+the in-process path, two force forked workers even on a one-CPU machine.
+Workers are forked, so a suite monkeypatched here runs in them too.
 """
 import logging
-import multiprocessing
 import os
 
 import pytest
 
-from lipderiv import InputError, SuiteConfig, harness, run_suite
+from lipderiv import InputError, SuiteConfig, harness, run_suite, workers
 
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="the platform cannot fork")
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="the platform cannot fork")
 
 #: quick suites, two of them drawing random spaces
 SUITES = ("frechet", "bhmv", "separation", "lipnorm", "oracle_equiv")
@@ -23,11 +21,12 @@ SUITES = ("frechet", "bhmv", "separation", "lipnorm", "oracle_equiv")
 @pytest.fixture(autouse=True)
 def no_child_outlives_the_run():
     yield
-    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def cpus(monkeypatch, n):
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: n)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: n)
 
 
 def ran_on(caplog):
@@ -97,3 +96,25 @@ def test_unexpected_error_in_a_suite_propagates(monkeypatch, n_cpus):
     monkeypatch.setitem(harness._SUITES, "bhmv", broken)
     with pytest.raises(RuntimeError, match="suite broke"):
         run_suite(SuiteConfig(suite=("bhmv", "frechet")))
+
+
+@pytest.mark.parametrize("n_cpus", [1, pytest.param(2, marks=needs_fork)])
+@pytest.mark.parametrize("suite,repeated", [
+    (("bhmv", "bhmv"), "bhmv"),
+    (("frechet", "bhmv", "frechet"), "frechet"),
+    (("all", "chain"), "chain")], ids=["twice", "apart", "all"])
+def test_each_selected_suite_runs_once(monkeypatch, caplog, n_cpus, suite,
+                                       repeated):
+    caplog.set_level(logging.INFO, logger="lipderiv")
+    cpus(monkeypatch, n_cpus)
+    results = run_suite(SuiteConfig(seed=3, suite=suite, random_spaces=2,
+                                    zoo_resolution=0.05))
+    names = [r.name for r in results]
+    assert len(names) == len(set(names))
+    assert any(name.startswith(f"{repeated}/") for name in names)
+    assert caplog.text.count(f"suite {repeated}:") == 1
+
+
+def test_unknown_suite_beside_all_is_an_input_error():
+    with pytest.raises(InputError, match="unknown suite"):
+        run_suite(SuiteConfig(suite=("all", "no_such_suite")))
