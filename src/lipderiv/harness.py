@@ -25,7 +25,7 @@ from .scales import (RadiusGrid, SampledMap, _point_scan, big_lip_below_r,
                      point_scale_values, scale_profile, scale_summaries,
                      scan_field)
 from . import setclass, workers
-from .setclass import FiniteField, SetFamily
+from .setclass import SetFamily
 from .zoo import ZooEntry, get_entry, make_entry, make_zoo
 
 
@@ -225,6 +225,9 @@ def check_segment_chain_rule(f: SampledMap, func, a, b, r: float,
     g = f(T(u)) on a uniform grid of [0,1]; the little estimate of g at scale
     r is checked against |b-a| times the big functional of f at T(u) at the
     matched scale r*|b-a| (an upper bound for the little derivative of f).
+    Skipped where the domain point nearest some evaluated T(u) has no
+    neighbour within the matched scale: its ball is empty, and the big
+    functional reads 0 there.
     """
     ia, ib = f.domain.index(a), f.domain.index(b)
     pa, pb = f.domain.coords[ia], f.domain.coords[ib]
@@ -243,14 +246,20 @@ def check_segment_chain_rule(f: SampledMap, func, a, b, r: float,
             raise InputError("segment check needs a real-valued function")
         gvals.append(float(y))
     g = SampledMap.real(gspace, gvals)
+    read = us[::10]
+    near = [int(np.argmin(np.linalg.norm(f.domain.coords - (pa + u * seg),
+                                         axis=1))) for u in read]
+    scale = r * length
+    if any(f.domain.nearest_neighbor_distance(i) >= scale for i in near):
+        return CheckResult(name, "skipped",
+                           detail=f"no neighbour within the matched scale "
+                                  f"r*|b-a| = {scale:.4g}")
     worst = 0.0
     witness = None
     rhs_scale = 0.0
-    for u in us[::10]:
+    for u, i_near in zip(read, near):
         lhs = nearest_scale_infimum(g, g.domain.ids[int(round(u * steps))], r)
-        xu = pa + u * seg
-        i_near = int(np.argmin(np.linalg.norm(f.domain.coords - xu, axis=1)))
-        rhs = length * big_lip_below_r(f, f.domain.ids[i_near], r * length)
+        rhs = length * big_lip_below_r(f, f.domain.ids[i_near], scale)
         rhs_scale = max(rhs_scale, rhs)
         gap = lhs - rhs
         if gap > worst:

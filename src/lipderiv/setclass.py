@@ -14,7 +14,7 @@ question below is a thin wrapper around it.
 from __future__ import annotations
 
 import operator
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -166,13 +166,9 @@ def verify_family_identity(F: SetFamily, identity: str):
     return False, diff.members()
 
 
-def _bits(hit: np.ndarray) -> int:
-    """The bitmask with bit i set where ``hit[i]``."""
-    return sum(1 << i for i in hit.nonzero()[0].tolist())
-
-
 class FiniteField:
-    """An extended-real value per element of a finite ground set."""
+    """An extended-real value per element of a finite ground set: one
+    validated row for ``FieldBatch.of``."""
 
     def __init__(self, ground, values):
         self.ground = tuple(ground)
@@ -181,36 +177,6 @@ class FiniteField:
             raise InputError("one value per ground element required")
         if np.isnan(self.values).any():
             raise InputError("NaN is not a valid value")
-        self._negation = None
-
-    def sublevel_mask(self, gamma: float) -> int:
-        """Bitmask of {x : f(x) < gamma}."""
-        return _bits(self.values < gamma)
-
-    def level_mask(self, value: float) -> int:
-        return _bits(self.values == value)
-
-    # Preimage masks, built once per field (its values are not to be changed
-    # after construction); the lower side's are -f's: {f > g} = {-f < -g}.
-
-    def __neg__(self) -> FiniteField:
-        """-f, built once; -(-f) is f, so no field builds its masks twice."""
-        if self._negation is None:
-            self._negation = FiniteField(self.ground, -self.values)
-            self._negation._negation = self
-        return self._negation
-
-    @cached_property
-    def upper_masks(self) -> tuple:
-        """Sublevel masks {f < gamma}, one gamma per constancy region: the
-        finite values of f and inf, whose mask is every point but the +inf
-        level."""
-        finite = sorted(set(self.values[np.isfinite(self.values)].tolist()))
-        return tuple(self.sublevel_mask(g) for g in finite + [np.inf])
-
-    @cached_property
-    def plus_inf_mask(self) -> int:
-        return self.level_mask(np.inf)
 
 
 class FieldBatch:
@@ -355,9 +321,6 @@ def check_duality_props(f: FiniteField, F: SetFamily) -> dict:
 def check_sup_inf_props(fs, F: SetFamily, mode: str) -> bool:
     """Pointwise sup of F-upper sc fields is F_cs-lower sc (mode="sup");
     pointwise inf of F-lower sc fields is F_cs-upper sc (mode="inf")."""
-    fs = list(fs)
-    if not fs:
-        raise InputError("need at least one field")
     if mode not in ("sup", "inf"):
         raise InputError("mode must be 'sup' or 'inf'")
     batch = FieldBatch.of(fs)

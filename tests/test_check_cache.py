@@ -1,9 +1,9 @@
 """The check-only shortcuts against the computations they replace.
 
-Set families memoise their closures and fields their preimage masks; the
-separation checks read their estimates from ``scale_summaries`` instead of
-a full profile.  Each must give exactly what the uncached, by-definition or
-full-profile computation gives.
+Set families memoise their closures; the separation checks read their
+estimates from ``scale_summaries`` instead of a full profile.  Each must
+give exactly what the uncached, by-definition or full-profile computation
+gives.
 """
 import hashlib
 import itertools
@@ -87,14 +87,6 @@ def test_mask_semicontinuity_equals_definition():
                     f.values, F, above=False), (f.values, sorted(masks))
                 assert is_A_lower_sc(f, F) == by_definition(
                     f.values, F, above=True), (f.values, sorted(masks))
-
-
-def test_field_masks_match_level_sets():
-    for values in itertools.product(LEVELS, repeat=3):
-        f = FiniteField((0, 1, 2), values)
-        assert f.plus_inf_mask == f.level_mask(math.inf)
-        # read twice, built once
-        assert f.upper_masks is f.upper_masks
 
 
 @pytest.mark.parametrize("entry", ["dyadic_staircase", "oscillator"])

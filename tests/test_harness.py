@@ -261,6 +261,16 @@ def test_segment_chain_rule_affine():
                                  e.point_near((0.0, 0.0)), 0.05)
 
 
+def test_segment_chain_skips_where_the_grid_is_coarser_than_the_scale():
+    # the 2-d grid step 0.3 exceeds every matched scale r*|b-a| (about
+    # 0.05), so each ball of big_lip_below_r would be empty
+    res = run_suite(SuiteConfig(suite=("segment_chain",), zoo_resolution=0.3))
+    assert [r.status for r in res] == ["skipped"] * 3
+    assert all("matched scale" in r.detail for r in res)
+    fine = run_suite(SuiteConfig(suite=("segment_chain",)))
+    assert [r.status for r in fine] == ["pass"] * 3
+
+
 def test_check_result_roundtrip():
     r = check_chain(sin_map(), RadiusGrid(0.3, 0.5, 3, 2))
     d = r.to_dict()

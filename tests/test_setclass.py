@@ -404,8 +404,9 @@ def test_kernel_takes_one_family_per_field():
 
 
 def test_batch_bitmaps_fold_the_field_masks():
-    """The batch's required bitmaps are the presence bitmaps of each field's
-    upper masks, of their complements and of -f's upper masks."""
+    """The batch's required bitmaps, built from the definition: for f and for
+    -f, the presence bitmaps of {i : v_i < gamma} at every finite value gamma
+    and at gamma = inf, of their complements, and the +inf level mask."""
     for n in (0, 1, 2, 3, 7):
         rng = np.random.default_rng(n)
         levels = [-math.inf, -2.5, 0.0, 1.0, 3e17, math.inf]
@@ -414,20 +415,23 @@ def test_batch_bitmaps_fold_the_field_masks():
         batch = FieldBatch(range(n), rows)
         full = (1 << n) - 1
         for k, values in enumerate(rows):
-            f = FiniteField(range(n), values)
-            for side, g in enumerate((f, -f)):
+            for side, vs in enumerate((values, [-v for v in values])):
+                gammas = {v for v in vs if math.isfinite(v)} | {math.inf}
+                sublevels = {sum(1 << i for i, v in enumerate(vs) if v < g)
+                             for g in gammas}
                 assert int(batch.upper[side, k]) == sum(
-                    1 << m for m in set(g.upper_masks))
+                    1 << m for m in sublevels)
                 assert int(batch.closed[side, k]) == sum(
-                    1 << (full ^ m) for m in set(g.upper_masks))
-                assert int(batch.plus[side, k]) == g.plus_inf_mask
+                    1 << (full ^ m) for m in sublevels)
+                assert int(batch.plus[side, k]) == sum(
+                    1 << i for i, v in enumerate(vs) if v == math.inf)
 
 
 def test_sublevels_above_a_huge_largest_value():
     # {f < gamma} = {0} for every gamma above 1e17: one above the largest
     # finite value, in floats, would be 1e17 itself
     f = FiniteField((0, 1), [1e17, math.inf])
-    assert 0b01 in f.upper_masks
+    assert int(FieldBatch.of([f]).upper[0, 0]) >> 0b01 & 1
     assert not is_A_upper_sc(f, SetFamily((0, 1), {0b00, 0b11}))
     assert is_A_upper_sc(f, SetFamily((0, 1), {0b00, 0b01, 0b11}))
 
