@@ -20,9 +20,8 @@ from .envelopes import ScalarField, baire_upper, lsc_defect, usc_defect
 from .errors import InputError
 from .metric import (FiniteMetricSpace, IntervalUnion, LinearMapSpec,
                      operator_norm)
-from .scales import (RadiusGrid, SampledMap, _point_scan, big_lip_below_r,
-                     lip_norm, loc_field, loc_lip_r, nearest_scale_infimum,
-                     point_scale_values, scale_profile, scale_summaries,
+from .scales import (RadiusGrid, SampledMap, big_lip_below_r, lip_norm,
+                     loc_field, loc_lip_r, scale_profile, scale_summaries,
                      scan_field)
 from . import setclass, workers
 from .setclass import SetFamily
@@ -114,10 +113,10 @@ def check_plus_variant(f: SampledMap, x, r: float,
     if d.size == 0:
         return CheckResult(name, "skipped", detail="no neighbor within r")
     rho = d * (1.0 + 1e-9)
-    scan = _point_scan(f, i, np.concatenate([rho, d, [r]]))
-    alpha = float(np.max(scan["lip_upper"][:d.size] * rho / d))
-    beta = float(np.max(scan["lip_upper_closed"][d.size:-1]))
-    gamma = float(scan["big_below"][-1])
+    scan = scan_field(f, np.concatenate([rho, d, [r]]), [i])
+    alpha = float(np.max(scan["lip_upper"][0, :d.size] * rho / d))
+    beta = float(np.max(scan["lip_upper_closed"][0, d.size:-1]))
+    gamma = float(scan["big_below"][0, -1])
     worst = max(abs(alpha - beta), abs(beta - gamma), abs(alpha - gamma))
     tol = 1e-12
     return _result(name, worst <= tol, worst, tol,
@@ -246,27 +245,27 @@ def check_segment_chain_rule(f: SampledMap, func, a, b, r: float,
             raise InputError("segment check needs a real-valued function")
         gvals.append(float(y))
     g = SampledMap.real(gspace, gvals)
-    read = us[::10]
+    at = np.arange(0, steps + 1, 10)
     near = [int(np.argmin(np.linalg.norm(f.domain.coords - (pa + u * seg),
-                                         axis=1))) for u in read]
+                                         axis=1))) for u in us[at]]
     scale = r * length
-    if any(f.domain.nearest_neighbor_distance(i) >= scale for i in near):
+    big = scan_field(f, scale, near)
+    # d1 is inf where no neighbour lies within the scale
+    if np.any(big["d1"] >= scale):
         return CheckResult(name, "skipped",
                            detail=f"no neighbour within the matched scale "
                                   f"r*|b-a| = {scale:.4g}")
-    worst = 0.0
+    lhs = scan_field(g, r, at)["nearest_scale_inf"][:, 0]
+    rhs = length * big["big_below"][:, 0]
+    # the first largest positive gap, if any (fmax reads a NaN gap as 0)
+    gap = np.fmax(lhs - rhs, 0.0)
+    k = int(np.argmax(gap))
     witness = None
-    rhs_scale = 0.0
-    for u, i_near in zip(read, near):
-        lhs = nearest_scale_infimum(g, g.domain.ids[int(round(u * steps))], r)
-        rhs = length * big_lip_below_r(f, f.domain.ids[i_near], scale)
-        rhs_scale = max(rhs_scale, rhs)
-        gap = lhs - rhs
-        if gap > worst:
-            worst = gap
-            witness = {"u": float(u), "lhs": lhs, "rhs": rhs}
-    tol = 0.05 * rhs_scale + 2.0 * length / steps
-    return _result(name, worst <= tol, max(worst, 0.0), tol, witness)
+    if gap[k] > 0:
+        witness = {"u": float(us[at[k]]), "lhs": float(lhs[k]),
+                   "rhs": float(rhs[k])}
+    tol = 0.05 * float(np.max(rhs)) + 2.0 * length / steps
+    return _result(name, gap[k] <= tol, gap[k], tol, witness)
 
 
 def bhmv_map(E: IntervalUnion, span, resolution: float) -> SampledMap:
@@ -629,10 +628,14 @@ def check_scale_oracles(space: FiniteMetricSpace, values, radii,
     The little/big functionals are compared against min/max of the open-ball
     functional over a dense scale grid enriched with the neighbor distances
     (and points just above them), evaluated straight from the definition.
+    The library side of the whole space is one ``scan_field`` call and one
+    ``loc_field`` call per radius.
     """
     tol, rho_grid = 1e-9, 2000
     f = SampledMap.real(space, values)
     radii = np.asarray(radii, dtype=float)
+    field = scan_field(f, radii)
+    field["loc"] = np.column_stack([loc_field(f, r) for r in radii.tolist()])
     dist = [space.dist_row(i) for i in range(space.n)]
     worst = 0.0
     witness = None
@@ -640,8 +643,7 @@ def check_scale_oracles(space: FiniteMetricSpace, values, radii,
         d = dist[i]
         dv = f.value_dist_from(i)
         pos = np.sort(d[d > 0])
-        scanned = {kind: v.tolist()
-                   for kind, v in point_scale_values(f, x, radii).items()}
+        scanned = {kind: v[i].tolist() for kind, v in field.items()}
         for ri, r in enumerate(radii.tolist()):
             checks = {
                 "lip_upper": (scanned["lip_upper"][ri],

@@ -122,12 +122,21 @@ _FIELD_KINDS = _SCAN_COLUMNS + ("nearest_scale_inf",)
 
 
 def _positive(radii) -> np.ndarray:
-    """``radii`` as a 1-d float array; ``InputError`` unless every radius is
-    > 0 (a NaN radius is not)."""
+    """``radii`` as a 1-d float array; ``InputError`` unless it holds a
+    radius and every radius is > 0 (a NaN radius is not)."""
     radii = np.array(radii, dtype=float, ndmin=1)
+    if radii.size == 0:
+        raise InputError("at least one radius required")
     if not (radii > 0).all():
         raise InputError("radii must be positive")
     return radii
+
+
+def _one_radius(r) -> np.ndarray:
+    """``_positive`` of a scalar radius; ``InputError`` for an array."""
+    if np.ndim(r) != 0:
+        raise InputError("one radius required, not an array")
+    return _positive(r)
 
 
 def scan_field(f: SampledMap, radii, idx=None) -> dict:
@@ -161,8 +170,7 @@ def scan_field(f: SampledMap, radii, idx=None) -> dict:
     group), and max and min do not depend on order, so the sort order
     within ties cannot change it.  Blocks are sized for 8 arrays of their
     shape per value coordinate of vector values; the counts per radius add
-    one byte per entry and radius.  ``_point_scan`` reads one point as a
-    single row of the same kernel.
+    one byte per entry and radius.
     """
     radii = _positive(radii)
     sp = f.domain
@@ -178,25 +186,6 @@ def scan_field(f: SampledMap, radii, idx=None) -> dict:
                    np.count_nonzero(valid, axis=1), radii,
                    {k: v[rows] for k, v in out.items()})
     return out
-
-
-def _point_scan(f: SampledMap, i: int, radii: np.ndarray) -> dict:
-    """Row 0 of ``scan_field(f, radii, [i])`` for positive float ``radii``,
-    one array over the radii per kind and a float ``"d1"``.
-
-    The row is the point's own positive ``dist_row`` floats up to the reach
-    and their ``value_dist_from`` floats, with one padding entry so that an
-    empty row works.  It skips ``ball_rows``, which costs a one-point query
-    8 to 11 times as much (158 and 3,143 points, two radii).
-    """
-    d = f.domain.dist_row(i)
-    keep = (d > 0) & (d <= radii.max())
-    out = {kind: np.empty((1, radii.size)) for kind in _FIELD_KINDS}
-    out["d1"] = np.empty(1)
-    _read_rows(np.concatenate((d[keep], [np.inf]))[None],
-               np.concatenate((f.value_dist_from(i)[keep], [0.0]))[None],
-               np.array([np.count_nonzero(keep)]), radii, out)
-    return {kind: v[0] for kind, v in out.items()}
 
 
 def _read_rows(D, V, m, radii, out):
@@ -242,7 +231,8 @@ def _read_rows(D, V, m, radii, out):
 
 
 def _scan(f: SampledMap, x, r: float, kind: str) -> float:
-    return float(_point_scan(f, f.domain.index(x), _positive(r))[kind][0])
+    scan = scan_field(f, _one_radius(r), [f.domain.index(x)])
+    return float(scan[kind][0, 0])
 
 
 def lip_upper_r(f: SampledMap, x, r: float) -> float:
@@ -285,7 +275,7 @@ def nearest_scale_infimum(f: SampledMap, x, r: float) -> float:
 def loc_lip_r(f: SampledMap, x, r: float) -> float:
     """Lipschitz constant of f restricted to the open ball B(x, r): one
     ``_loc_table`` centre."""
-    return float(_loc_table(f, [f.domain.index(x)], _positive(r))[0, 0])
+    return float(_loc_table(f, [f.domain.index(x)], _one_radius(r))[0, 0])
 
 
 def _loc_radii(f: SampledMap, i: int, radii: np.ndarray) -> np.ndarray:
@@ -453,7 +443,7 @@ def loc_field(f: SampledMap, r: float, idx=None) -> np.ndarray:
     the one-radius ``_loc_table``, one quotient block per group of nearby
     centres.
     """
-    radii = _positive(r)
+    radii = _one_radius(r)
     sp = f.domain
     n = sp.n
     idx = np.arange(n) if idx is None else np.asarray(idx, dtype=int)
@@ -520,8 +510,8 @@ def lip_norm(f: SampledMap) -> float:
 def point_scale_values(f: SampledMap, x, radii) -> dict:
     """All five scale functionals of one point on an array of radii."""
     radii, i = _positive(radii), f.domain.index(x)
-    scan = _point_scan(f, i, radii)
-    return dict({k: scan[k] for k in _SCAN_COLUMNS},
+    scan = scan_field(f, radii, [i])
+    return dict({k: scan[k][0] for k in _SCAN_COLUMNS},
                 loc=_loc_table(f, [i], radii)[0])
 
 

@@ -1,10 +1,10 @@
 """The sorted-scan kernel against by-definition evaluations.
 
 Every sort-based functional is answered by one scan of a point's row over a
-whole radius array, ``scan_field`` for many points and ``_point_scan`` for
-one.  Maxima and minima are exact, so each value must equal, bit for bit, a
-per-radius evaluation written straight from the definition, and a one-point
-row must equal the ``scan_field`` row of the same point.
+whole radius array: a row of ``scan_field``, for one point or many.  Maxima
+and minima are exact, so each value must equal, bit for bit, a per-radius
+evaluation written straight from the definition, and a one-point
+``scan_field`` call must equal the row of the same point in the whole field.
 """
 import hashlib
 import os
@@ -19,7 +19,6 @@ from lipderiv import (FiniteMetricSpace, RadiusGrid, SampledMap,
                       little_lip_below_r, nearest_scale_infimum,
                       point_scale_values, scale_profile, scan_field)
 from lipderiv.cli import main
-from lipderiv.scales import _point_scan
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -99,9 +98,9 @@ def test_kernel_equals_definition(case):
         # radii equal to every sample distance, between them and beyond
         pos = np.unique(d[d > 0])
         radii = np.concatenate([pos, pos * 1.5, extra, [0.25, 10.0]])
-        scan = _point_scan(f, i, radii)
-        got = {kind: scan[kind].tolist() for kind in KINDS}
-        assert scan["d1"] == (pos[0] if pos.size else np.inf)
+        scan = scan_field(f, radii, [i])
+        got = {kind: scan[kind][0].tolist() for kind in KINDS}
+        assert scan["d1"][0] == (pos[0] if pos.size else np.inf)
         for k, r in enumerate(radii.tolist()):
             want = by_definition(d, dv, r)
             for kind in KINDS:
@@ -129,15 +128,17 @@ def test_kernel_equals_definition(case):
                                 min_size=1, max_size=4))
 def test_point_scan_is_a_scan_field_row(case, radii):
     # radii on lattice distances put ties at the reach; radii below every
-    # distance leave a point with an empty row
+    # distance leave a point with an empty row.  A point's row alone is
+    # padded to its own width, and in the whole field to the widest row of
+    # its block: the two must agree whichever block the row lands in
     f, _ = case
     radii = np.array(radii)
     field = scan_field(f, radii)
     for i in range(f.domain.n):
-        row = _point_scan(f, i, radii)
+        row = scan_field(f, radii, [i])
         for kind in KINDS:
-            assert row[kind].tolist() == field[kind][i].tolist(), kind
-        assert row["d1"] == field["d1"][i]
+            assert row[kind][0].tolist() == field[kind][i].tolist(), kind
+        assert row["d1"][0] == field["d1"][i]
 
 
 @pytest.mark.parametrize("coords, values", [
@@ -148,10 +149,10 @@ def test_point_without_neighbour(coords, values):
     space = FiniteMetricSpace(range(len(values)), coords=coords)
     f = SampledMap.real(space, values)
     radii = np.array([0.5, 0.25])
-    scan = _point_scan(f, 0, radii)
+    scan = scan_field(f, radii, [0])
     for kind in KINDS:
-        assert scan[kind].tolist() == [0.0, 0.0]
-    assert scan["d1"] == np.inf
+        assert scan[kind][0].tolist() == [0.0, 0.0]
+    assert scan["d1"][0] == np.inf
     prof = scale_profile(f, RadiusGrid(0.5, 0.5, 2, 2))
     for column in prof.table.values():
         assert not np.any(column)

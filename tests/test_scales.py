@@ -84,6 +84,23 @@ def test_positive_radius_required():
             loc_field(f, r, [2])
         with pytest.raises(InputError):
             scan_field(f, [1.0, r], [2])
+    # no radius at all, and an array where one radius is meant: the
+    # one-radius functionals once read its first radius, and ``loc_field``
+    # the first radius off a line and one radius per point on it
+    g = random_case(0)
+    for r in ([], [0.3, 2.0], np.array([1.0])):
+        for op in (lip_upper_r, lip_upper_r_closed, big_lip_below_r,
+                   little_lip_below_r, loc_lip_r, nearest_scale_infimum):
+            with pytest.raises(InputError):
+                op(f, 2.0, r)
+        for h in (f, g):
+            with pytest.raises(InputError):
+                loc_field(h, r)
+    for h in (f, g):
+        with pytest.raises(InputError):
+            scan_field(h, [])
+        with pytest.raises(InputError):
+            point_scale_values(h, h.domain.ids[0], [])
 
 
 def test_radius_grid_validation():

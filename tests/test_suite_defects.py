@@ -1,0 +1,86 @@
+"""Each check suite fails on a planted defect in the code it checks.
+
+Each test plants one defect with monkeypatch and runs one suite alone.
+``workers.usable_cpus`` is set to 1, so the suite runs in this process,
+where the defect is planted.  A name that ``harness`` imports by name is
+patched there too.  The sorted-scan defects wrap ``scales._read_rows`` and
+rewrite one kind of its output after the call.
+"""
+import pytest
+
+from lipderiv import (IntervalUnion, SuiteConfig, envelopes, harness,
+                      run_suite, scales, workers)
+
+
+@pytest.fixture(autouse=True)
+def in_process(monkeypatch):
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
+
+
+def failures(suite):
+    results = run_suite(SuiteConfig(suite=(suite,)))
+    return [r.name for r in results if r.status == "fail"]
+
+
+def plant(monkeypatch, name, wrap, *modules):
+    """Replace ``name`` in each of ``modules`` with ``wrap`` of the real
+    one."""
+    planted = wrap(getattr(modules[0], name))
+    for module in modules:
+        monkeypatch.setattr(module, name, planted)
+
+
+def plant_in_scan(monkeypatch, rewrite):
+    """Let ``rewrite(out)`` change the sorted scan's output arrays."""
+    def wrap(real):
+        def planted(D, V, m, radii, out):
+            real(D, V, m, radii, out)
+            rewrite(out)
+        return planted
+    plant(monkeypatch, "_read_rows", wrap, scales)
+
+
+def scaled(real, factor=1.0 + 1e-6):
+    return lambda *args, **kwargs: real(*args, **kwargs) * factor
+
+
+def test_oracle_equiv_sees_a_scaled_local_table(monkeypatch):
+    plant(monkeypatch, "_loc_table", scaled, scales)
+    assert failures("oracle_equiv")
+
+
+def test_openness_sees_a_scaled_local_field(monkeypatch):
+    plant(monkeypatch, "loc_field", scaled, scales, harness)
+    assert failures("openness")
+
+
+def test_separation_sees_the_big_functional_as_the_little(monkeypatch):
+    def rewrite(out):
+        out["nearest_scale_inf"][:] = out["big_below"]
+    plant_in_scan(monkeypatch, rewrite)
+    assert failures("separation")
+
+
+def test_bhmv_sees_scaled_pair_measures(monkeypatch):
+    plant(monkeypatch, "intersect_measures", scaled, IntervalUnion)
+    assert failures("bhmv")
+
+
+def test_envelope_sees_an_upper_envelope_that_returns_its_field(monkeypatch):
+    plant(monkeypatch, "baire_upper", lambda real: lambda g, h: g,
+          envelopes, harness)
+    assert failures("envelope")
+
+
+def test_plus_variant_sees_the_open_ball_as_the_closed(monkeypatch):
+    def rewrite(out):
+        out["lip_upper_closed"][:] = out["lip_upper"]
+    plant_in_scan(monkeypatch, rewrite)
+    assert failures("plus_variant")
+
+
+def test_segment_chain_sees_a_halved_big_functional(monkeypatch):
+    def rewrite(out):
+        out["big_below"][:] *= 0.5
+    plant_in_scan(monkeypatch, rewrite)
+    assert failures("segment_chain")
