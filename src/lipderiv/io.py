@@ -44,13 +44,18 @@ def fmt_id(point) -> str:
     return str(point)
 
 
-def atomic_write(path: str, text: str):
+def atomic_write(path: str, chunks):
+    """Write ``chunks``, one text or an iterable of texts, to a temporary
+    file beside ``path`` and rename it there; on any error the temporary
+    file is removed and ``path`` is left as it was."""
+    if isinstance(chunks, str):
+        chunks = (chunks,)
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
         try:
             with os.fdopen(fd, "w") as handle:
-                handle.write(text)
+                handle.writelines(chunks)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -200,36 +205,67 @@ def save_scalar_field(path: str, field: ScalarField):
 PROFILE_COLUMNS = ("lip_upper", "lip_upper_closed", "big_below",
                    "little_below", "loc")
 
+#: points whose rows a writer formats and writes at once
+CHUNK_POINTS = 4096
 
-def save_profile(path: str, profile: ScaleProfile):
-    """One row per (point, radius) with the five functional columns, from
-    one row template of ``fmt_float``'s ``"%.17g"``.  Only the id is
-    ``csv``-quoted, once per point, as the first of two cells (a lone empty
-    cell is quoted), less the ``",\r\n"`` after it."""
-    out = _io.StringIO()
-    csv.writer(out).writerow(["point", "radius"] + list(PROFILE_COLUMNS))
+PROFILE_HEADER = ",".join(("point", "radius") + PROFILE_COLUMNS) + "\r\n"
+SUMMARY_HEADER = "point,lip_hat,big_hat,loc_hat,unresolved,divergent\r\n"
+
+#: ``writerow`` returns what ``write`` returns: here the line itself
+_LINE = csv.writer(SimpleNamespace(write=str))
+
+
+def profile_rows(profile: ScaleProfile, start=0, stop=None) -> list:
+    """The text of each point of ``profile.points[start:stop]``: one row
+    per radius with the five functional columns, from one row template of
+    ``fmt_float``'s ``"%.17g"``.  Only the id is ``csv``-quoted, once per
+    point, as the first of two cells (a lone empty cell is quoted), less
+    the ``",\r\n"`` after it."""
     template = "%s,%s" + ",%.17g" * len(PROFILE_COLUMNS) + "\r\n"
     radii = [fmt_float(r) for r in profile.radii]
-    cells = np.stack([profile.table[c] for c in PROFILE_COLUMNS], -1).tolist()
-    # ``writerow`` returns what ``write`` returns: here the line itself
-    quote = csv.writer(SimpleNamespace(write=str))
-    for point, rows in zip(profile.points, cells):
-        pid = quote.writerow([fmt_id(point), ""])[:-3]
-        out.writelines(template % (pid, r, *c) for r, c in zip(radii, rows))
-    atomic_write(path, out.getvalue())
+    cells = np.stack([profile.table[c][start:stop] for c in PROFILE_COLUMNS],
+                     -1).tolist()
+    texts = []
+    for point, rows in zip(profile.points[start:stop], cells):
+        pid = _LINE.writerow([fmt_id(point), ""])[:-3]
+        texts.append("".join([template % (pid, r, *c)
+                              for r, c in zip(radii, rows)]))
+    return texts
+
+
+def summary_rows(summaries) -> list:
+    """The row of each ``PointSummary``: limit estimates and flags."""
+    return [_LINE.writerow([fmt_id(s.point), fmt_float(s.lip_hat),
+                            fmt_float(s.big_hat), fmt_float(s.loc_hat),
+                            int(s.unresolved), int(s.divergent)])
+            for s in summaries]
+
+
+def _chunks(header: str, count: int, texts):
+    """``header``, then the joined ``texts(start, stop)`` of each run of
+    ``CHUNK_POINTS`` of the ``count`` points, made as they are written."""
+    yield header
+    for start in range(0, count, CHUNK_POINTS):
+        yield "".join(texts(start, start + CHUNK_POINTS))
+
+
+def save_rows(path: str, header: str, texts: list):
+    """``header`` and the per-point ``texts``, in point order."""
+    atomic_write(path, _chunks(header, len(texts),
+                               lambda start, stop: texts[start:stop]))
+
+
+def save_profile(path: str, profile: ScaleProfile):
+    """One row per (point, radius) (``profile_rows``), formatted as it is
+    written."""
+    atomic_write(path, _chunks(PROFILE_HEADER, len(profile.points),
+                               lambda start, stop: profile_rows(
+                                   profile, start, stop)))
 
 
 def save_summary(path: str, profile: ScaleProfile):
-    """Per-point limit estimates and flags."""
-    out = _io.StringIO()
-    w = csv.writer(out)
-    w.writerow(["point", "lip_hat", "big_hat", "loc_hat",
-                "unresolved", "divergent"])
-    for s in profile.summaries:
-        w.writerow([fmt_id(s.point), fmt_float(s.lip_hat),
-                    fmt_float(s.big_hat), fmt_float(s.loc_hat),
-                    int(s.unresolved), int(s.divergent)])
-    atomic_write(path, out.getvalue())
+    """Per-point limit estimates and flags (``summary_rows``)."""
+    save_rows(path, SUMMARY_HEADER, summary_rows(profile.summaries))
 
 
 def check_gamma(gamma: float) -> float:

@@ -161,8 +161,10 @@ class FiniteMetricSpace:
         monotone, so the computed distance never decreases as the other point
         moves away from ``x_a`` along the sorted order, on either side.  The
         set ``d < r`` (or ``d <= r``) is therefore a contiguous run of sorted
-        positions, and bisection on those same floats finds both of its ends
-        exactly, also for coincident points and for gaps that underflow to
+        positions.  ``searchsorted`` of ``x_a - r`` and ``x_a + r`` guesses
+        its ends; an end is kept where the exact test holds there and fails
+        one position outside, and elsewhere bisection on those same floats
+        finds it, also for coincident points and for gaps that underflow to
         distance 0.
         """
         n = self.n
@@ -175,9 +177,15 @@ class FiniteMetricSpace:
             d = _norm((c[b] - x)[:, None], self.p)
             return d <= r if closed else d < r
 
-        def first(pred, lo, hi):
+        def first(pred, lo, hi, guess):
             # smallest b in [lo, hi) with pred(b), or hi; pred is false then
-            # true along [lo, hi)
+            # true along [lo, hi).  The answer is below the guess where pred
+            # holds one before it, else the guess where pred holds there (or
+            # it is hi), else above it; bisect on that side
+            hit = (guess == hi) | pred(np.minimum(guess, n - 1))
+            before = (guess > lo) & pred(np.maximum(guess - 1, 0))
+            lo = np.select([before, hit], [lo, guess], guess + 1)
+            hi = np.select([before, hit], [guess - 1, guess], hi)
             active = lo < hi
             while np.any(active):
                 mid = (lo + hi) // 2
@@ -187,8 +195,11 @@ class FiniteMetricSpace:
                 active = lo < hi
             return lo
 
-        lo = first(inside, np.zeros(at.size, dtype=np.intp), at + 1)
-        hi = first(lambda b: ~inside(b), at + 1, np.full(at.size, n))
+        left, right = ("left", "right") if closed else ("right", "left")
+        lo = first(inside, np.zeros(at.size, dtype=np.intp), at + 1,
+                   np.clip(c.searchsorted(x - r, left), 0, at + 1))
+        hi = first(lambda b: ~inside(b), at + 1, np.full(at.size, n),
+                   np.clip(c.searchsorted(x + r, right), at + 1, n))
         return lo, hi
 
     def ball_rows(self, r, idx=None, closed=False, punctured=False, cost=3):

@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import InputError
 from .metric import BLOCK_ELEMS, NORMS, FiniteMetricSpace, _block, _norm
-from .workers import fork_map
 
 #: total tail-growth factor driving the divergence flag (see RadiusGrid docs)
 DIVERGENCE_FACTOR = 2.0
@@ -592,33 +591,8 @@ def _columns(f: SampledMap, radii: np.ndarray, idx: np.ndarray,
     return cols
 
 
-def _forked_columns(f: SampledMap, radii: np.ndarray, idx: np.ndarray,
-                    parts: int, seconds: dict) -> dict:
-    """``_columns`` of the points ``idx``, in ``parts`` slabs on ``fork_map``.
-
-    The points are cut into ``parts`` slabs of equal count along the first
-    coordinate (index order on a distance table), so that each slab's
-    balls overlap and ``_loc_table`` finds dense groups.  ``seconds`` gets
-    the slowest slab's ``"scan"`` and, as ``"loc"``, the rest of the wait.
-    """
-    t0 = time.perf_counter()
-    key = idx if f.domain.coords is None else f.domain.coords[idx, 0]
-    slabs = np.array_split(np.argsort(key, kind="stable"), parts)
-
-    def slab_columns(slab):
-        stages = {}
-        return _columns(f, radii, idx[slab], stages), stages
-
-    blocks = fork_map(slab_columns, slabs, parts)
-    seconds["scan"] = max(stages["scan"] for _, stages in blocks)
-    seconds["loc"] = time.perf_counter() - t0 - seconds["scan"]
-    back = np.argsort(np.concatenate(slabs))
-    return {k: np.concatenate([cols[k] for cols, _ in blocks])[back]
-            for k in blocks[0][0]}
-
-
 def scale_profile(f: SampledMap, grid: RadiusGrid, points=None,
-                  seconds=None, workers=1) -> ScaleProfile:
+                  seconds=None) -> ScaleProfile:
     """Evaluate all scale functionals on the radius grid.
 
     Limit estimates per point: the big estimate is the exact big functional at
@@ -633,22 +607,16 @@ def scale_profile(f: SampledMap, grid: RadiusGrid, points=None,
     point.  A ``seconds`` dict gets the wall times of the ``"scan"`` and
     the ``"loc"`` stage.
 
-    With ``workers`` >= 2 on a domain that is not a line, the points are
-    split into up to ``workers`` slabs, computed at once on forked workers
-    (``_forked_columns``).  The result is the same bit for bit: every
-    scan value is read from its own point's row, whichever rows share a
-    block, and each centre's ``loc`` is exact whatever other centres
-    share its group (see ``_loc_table``), so no float depends on how the
-    points are split.
+    No float depends on which other points are in ``points``: every scan
+    value is read from its own point's row, whichever rows share a block,
+    and each centre's ``loc`` is exact whatever other centres share its
+    group (see ``_loc_table``).  So the profiles of slabs of the points
+    are, row for row, the profile of all of them.
     """
     points, idx = _point_indices(f, points)
     radii = grid.radii
     stages = {}
-    parts = min(workers, idx.size)
-    if parts >= 2 and f.domain.line_order is None:
-        cols = _forked_columns(f, radii, idx, parts, stages)
-    else:
-        cols = _columns(f, radii, idx, stages)
+    cols = _columns(f, radii, idx, stages)
     resolved = _resolved(cols["d1"], radii)
     loc_hat = np.where(resolved >= 0,
                        cols["loc"][np.arange(idx.size), resolved], 0.0)

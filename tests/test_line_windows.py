@@ -97,6 +97,27 @@ def test_windows_are_the_balls(space, data):
         assert np.array_equal(np.arange(lo[a], hi[a]), ball)
 
 
+@given(line_spaces(max_size=16), st.data())
+@settings(max_examples=150, deadline=None)
+def test_windows_at_positions_with_their_own_radii(space, data):
+    # per-position radii: 0, sample distances (1e-170 gaps and the 0 of
+    # coincident points among them), free radii and one above the diameter
+    order = space.line_order
+    rows = {a: space.dist_row(order[a])[order] for a in range(space.n)}
+    radii = st.one_of(st.just(0.0), st.sampled_from(
+        np.concatenate(list(rows.values())).tolist()),
+        st.floats(1e-3, 5.0), st.just(2.0 * space.diameter() + 1.0))
+    at = np.array(data.draw(st.lists(st.integers(0, space.n - 1),
+                                     max_size=space.n)), dtype=np.intp)
+    r = np.array([data.draw(radii) for _ in at])
+    for closed in (False, True):
+        lo, hi = space.line_windows(r, closed=closed, at=at)
+        for k, a in enumerate(at.tolist()):
+            d = rows[a]
+            ball = np.flatnonzero(d <= r[k] if closed else d < r[k])
+            assert np.array_equal(np.arange(lo[k], hi[k]), ball), (a, r[k])
+
+
 @st.composite
 def any_spaces(draw, max_size=10):
     """A line, a plane, a table of plane distances or a table of line

@@ -6,6 +6,7 @@ where the defect is planted.  A name that ``harness`` imports by name is
 patched there too.  The sorted-scan defects wrap ``scales._read_rows`` and
 rewrite one kind of its output after the call.
 """
+import numpy as np
 import pytest
 
 from lipderiv import (IntervalUnion, SuiteConfig, envelopes, harness,
@@ -84,3 +85,50 @@ def test_segment_chain_sees_a_halved_big_functional(monkeypatch):
         out["big_below"][:] *= 0.5
     plant_in_scan(monkeypatch, rewrite)
     assert failures("segment_chain")
+
+
+def test_chain_sees_a_shrunk_local_table(monkeypatch):
+    plant(monkeypatch, "_loc_table", lambda real: scaled(real, 1.0 - 1e-6),
+          scales)
+    assert failures("chain")
+
+
+def test_frechet_sees_the_codomain_norm_read_as_the_sup_norm(monkeypatch):
+    plant(monkeypatch, "_block",
+          lambda real: lambda a, b, p: real(a, b, np.inf), scales)
+    plant(monkeypatch, "_norm",
+          lambda real: lambda diff, p: real(diff, np.inf), scales)
+    assert failures("frechet")
+
+
+def test_c1_identity_sees_the_local_estimate_at_the_largest_radius(
+        monkeypatch):
+    plant(monkeypatch, "_resolved",
+          lambda real: lambda d1, radii: np.minimum(real(d1, radii), 0),
+          scales)
+    assert failures("c1_identity")
+
+
+def test_gamma_lipschitz_sees_an_inflated_lipschitz_norm(monkeypatch):
+    plant(monkeypatch, "lip_norm", lambda real: scaled(real, 1.0 + 1e-2),
+          scales, harness)
+    assert failures("gamma_lipschitz")
+
+
+def test_lipnorm_sees_a_halved_lipschitz_norm(monkeypatch):
+    plant(monkeypatch, "lip_norm", lambda real: scaled(real, 0.5), scales,
+          harness)
+    assert failures("lipnorm")
+
+
+def test_level_sets_sees_a_shrunk_local_field(monkeypatch):
+    plant(monkeypatch, "loc_field", lambda real: scaled(real, 1.0 - 1e-6),
+          scales, harness)
+    assert failures("level_sets")
+
+
+def test_semicontinuity_sees_the_little_functional_as_the_upper(monkeypatch):
+    def rewrite(out):
+        out["little_below"][:] = out["lip_upper"]
+    plant_in_scan(monkeypatch, rewrite)
+    assert failures("semicontinuity")
