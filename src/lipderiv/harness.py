@@ -1000,6 +1000,8 @@ def run_suite(config: SuiteConfig) -> list:
         names = SUITE_NAMES
     if config.random_spaces < 0:
         raise InputError("random_spaces must be >= 0")
+    if config.seed < 0:
+        raise InputError("seed must be >= 0")
     # SUITE_NAMES order puts the longest suite, chain, first
     names = sorted(dict.fromkeys(names), key=SUITE_NAMES.index)
     entries = make_zoo(config.zoo_resolution)

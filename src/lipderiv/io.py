@@ -2,11 +2,12 @@
 
 All floating-point output uses 17 significant digits so that identical runs
 produce byte-identical files; files are written atomically (temp + rename).
+Every CSV line comes from the one ``csv`` writer ``_LINE``, and every CSV
+file is written in chunks of ``CHUNK_POINTS`` points, formatted as written.
 """
 from __future__ import annotations
 
 import csv
-import io as _io
 import json
 import math
 import os
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import InputError
 from .envelopes import ScalarField
 from .metric import FiniteMetricSpace
-from .scales import SampledMap, ScaleProfile
+from .scales import PROFILE_COLUMNS, SampledMap, ScaleProfile
 
 
 def fmt_float(x) -> str:
@@ -131,23 +132,17 @@ def load_point_cloud(path: str):
 
 def save_point_cloud(path: str, ids, coords, values=None):
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
-    out = _io.StringIO()
-    w = csv.writer(out)
     header = ["id"] + [f"x{k + 1}" for k in range(coords.shape[1])]
+    cells = coords
     if values is not None:
         values = np.asarray(values, dtype=float)
         if values.ndim == 1:
             header += ["val"]
         else:
             header += [f"val{k + 1}" for k in range(values.shape[1])]
-    w.writerow(header)
-    for i, pid in enumerate(ids):
-        row = [fmt_id(pid)] + [fmt_float(c) for c in coords[i]]
-        if values is not None:
-            v = values[i] if values.ndim > 1 else [values[i]]
-            row += [fmt_float(c) for c in np.atleast_1d(v)]
-        w.writerow(row)
-    atomic_write(path, out.getvalue())
+        cells = np.column_stack([coords, values])
+    _save_lines(path, header, len(ids), lambda i: [
+        fmt_id(ids[i]), *map(fmt_float, cells[i].tolist())])
 
 
 #: every accepted metric name: the bare name, or the name with its own
@@ -194,16 +189,10 @@ def load_sampled_map(path: str, metric: str = "euclidean") -> SampledMap:
 
 
 def save_scalar_field(path: str, field: ScalarField):
-    out = _io.StringIO()
-    w = csv.writer(out)
-    w.writerow(["id", "value"])
-    for pid, v in zip(field.space.ids, field.values):
-        w.writerow([fmt_id(pid), fmt_float(v)])
-    atomic_write(path, out.getvalue())
+    ids, values = field.space.ids, field.values
+    _save_lines(path, ["id", "value"], len(ids),
+                lambda i: [fmt_id(ids[i]), fmt_float(values[i])])
 
-
-PROFILE_COLUMNS = ("lip_upper", "lip_upper_closed", "big_below",
-                   "little_below", "loc")
 
 #: points whose rows a writer formats and writes at once
 CHUNK_POINTS = 4096
@@ -255,6 +244,15 @@ def save_rows(path: str, header: str, texts: list):
                                lambda start, stop: texts[start:stop]))
 
 
+def _save_lines(path: str, header: list, count: int, cells):
+    """The CSV line of ``header``, then that of ``cells(i)`` for each of
+    the ``count`` points, formatted as it is written."""
+    def texts(start, stop):
+        return [_LINE.writerow(cells(i))
+                for i in range(start, min(stop, count))]
+    atomic_write(path, _chunks(_LINE.writerow(header), count, texts))
+
+
 def save_profile(path: str, profile: ScaleProfile):
     """One row per (point, radius) (``profile_rows``), formatted as it is
     written."""
@@ -279,15 +277,14 @@ def save_set_flags(path: str, summaries, gamma: float):
     """Per-point threshold membership flags for the three estimates of a
     ``PointSummary`` list (``scale_summaries``)."""
     check_gamma(gamma)
-    out = _io.StringIO()
-    w = csv.writer(out)
-    w.writerow(["point", "lip_le_gamma", "big_le_gamma", "loc_le_gamma",
-                "lip_gt_gamma", "big_gt_gamma", "loc_gt_gamma"])
-    for s in summaries:
-        le = [s.lip_hat <= gamma, s.big_hat <= gamma, s.loc_hat <= gamma]
-        w.writerow([fmt_id(s.point)] + [int(b) for b in le]
-                   + [int(not b) for b in le])
-    atomic_write(path, out.getvalue())
+
+    def cells(i):
+        s = summaries[i]
+        le = [int(v <= gamma) for v in (s.lip_hat, s.big_hat, s.loc_hat)]
+        return [fmt_id(s.point), *le, *(1 - b for b in le)]
+    _save_lines(path, ["point", "lip_le_gamma", "big_le_gamma",
+                       "loc_le_gamma", "lip_gt_gamma", "big_gt_gamma",
+                       "loc_gt_gamma"], len(summaries), cells)
 
 
 def report_document(results) -> dict:

@@ -116,6 +116,9 @@ class RadiusGrid:
 #: the profile columns the sorted scan answers
 _SCAN_COLUMNS = ("lip_upper", "lip_upper_closed", "big_below", "little_below")
 
+#: the columns of a profile: the scan's, then the local functional
+PROFILE_COLUMNS = _SCAN_COLUMNS + ("loc",)
+
 #: everything ``scan_field`` answers per point and radius
 _FIELD_KINDS = _SCAN_COLUMNS + ("nearest_scale_inf",)
 
@@ -509,9 +512,9 @@ def lip_norm(f: SampledMap) -> float:
 def point_scale_values(f: SampledMap, x, radii) -> dict:
     """All five scale functionals of one point on an array of radii."""
     radii, i = _positive(radii), f.domain.index(x)
-    scan = scan_field(f, radii, [i])
-    return dict({k: scan[k][0] for k in _SCAN_COLUMNS},
-                loc=_loc_table(f, [i], radii)[0])
+    cols = scan_field(f, radii, [i])
+    cols["loc"] = _loc_table(f, [i], radii)
+    return {k: cols[k][0] for k in PROFILE_COLUMNS}
 
 
 @dataclass
@@ -615,15 +618,11 @@ def scale_profile(f: SampledMap, grid: RadiusGrid, points=None,
     """
     points, idx = _point_indices(f, points)
     radii = grid.radii
-    stages = {}
-    cols = _columns(f, radii, idx, stages)
+    cols = _columns(f, radii, idx, {} if seconds is None else seconds)
     resolved = _resolved(cols["d1"], radii)
     loc_hat = np.where(resolved >= 0,
                        cols["loc"][np.arange(idx.size), resolved], 0.0)
-    if seconds is not None:
-        seconds.update(stages)
-    return ScaleProfile(points, radii,
-                        {k: cols[k] for k in _SCAN_COLUMNS + ("loc",)},
+    return ScaleProfile(points, radii, {k: cols[k] for k in PROFILE_COLUMNS},
                         _summaries(points, grid, cols, loc_hat))
 
 

@@ -231,6 +231,11 @@ def test_run_suite_unknown_and_empty():
     assert overall_ok([])
 
 
+def test_run_suite_negative_seed():
+    with pytest.raises(InputError, match="seed must be >= 0"):
+        run_suite(SuiteConfig(suite=("oracle_equiv",), seed=-1))
+
+
 def test_run_suite_deterministic_report():
     cfg = dict(suite=("bhmv", "frechet"), seed=3, random_spaces=3)
     a = run_suite(SuiteConfig(**cfg))

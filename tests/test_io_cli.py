@@ -16,6 +16,7 @@ from lipderiv import cli
 from lipderiv import io as lio
 from lipderiv.cli import main
 from lipderiv.harness import CheckResult
+from lipderiv.scales import PointSummary
 
 
 def test_fmt_float():
@@ -85,6 +86,80 @@ def test_scalar_field_roundtrip(tmp_path):
     lio.save_scalar_field(path, field)
     assert (Path(path).read_bytes()
             == b"id,value\r\n0,1\r\n0.5,inf\r\n1,-2\r\n")
+
+
+#: ids that need csv quoting: a comma, a quote and an empty id
+QUOTED = ["a,b", 'say "hi"', ""]
+
+
+def one_string(header, rows) -> bytes:
+    """``header`` and ``rows`` through one ``csv.writer`` into one string."""
+    out = io.StringIO()
+    w = csv.writer(out)
+    w.writerow(header)
+    w.writerows(rows)
+    return out.getvalue().encode()
+
+
+@pytest.fixture
+def chunk_counts(monkeypatch):
+    """The number of chunks of each ``atomic_write`` call, which must get
+    an iterator of chunks, not one joined string."""
+    counts, write = [], lio.atomic_write
+
+    def counted(path, chunks):
+        assert not isinstance(chunks, str)
+        chunks = list(chunks)
+        counts.append(len(chunks))
+        write(path, chunks)
+
+    monkeypatch.setattr(lio, "atomic_write", counted)
+    return counts
+
+
+@pytest.mark.parametrize("n", [0, 1, lio.CHUNK_POINTS + 1])
+@pytest.mark.parametrize("width", [None, 0, 1, 2])
+def test_row_writers_equal_one_string(tmp_path, chunk_counts, n, width):
+    """The point cloud (no values, 1-d values, one and two value columns),
+    scalar field and set flag writers give the bytes of one ``csv.writer``
+    string, in chunks of ``CHUNK_POINTS`` points."""
+    rng = np.random.default_rng(n)
+    ids = (QUOTED + [f"p{i}" for i in range(n)])[:n]
+    coords = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-300, 300,
+                                                                (n, 2))
+    values = rng.standard_normal((n, width) if width else n)
+    values.reshape(-1)[:2] = [np.inf, -np.inf][:values.size]
+    values = None if width == 0 else values
+    header = ["id", "x1", "x2"] + ({None: ["val"], 0: [], 1: ["val1"],
+                                    2: ["val1", "val2"]}[width])
+    rows = [[lio.fmt_id(x)] + [lio.fmt_float(c) for c in coords[i]]
+            + ([] if values is None
+               else [lio.fmt_float(v) for v in np.atleast_1d(values[i])])
+            for i, x in enumerate(ids)]
+    path = tmp_path / "cloud.csv"
+    lio.save_point_cloud(str(path), ids, coords, values)
+    assert path.read_bytes() == one_string(header, rows)
+    chunks = 1 + -(-n // lio.CHUNK_POINTS)
+    assert chunk_counts == [chunks]
+    if width is not None:
+        return
+    field = ScalarField(FiniteMetricSpace(ids, coords=coords), values)
+    lio.save_scalar_field(str(path), field)
+    assert path.read_bytes() == one_string(
+        ["id", "value"], [[lio.fmt_id(x), lio.fmt_float(v)]
+                          for x, v in zip(ids, values)])
+    # estimates on both sides of gamma, at it and infinite
+    gamma = 0.5
+    hats = rng.choice([-np.inf, 0.0, gamma, 1.0, np.inf], (n, 3))
+    summaries = [PointSummary(x, *h, False, False)
+                 for x, h in zip(ids, hats)]
+    lio.save_set_flags(str(path), summaries, gamma)
+    assert path.read_bytes() == one_string(
+        ["point", "lip_le_gamma", "big_le_gamma", "loc_le_gamma",
+         "lip_gt_gamma", "big_gt_gamma", "loc_gt_gamma"],
+        [[lio.fmt_id(x)] + [int(v <= gamma) for v in h]
+         + [int(v > gamma) for v in h] for x, h in zip(ids, hats)])
+    assert chunk_counts == [chunks] * 3
 
 
 def profile_fixture():
@@ -579,6 +654,26 @@ def test_cli_check_negative_random_spaces(capsys):
     assert main(["check", "--suite", "oracle_equiv",
                  "--random-spaces", "-1"]) == 2
     assert "random_spaces" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_cli_check_negative_seed(tmp_path, capsys, monkeypatch, how):
+    """A negative seed is an input error before the zoo is built or any
+    suite runs, not numpy's ``ValueError`` from inside a suite."""
+    def no_zoo(resolution):
+        raise AssertionError("the zoo was built")
+
+    monkeypatch.setattr("lipderiv.harness.make_zoo", no_zoo)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    report = tmp_path / "report.json"
+    argv = (["check", "--seed", "-1"] if how == "flag"
+            else ["--config", str(cfg), "check"])
+    assert main(argv + ["--suite", "bhmv", "--report", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be >= 0\n"
+    assert captured.out == ""
+    assert not report.exists()
 
 
 def test_coincident_points_with_different_values(tmp_path, capsys):
