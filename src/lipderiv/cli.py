@@ -30,7 +30,6 @@ CONFIG_ENV = "LIPDERIV_CONFIG"
 
 _DEFAULTS = {
     "metric": "euclidean",
-    "rmax": 0.5,
     "q": 0.5,
     "steps": 8,
     "tail": 3,
@@ -134,7 +133,7 @@ def cmd_profile(args) -> int:
     point order and writes them.  No float depends on the split (see
     ``scale_profile``), so the files are the same byte for byte."""
     t0 = time.perf_counter()
-    grid, out = _grid(args), lio.check_writable(_require(args, "out"))
+    out, grid = lio.check_writable(_require(args, "out")), _grid(args)
     f = lio.load_sampled_map(_require(args, "input"),
                              _resolve(args, "metric"))
     seconds = {"load": time.perf_counter() - t0}
@@ -240,7 +239,7 @@ def cmd_envelope(args) -> int:
 def cmd_sets(args) -> int:
     t0 = time.perf_counter()
     gamma = lio.check_gamma(_require(args, "gamma", float))
-    grid, out = _grid(args), lio.check_writable(_require(args, "out"))
+    out, grid = lio.check_writable(_require(args, "out")), _grid(args)
     f = lio.load_sampled_map(_require(args, "input"),
                              _resolve(args, "metric"))
     seconds = {"load": time.perf_counter() - t0}

@@ -117,7 +117,7 @@ def check_plus_variant(f: SampledMap, x, r: float,
     alpha = float(np.max(scan["lip_upper"][0, :d.size] * rho / d))
     beta = float(np.max(scan["lip_upper_closed"][0, d.size:-1]))
     gamma = float(scan["big_below"][0, -1])
-    worst = max(abs(alpha - beta), abs(beta - gamma), abs(alpha - gamma))
+    worst = np.max(np.abs([alpha - beta, beta - gamma, alpha - gamma]))
     tol = 1e-12
     return _result(name, worst <= tol, worst, tol,
                    {"point": x, "radius": float(r),
@@ -679,7 +679,7 @@ def check_scale_oracles(space: FiniteMetricSpace, values, radii,
                 brute_loc = max(brute_loc, abs(values[a] - values[b]) / dd)
             checks["loc"] = (scanned["loc"][ri], brute_loc)
             for kind, (got, want) in checks.items():
-                gap = abs(got - want)
+                gap = math.inf if math.isnan(got - want) else abs(got - want)
                 if gap > worst:
                     worst = gap
                     witness = {"point": x, "radius": r, "kind": kind,
@@ -688,7 +688,8 @@ def check_scale_oracles(space: FiniteMetricSpace, values, radii,
     for a, b in itertools.combinations(range(space.n), 2):
         brute_norm = max(brute_norm,
                          abs(values[a] - values[b]) / float(dist[a][b]))
-    gap = abs(lip_norm(f) - brute_norm)
+    got = lip_norm(f)
+    gap = math.inf if math.isnan(got - brute_norm) else abs(got - brute_norm)
     if gap > worst:
         worst = gap
         witness = {"kind": "lip_norm"}

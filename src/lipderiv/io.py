@@ -1,9 +1,11 @@
 """CSV/text serialization for spaces, fields, profiles and reports.
 
 All floating-point output uses 17 significant digits so that identical runs
-produce byte-identical files; files are written atomically (temp + rename).
-Every CSV line comes from the one ``csv`` writer ``_LINE``, and every CSV
-file is written in chunks of ``CHUNK_POINTS`` points, formatted as written.
+produce byte-identical files; files are written atomically (temp + rename),
+a CSV file in chunks of ``CHUNK_POINTS`` points.  CSV lines come from the
+one ``csv`` writer ``_LINE``, but a profile row fills a ``"%.17g"`` template
+and sends only its id through ``_LINE``.  A summary and forked profile slabs
+are formatted before they are written, other files chunk by chunk as written.
 """
 from __future__ import annotations
 
@@ -131,7 +133,10 @@ def load_point_cloud(path: str):
 
 
 def save_point_cloud(path: str, ids, coords, values=None):
-    coords = np.atleast_2d(np.asarray(coords, dtype=float))
+    coords = np.asarray(coords, dtype=float)
+    coords = coords[:, None] if coords.ndim == 1 else coords
+    if coords.ndim != 2 or len(coords) != len(ids):
+        raise InputError("one coordinate row per id required")
     header = ["id"] + [f"x{k + 1}" for k in range(coords.shape[1])]
     cells = coords
     if values is not None:

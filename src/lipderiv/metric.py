@@ -146,6 +146,20 @@ class FiniteMetricSpace:
             return None
         return np.argsort(self.coords[:, 0], kind="stable")
 
+    @cached_property
+    def _line_coord(self):
+        """The coordinate of a ``line_order`` space in sorted order."""
+        return self.coords[self.line_order, 0]
+
+    def line_dist(self, a, b):
+        """The ``dist_row`` floats between the points at sorted positions
+        ``a`` and ``b`` (broadcast) of a ``line_order`` space, in either
+        order: ``|x_b - x_a|`` (p = 1, inf) or ``sqrt((x_b - x_a)**2)`` (p =
+        2), each step rounded and monotone, so the distance never falls as
+        ``b`` moves away from ``a``: each ball is a run of sorted positions."""
+        c = self._line_coord
+        return _norm((c[b] - c[a])[..., None], self.p)
+
     def line_windows(self, r, closed: bool = False, at=None):
         """Ball windows of the points of a ``line_order`` space.
 
@@ -155,26 +169,20 @@ class FiniteMetricSpace:
         with ``d`` the exact ``dist_row`` floats.  ``r`` is a scalar or one
         radius per position.
 
-        Why a window is the ball: with one coordinate the distance is a
-        rounded subtraction followed by an absolute value (p = 1, inf) or by
-        a rounded square and a rounded sqrt (p = 2).  Each of these steps is
-        monotone, so the computed distance never decreases as the other point
-        moves away from ``x_a`` along the sorted order, on either side.  The
-        set ``d < r`` (or ``d <= r``) is therefore a contiguous run of sorted
-        positions.  ``searchsorted`` of ``x_a - r`` and ``x_a + r`` guesses
-        its ends; an end is kept where the exact test holds there and fails
-        one position outside, and elsewhere bisection on those same floats
-        finds it, also for coincident points and for gaps that underflow to
-        distance 0.
+        The ball is a run of sorted positions (see ``line_dist``).
+        ``searchsorted`` of ``x_a - r`` and ``x_a + r`` guesses its ends; an
+        end is kept where the exact test holds there and fails one position
+        outside, and elsewhere bisection on those same floats finds it, also
+        for coincident points and for gaps that underflow to distance 0.
         """
         n = self.n
-        c = self.coords[self.line_order, 0]
+        c = self._line_coord
         at = np.arange(n) if at is None else np.asarray(at, dtype=np.intp)
         r = np.broadcast_to(np.asarray(r, dtype=float), at.shape)
         x = c[at]
 
         def inside(b):
-            d = _norm((c[b] - x)[:, None], self.p)
+            d = self.line_dist(at, b)
             return d <= r if closed else d < r
 
         def first(pred, lo, hi, guess):
@@ -252,7 +260,6 @@ class FiniteMetricSpace:
             left, skip = lo0 - lo, hi0 - lo0
             m -= skip
         step = max(1, BLOCK_ELEMS // (cost * max(1, int(m.max(initial=0)))))
-        c = self.coords[order, 0]
         for s in range(0, idx.size, step):
             rows = slice(s, s + step)
             j = np.arange(max(1, int(np.max(m[rows]))))
@@ -260,7 +267,7 @@ class FiniteMetricSpace:
             if punctured:
                 b += np.where(j >= left[rows, None], skip[rows, None], 0)
             np.minimum(b, n - 1, out=b)
-            D = _norm((c[b] - c[a[rows], None])[..., None], self.p)
+            D = self.line_dist(a[rows, None], b)
             yield rows, order[b], D, j < m[rows, None]
 
     def nearest_neighbors(self):
@@ -275,9 +282,9 @@ class FiniteMetricSpace:
             # neighbour of the run at distance 0, so the closed ball of that
             # radius holds that run and the points at that distance only
             lo0, hi0 = self.line_windows(0.0, closed=True)
-            c = self.coords[order, 0]
-            left = _norm((c[np.maximum(lo0 - 1, 0)] - c)[:, None], self.p)
-            right = _norm((c[np.minimum(hi0, n - 1)] - c)[:, None], self.p)
+            at = np.arange(n)
+            left = self.line_dist(at, np.maximum(lo0 - 1, 0))
+            right = self.line_dist(at, np.minimum(hi0, n - 1))
             r = np.empty(n)
             r[order] = np.minimum(np.where(lo0 > 0, left, np.inf),
                                   np.where(hi0 < n, right, np.inf))
@@ -293,12 +300,11 @@ class FiniteMetricSpace:
 
     def diameter(self) -> float:
         """Largest distance: on a ``line_order`` space that of the first and
-        last sorted points (see ``line_windows``: no distance is larger),
+        last sorted points (see ``line_dist``: no distance is larger),
         else from ``cross`` row blocks against every point; four arrays of a
         block's shape fit in ``BLOCK_ELEMS`` (one row when a row exceeds it)."""
         if self.line_order is not None and self.n:
-            first, last = self.coords[self.line_order[[0, -1]]]
-            return float(_norm(last - first, self.p))
+            return float(self.line_dist(0, self.n - 1))
         every = np.arange(self.n)
         step = max(1, BLOCK_ELEMS // (4 * max(self.n, 1)))
         return max((float(np.max(self.cross(every[s:s + step], every)))

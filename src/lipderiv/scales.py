@@ -472,7 +472,6 @@ def loc_field(f: SampledMap, r: float, idx=None) -> np.ndarray:
     rows = np.flatnonzero(np.cumsum(edges) > 0)
     pos = np.searchsorted(rows, lo)
     cnt = hi - 1 - lo
-    c = sp.coords[order, 0]
     k = np.arange(1, width)
     step = max(1, BLOCK_ELEMS // (8 * width))
     span = min(step, width - 1)
@@ -482,7 +481,7 @@ def loc_field(f: SampledMap, r: float, idx=None) -> np.ndarray:
         t = s + k
         keep = t < n
         np.minimum(t, n - 1, out=t)
-        D = _norm((c[t] - c[s])[..., None], sp.p)
+        D = sp.line_dist(s, t)
         keep &= D > 0
         V = f.value_pairs(order[s], order[t])
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -49,6 +49,24 @@ def test_point_cloud_vector_values(tmp_path):
     assert f.values.shape == (1, 2)
 
 
+def test_point_cloud_of_a_flat_line(tmp_path):
+    # one coordinate per id, given flat: a line, written as x1
+    path = str(tmp_path / "line.csv")
+    lio.save_point_cloud(path, ["a", "b", "c"], [0.0, 0.5, 1.0],
+                         [1.0, 2.0, 3.0])
+    with open(path) as fh:
+        assert fh.readline().strip() == "id,x1,val"
+    ids, got, vals = lio.load_point_cloud(path)
+    assert ids == ["a", "b", "c"]
+    np.testing.assert_array_equal(got, [[0.0], [0.5], [1.0]])
+    np.testing.assert_array_equal(vals, [1.0, 2.0, 3.0])
+    for coords in ([0.0, 0.5], [[0.0], [0.5]], [[[0.0]], [[0.5]], [[1.0]]]):
+        with pytest.raises(InputError, match="one coordinate row per id"):
+            lio.save_point_cloud(str(tmp_path / "bad.csv"), ["a", "b", "c"],
+                                 coords)
+    assert not (tmp_path / "bad.csv").exists()
+
+
 def test_point_cloud_errors(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("foo,bar\n1,2\n")
@@ -774,7 +792,7 @@ def refuse(*args):
     # a grid too long to allocate is refused before its radii exist
     ["profile", "--input", "{src}", "--rmax", "0.5", "--steps",
      "1000000000000000000", "--out", "{out}"],
-    ["sets", "--input", "{src}", "--gamma", "1", "--steps",
+    ["sets", "--input", "{src}", "--gamma", "1", "--rmax", "0.5", "--steps",
      "1000000000000000000", "--out", "{out}"],
 ])
 def test_cli_fails_before_computing(tmp_path, capsys, monkeypatch, args):
@@ -794,6 +812,25 @@ def test_cli_fails_before_computing(tmp_path, capsys, monkeypatch, args):
             or "h must be positive and finite" in captured.err
             or "underflows" in captured.err)
     assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("command", [["profile"], ["sets", "--gamma", "1"]])
+def test_cli_requires_rmax(tmp_path, capsys, monkeypatch, command):
+    # r_max has no default: without the flag or a config value the command
+    # exits 2 naming it before the input is read, and writes nothing
+    src, out = write_cloud(tmp_path), tmp_path / "o.csv"
+    argv = command + ["--input", src, "--out", str(out)]
+    with monkeypatch.context() as m:
+        m.setattr(lio, "load_sampled_map", refuse)
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: missing required option --rmax\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rmax": 0.5, "steps": 3}))
+    assert main(["--config", str(cfg)] + argv) == 0
+    assert out.exists()
 
 
 def test_check_writable(tmp_path):

@@ -37,9 +37,13 @@ COORD = st.one_of(st.integers(-8, 8).map(lambda k: k / 4.0),
                   st.sampled_from([1e-170, 2e-170, -3e-170]))
 
 
+#: coordinates whose differences (and squares) overflow to inf
+HUGE = st.sampled_from([1e200, -1e200, 1.5e308, -1.5e308])
+
+
 @st.composite
-def line_spaces(draw, max_size=12):
-    coords = draw(st.lists(COORD, min_size=1, max_size=max_size))
+def line_spaces(draw, max_size=12, coord=COORD):
+    coords = draw(st.lists(coord, min_size=1, max_size=max_size))
     n = len(coords)
     # ids in an order unrelated to the coordinate
     ids = draw(st.permutations([f"p{k}" for k in range(n)]))
@@ -346,6 +350,22 @@ def test_line_diameter_is_the_cross_maximum(space):
     every = np.arange(space.n)
     assert space.line_order is not None
     assert space.diameter() == float(np.max(space.cross(every, every)))
+
+
+@given(line_spaces(coord=COORD | HUGE))
+@settings(max_examples=300, deadline=None)
+def test_line_dist_is_the_distance_row(space):
+    # in either order, bit for bit: coincident points, 1e-170 gaps
+    # (distance 0 under p = 2) and distances that overflow to inf
+    order, pos = space.line_order, np.arange(space.n)
+    with np.errstate(over="ignore"):
+        rows = np.array([space.dist_row(i)[order] for i in order])
+        ab = space.line_dist(pos[:, None], pos)
+        ba = space.line_dist(pos, pos[:, None])
+        diameter = space.diameter()
+    assert ab.tobytes() == rows.tobytes()
+    assert ba.tobytes() == rows.tobytes()
+    assert diameter == np.max(rows)
 
 
 def test_pair_extremes_on_one_point():

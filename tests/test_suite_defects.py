@@ -132,3 +132,23 @@ def test_semicontinuity_sees_the_little_functional_as_the_upper(monkeypatch):
         out["little_below"][:] = out["lip_upper"]
     plant_in_scan(monkeypatch, rewrite)
     assert failures("semicontinuity")
+
+
+def test_oracle_equiv_sees_a_nan_local_field(monkeypatch):
+    def wrap(real):
+        def planted(*args, **kwargs):
+            out = real(*args, **kwargs)
+            out[0] = np.nan
+            return out
+        return planted
+    plant(monkeypatch, "loc_field", wrap, harness)
+    assert failures("oracle_equiv")
+
+
+@pytest.mark.parametrize("suite", ["oracle_equiv", "plus_variant"])
+def test_suites_see_nan_scan_values(monkeypatch, suite):
+    def rewrite(out):
+        for kind in ("little_below", "big_below", "nearest_scale_inf"):
+            out[kind][0] = np.nan
+    plant_in_scan(monkeypatch, rewrite)
+    assert failures(suite)
