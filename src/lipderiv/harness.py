@@ -57,6 +57,28 @@ def _result(name, ok, discrepancy, tolerance, witness=None, detail=""):
                        witness, detail)
 
 
+def _worst(gaps):
+    """The first largest entry of ``gaps``, a NaN read as +inf, and its
+    ``np.unravel_index``; ``(0.0, None)`` when ``gaps`` is empty."""
+    gaps = np.asarray(gaps, dtype=float)
+    if gaps.size == 0:
+        return 0.0, None
+    gaps = np.where(np.isnan(gaps), np.inf, gaps)
+    at = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
+    return float(gaps[at]), at
+
+
+def _verdict(name, gaps, witness_at, limit=0.0, tolerance=None):
+    """The result of a check that passes when the worst gap of ``gaps`` (by
+    ``_worst``) is at most ``limit``: its discrepancy is that gap, at least
+    0, and ``witness_at(index)`` of the gap, if positive, its witness.  The
+    reported tolerance is ``limit`` unless ``tolerance`` is given."""
+    worst, at = _worst(gaps)
+    return _result(name, worst <= limit, max(worst, 0.0),
+                   limit if tolerance is None else tolerance,
+                   witness_at(at) if worst > 0 else None)
+
+
 def random_space(rng, n_points, dim=2) -> FiniteMetricSpace:
     p = float(rng.choice([1.0, 2.0, np.inf]))
     coords = rng.uniform(-1.0, 1.0, size=(n_points, dim))
@@ -72,13 +94,8 @@ def random_map(rng, space: FiniteMetricSpace) -> SampledMap:
 
 
 def _ordering(little, big, loc):
-    """The worst gap max(little - big, big - loc) over arrays of one shape
-    (0 when they have no entries) and its ``np.unravel_index``."""
-    gap = np.maximum(little - big, big - loc)
-    if gap.size == 0:
-        return 0.0, None
-    at = np.unravel_index(int(np.argmax(gap)), gap.shape)
-    return float(gap[at]), at
+    """The gaps max(little - big, big - loc) of little <= big <= loc."""
+    return np.maximum(little - big, big - loc)
 
 
 def check_chain(f: SampledMap, grid: RadiusGrid, name="chain", points=None,
@@ -91,12 +108,9 @@ def check_chain(f: SampledMap, grid: RadiusGrid, name="chain", points=None,
     if inject_fault:
         little = little.copy()
         little[0, 0] = big[0, 0] + 1.0
-    worst, at = _ordering(little, big, loc)
-    witness = None
-    if worst > 0:
-        pi, ri = at
-        witness = {"point": prof.points[pi], "radius": float(prof.radii[ri])}
-    return _result(name, worst <= 0.0, max(worst, 0.0), 0.0, witness)
+    return _verdict(name, _ordering(little, big, loc),
+                    lambda at: {"point": prof.points[at[0]],
+                                "radius": float(prof.radii[at[1]])})
 
 
 def check_plus_variant(f: SampledMap, x, r: float,
@@ -117,7 +131,7 @@ def check_plus_variant(f: SampledMap, x, r: float,
     alpha = float(np.max(scan["lip_upper"][0, :d.size] * rho / d))
     beta = float(np.max(scan["lip_upper_closed"][0, d.size:-1]))
     gamma = float(scan["big_below"][0, -1])
-    worst = np.max(np.abs([alpha - beta, beta - gamma, alpha - gamma]))
+    worst, _ = _worst(np.abs([alpha - beta, beta - gamma, alpha - gamma]))
     tol = 1e-12
     return _result(name, worst <= tol, worst, tol,
                    {"point": x, "radius": float(r),
@@ -175,28 +189,22 @@ def check_gamma_lipschitz(f: SampledMap, gamma: float, grid: RadiusGrid,
     # hypothesis boundary by one ulp
     eps = 1e-12 * max(1.0, gamma, norm)
     finest_ok = bool(np.all(little[:, -1] <= gamma + eps))
-    pairwise_ok = norm <= gamma + eps
     pair_tol = 2.0 * resolution / diam if diam > 0 else 0.0
-    checked = False
-    worst = 0.0
-    tol_used = 0.0
+    # a NaN on either side is a gap, not an unmet hypothesis
+    gaps = [np.nan] if np.isnan(little).any() or np.isnan(norm) else []
     detail = []
-    if pairwise_ok:        # forward: exact up to the ulp allowance
-        checked = True
-        worst = max(worst, float(np.max(little)) - gamma - eps)
+    if norm <= gamma + eps:    # forward: exact up to the ulp allowance
+        gaps.append(np.max(little) - gamma - eps)
         detail.append("forward")
     if finest_ok:          # backward: pairwise bound up to sub-resolution tol
-        checked = True
-        gap = norm - gamma * (1.0 + pair_tol) - eps
-        if gap > 0:
-            worst = max(worst, gap)
-        tol_used = pair_tol
+        gaps.append(norm - gamma * (1.0 + pair_tol) - eps)
         detail.append("backward")
-    if not checked:
+    if not gaps:
         return CheckResult(name, "skipped",
                            detail="hypothesis-not-met: little functional "
                                   "exceeds gamma at the finest scale")
-    return _result(name, worst <= 0.0, max(worst, 0.0), tol_used,
+    worst, _ = _worst([0.0] + gaps)     # 0 when no gap is positive
+    return _result(name, worst <= 0.0, worst, pair_tol if finest_ok else 0.0,
                    {"gamma": gamma, "lip_norm": norm},
                    detail="+".join(detail))
 
@@ -257,15 +265,10 @@ def check_segment_chain_rule(f: SampledMap, func, a, b, r: float,
                                   f"r*|b-a| = {scale:.4g}")
     lhs = scan_field(g, r, at)["nearest_scale_inf"][:, 0]
     rhs = length * big["big_below"][:, 0]
-    # the first largest positive gap, if any (fmax reads a NaN gap as 0)
-    gap = np.fmax(lhs - rhs, 0.0)
-    k = int(np.argmax(gap))
-    witness = None
-    if gap[k] > 0:
-        witness = {"u": float(us[at[k]]), "lhs": float(lhs[k]),
-                   "rhs": float(rhs[k])}
     tol = 0.05 * float(np.max(rhs)) + 2.0 * length / steps
-    return _result(name, gap[k] <= tol, gap[k], tol, witness)
+    return _verdict(name, lhs - rhs,
+                    lambda k: {"u": float(us[at][k]), "lhs": float(lhs[k]),
+                               "rhs": float(rhs[k])}, limit=tol)
 
 
 def bhmv_map(E: IntervalUnion, span, resolution: float) -> SampledMap:
@@ -282,8 +285,12 @@ def check_bhmv_bound(E: IntervalUnion, span, resolution: float,
 
     The values of f come from ``bhmv_map``'s scalar ``intersect().measure()``
     and the measures of all pairs from one ``E.intersect_measures`` call, so
-    the check compares the two.  The witness is the first pair (in
-    ``itertools.combinations`` order), then point, with the largest gap.
+    the check compares the two.  The little estimate at each point is
+    bounded by 1 on E, by tol off the r_small-neighbourhood of E and not at
+    all in between.  The witness is the first pair (in
+    ``itertools.combinations`` order), then point, with the largest gap; an
+    infinite estimate under an infinite bound is no gap, and a NaN gap
+    fails.
     """
     tol = 1e-12
     f = bhmv_map(E, span, resolution)
@@ -297,19 +304,17 @@ def check_bhmv_bound(E: IntervalUnion, span, resolution: float,
     bound = np.where(dist == 0.0, 1.0 + tol,
                      np.where(dist <= r_small, np.inf, tol))
     with np.errstate(invalid="ignore"):
-        gaps = np.concatenate((np.abs(np.abs(vals[j] - vals[i]) - mu) - tol,
-                               hat - bound))
-    # a gap of inf - inf is no gap
-    gaps[np.isnan(gaps)] = -np.inf
-    k = int(np.argmax(gaps))
-    if gaps[k] <= 0.0:
-        return _result(name, True, 0.0, tol)
-    if k < i.size:
-        witness = {"a": xs[i[k]], "b": xs[j[k]], "mu": float(mu[k])}
-    else:
-        p = k - i.size
-        witness = {"point": float(xs[p]), "little_hat": float(hat[p])}
-    return _result(name, False, gaps[k], tol, witness)
+        gaps = np.concatenate((
+            np.abs(np.abs(vals[j] - vals[i]) - mu) - tol,
+            np.where(np.isinf(hat) & np.isinf(bound), -np.inf, hat - bound)))
+
+    def witness_at(at):
+        k, = at
+        if k < i.size:
+            return {"a": xs[i[k]], "b": xs[j[k]], "mu": float(mu[k])}
+        return {"point": float(xs[k - i.size]),
+                "little_hat": float(hat[k - i.size])}
+    return _verdict(name, gaps, witness_at, tolerance=tol)
 
 
 def derivative_fields(f: SampledMap, r_fine: float, r_loc: float):
@@ -349,8 +354,7 @@ def check_envelope_identity(f: SampledMap, h: float, resolution: float,
     tol = _cell_oscillation(loc_f) + rel_tol * float(np.max(loc_f.values))
     gaps = np.maximum(np.abs(env_little.values - loc_f.values),
                       np.abs(env_big.values - loc_f.values))
-    worst = float(np.max(gaps))
-    i = int(np.argmax(gaps))
+    worst, (i,) = _worst(gaps)
     return _result(name, worst <= tol, worst, tol,
                    {"point": f.domain.ids[i],
                     "envelope_little": float(env_little.values[i]),
@@ -362,21 +366,18 @@ def check_openness_surrogate(f: SampledMap, x0, r: float, gamma: float,
                              name="openness", inject_fault=False) -> CheckResult:
     """Local functional at half scale never exceeds it at the center: exact."""
     base = loc_lip_r(f, x0, r)
-    if not base < gamma:
+    if base >= gamma:
         return CheckResult(name, "skipped",
                            detail="precondition loc < gamma not met")
+    # a NaN precondition fails: every gap is NaN
+    base = math.nan if math.isnan(gamma) else base
     ball = f.domain.ball_indices(f.domain.index(x0), r / 2.0)
-    worst = 0.0
-    witness = None
-    for j, val in zip(ball, loc_field(f, r / 2.0, ball).tolist()):
-        x = f.domain.ids[j]
-        if inject_fault and witness is None:
-            val = base + 1.0
-        gap = val - base
-        if gap > worst:
-            worst = gap
-            witness = {"x0": x0, "x": x, "radius": float(r)}
-    return _result(name, worst <= 0.0, max(worst, 0.0), 0.0, witness)
+    vals = loc_field(f, r / 2.0, ball)
+    if inject_fault:
+        vals[:1] = base + 1.0
+    return _verdict(name, vals - base,
+                    lambda k: {"x0": x0, "x": f.domain.ids[ball[k]],
+                               "radius": float(r)})
 
 
 def check_semicontinuity_fields(entry: ZooEntry, r: float, h: float,
@@ -402,10 +403,10 @@ def check_semicontinuity_fields(entry: ZooEntry, r: float, h: float,
         "lsc_big": float(np.max(lsc_defect(ScalarField(sp, big), h).values)),
         "usc_loc": float(np.max(usc_defect(ScalarField(sp, loc), h).values)),
     }
-    worst_kind = max(defects, key=defects.get)
-    worst = defects[worst_kind]
+    worst, (k,) = _worst(list(defects.values()))
     return _result(name, worst <= bound, worst, bound,
-                   {"kind": worst_kind, "h": h, "r": r}, detail=str(defects))
+                   {"kind": list(defects)[k], "h": h, "r": r},
+                   detail=str(defects))
 
 
 def _hats(summaries):
@@ -420,11 +421,8 @@ def check_summary_ordering(f: SampledMap, grid: RadiusGrid,
     """little <= big <= local on the per-point summary estimates: exact, so
     the thresholded level sets are nested for every gamma."""
     summaries = scale_summaries(f, grid, points=points)
-    worst, at = _ordering(*_hats(summaries))
-    witness = None
-    if worst > 0:
-        witness = {"point": summaries[at[0]].point}
-    return _result(name, worst <= 0.0, max(worst, 0.0), 0.0, witness)
+    return _verdict(name, _ordering(*_hats(summaries)),
+                    lambda at: {"point": summaries[at[0]].point})
 
 
 def check_level_sets(entry: ZooEntry, gamma: float, grid: RadiusGrid,
@@ -433,28 +431,25 @@ def check_level_sets(entry: ZooEntry, gamma: float, grid: RadiusGrid,
     thresholded sets are nested for every gamma), and for cusp entries the
     above-gamma set localizes around the genuine blow-up point."""
     summaries = scale_summaries(entry.map, grid, points=points)
-    worst, _ = _ordering(*_hats(summaries))
-    ok = worst <= 0.0
-    witness = None
-    detail = ""
+    # an ordering failure has no witness
+    out = _verdict(name, _ordering(*_hats(summaries)), lambda at: None)
     blow_up = entry.meta.get("infinite_big_set")
     # localization only makes sense when the sample can exhibit values above
     # gamma near the blow-up point and the smallest radius resolves the grid
     resolvable = (blow_up is not None
                   and gamma * gamma * entry.resolution < 1.0
                   and float(grid.radii[-1]) > entry.resolution)
-    if ok and resolvable:
+    if out.passed and resolvable:
         radius = max(gamma ** -2 * 1.0001, 2.0 * entry.resolution)
         hot = [s.point for s in summaries if s.big_hat > gamma]
         contains = all(any(abs(p - q) <= entry.resolution / 2 for p in hot)
                        for q in blow_up)
         inside = all(min(abs(p - q) for q in blow_up) <= radius for p in hot)
-        ok = contains and inside
-        detail = (f"localized: above-gamma set size {len(hot)} "
-                  f"within radius {radius:g}")
-        if not ok:
-            witness = {"gamma": gamma, "hot": hot[:8]}
-    return _result(name, ok, max(worst, 0.0), 0.0, witness, detail)
+        out.detail = (f"localized: above-gamma set size {len(hot)} "
+                      f"within radius {radius:g}")
+        if not (contains and inside):
+            out.status, out.witness = "fail", {"gamma": gamma, "hot": hot[:8]}
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -637,8 +632,7 @@ def check_scale_oracles(space: FiniteMetricSpace, values, radii,
     field = scan_field(f, radii)
     field["loc"] = np.column_stack([loc_field(f, r) for r in radii.tolist()])
     dist = [space.dist_row(i) for i in range(space.n)]
-    worst = 0.0
-    witness = None
+    compared = []       # (witness, got, want) in check order
     for i, x in enumerate(space.ids):
         d = dist[i]
         dv = f.value_dist_from(i)
@@ -678,22 +672,18 @@ def check_scale_oracles(space: FiniteMetricSpace, values, radii,
                 dd = float(dist[a][b])
                 brute_loc = max(brute_loc, abs(values[a] - values[b]) / dd)
             checks["loc"] = (scanned["loc"][ri], brute_loc)
-            for kind, (got, want) in checks.items():
-                gap = math.inf if math.isnan(got - want) else abs(got - want)
-                if gap > worst:
-                    worst = gap
-                    witness = {"point": x, "radius": r, "kind": kind,
-                               "got": got, "want": want}
+            compared += [({"point": x, "radius": r, "kind": kind, "got": got,
+                           "want": want}, got, want)
+                         for kind, (got, want) in checks.items()]
     brute_norm = 0.0
     for a, b in itertools.combinations(range(space.n), 2):
         brute_norm = max(brute_norm,
                          abs(values[a] - values[b]) / float(dist[a][b]))
-    got = lip_norm(f)
-    gap = math.inf if math.isnan(got - brute_norm) else abs(got - brute_norm)
-    if gap > worst:
-        worst = gap
-        witness = {"kind": "lip_norm"}
-    return _result(name, worst <= tol, worst, tol, witness)
+    compared.append(({"kind": "lip_norm"}, lip_norm(f), brute_norm))
+    witnesses, got, want = zip(*compared)
+    with np.errstate(invalid="ignore"):
+        gaps = np.abs(np.subtract(got, want))
+    return _verdict(name, gaps, lambda at: witnesses[at[0]], limit=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -773,19 +763,16 @@ def c1_identity_check(entry: ZooEntry, name) -> CheckResult:
     coords = entry.space.coords[:, 0]
     lo, hi = float(np.min(coords)) + margin, float(np.max(coords)) - margin
     pts = [p for p in entry.space.ids if lo <= p <= hi]
-    worst = 0.0
-    witness = None
-    for s in scale_summaries(entry.map, grid, points=pts):
-        target = entry.Lip_oracle(s.point)
-        tol = rel_tol * target + 2.0 * res
-        for kind, got in (("little", s.lip_hat), ("big", s.big_hat),
-                          ("local", s.loc_hat)):
-            gap = abs(got - target) - tol
-            if gap > worst:
-                worst = gap
-                witness = {"point": s.point, "kind": kind, "got": got,
-                           "target": target}
-    return _result(name, worst <= 0.0, max(worst, 0.0), rel_tol, witness)
+    summaries = scale_summaries(entry.map, grid, points=pts)
+    target = np.array([entry.Lip_oracle(s.point) for s in summaries])[:, None]
+    got = np.column_stack(_hats(summaries))    # little, big, local per point
+    gaps = np.abs(got - target) - (rel_tol * target + 2.0 * res)
+    return _verdict(name, gaps,
+                    lambda at: {"point": summaries[at[0]].point,
+                                "kind": ("little", "big", "local")[at[1]],
+                                "got": float(got[at]),
+                                "target": float(target[at[0], 0])},
+                    tolerance=rel_tol)
 
 
 def _suite_c1(cfg, rng, entries):

@@ -24,6 +24,18 @@ def sin_map(res=0.01):
     return get_entry(make_zoo(res), "sin").map
 
 
+@pytest.mark.parametrize("gaps, want", [
+    ([1.0, 3.0, 3.0, 2.0], (3.0, (1,))),             # ties: the first
+    ([0.0, np.inf, np.nan], (np.inf, (1,))),         # NaN after an inf
+    ([-1.0, np.nan], (np.inf, (1,))),                # NaN alone
+    ([], (0.0, None)),
+    ([[0.0, -2.0], [5.0, 5.0]], (5.0, (1, 0))),      # 2-d: unravelled
+])
+def test_worst_gap(gaps, want):
+    worst, at = harness._worst(np.array(gaps, dtype=float))
+    assert (worst, None if at is None else tuple(map(int, at))) == want
+
+
 def test_chain_exact_zero():
     r = check_chain(sin_map(), RadiusGrid(0.3, 0.5, 4, 2))
     assert r.status == "pass"
@@ -155,6 +167,8 @@ def test_openness_surrogate():
     assert fault.status == "fail" and fault.witness is not None
     # precondition loc < gamma not met
     assert check_openness_surrogate(f, x0, 0.2, 0.0).status == "skipped"
+    # an undecided (NaN) precondition fails
+    assert check_openness_surrogate(f, x0, 0.2, np.nan).status == "fail"
 
 
 def test_semicontinuity_skips_and_passes():

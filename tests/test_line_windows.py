@@ -677,6 +677,19 @@ def test_full_check_report_golden_digest(tmp_path):
     assert digest == GOLDEN_FULL_REPORT
 
 
+# the same report at --seed 31: other random spaces and zoo points
+GOLDEN_FULL_REPORT_31 = (
+    "b4fbca349279ba076b06c38d8ed65fb691c3b96d347e31beb70e9dce96599269")
+
+
+def test_full_check_report_golden_digest_seed_31(tmp_path):
+    report = tmp_path / "report.json"
+    assert main(["check", "--suite", "all", "--seed", "31", "--report",
+                 str(report)]) == 0
+    digest = hashlib.sha256(report.read_bytes()).hexdigest()
+    assert digest == GOLDEN_FULL_REPORT_31
+
+
 def test_envelope_semicontinuity_report_golden_digest(tmp_path):
     report = tmp_path / "report.json"
     assert main(["check", "--suite", "envelope,semicontinuity", "--seed",

@@ -6,6 +6,8 @@ where the defect is planted.  A name that ``harness`` imports by name is
 patched there too.  The sorted-scan defects wrap ``scales._read_rows`` and
 rewrite one kind of its output after the call.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -134,18 +136,53 @@ def test_semicontinuity_sees_the_little_functional_as_the_upper(monkeypatch):
     assert failures("semicontinuity")
 
 
+def nan_at_0(real):
+    """``real`` with entry 0 of its result set to NaN."""
+    def planted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        out[0] = np.nan
+        return out
+    return planted
+
+
+def returns_nan(real):
+    return lambda *args, **kwargs: np.nan
+
+
 def test_oracle_equiv_sees_a_nan_local_field(monkeypatch):
-    def wrap(real):
-        def planted(*args, **kwargs):
-            out = real(*args, **kwargs)
-            out[0] = np.nan
-            return out
-        return planted
-    plant(monkeypatch, "loc_field", wrap, harness)
+    plant(monkeypatch, "loc_field", nan_at_0, harness)
     assert failures("oracle_equiv")
 
 
-@pytest.mark.parametrize("suite", ["oracle_equiv", "plus_variant"])
+def test_openness_sees_a_nan_local_field(monkeypatch):
+    plant(monkeypatch, "loc_field", nan_at_0, harness)
+    assert failures("openness")
+
+
+def test_openness_fails_on_a_nan_precondition(monkeypatch):
+    plant(monkeypatch, "loc_lip_r", returns_nan, harness)
+    results = run_suite(SuiteConfig(suite=("openness",)))
+    assert results and all(r.status == "fail" for r in results)
+
+
+def test_gamma_lipschitz_sees_a_nan_lipschitz_norm(monkeypatch):
+    plant(monkeypatch, "lip_norm", returns_nan, harness)
+    assert failures("gamma_lipschitz")
+
+
+def test_c1_identity_sees_nan_summary_estimates(monkeypatch):
+    def wrap(real):
+        def planted(*args, **kwargs):
+            return [dataclasses.replace(s, lip_hat=np.nan, big_hat=np.nan,
+                                        loc_hat=np.nan)
+                    for s in real(*args, **kwargs)]
+        return planted
+    plant(monkeypatch, "scale_summaries", wrap, harness)
+    assert failures("c1_identity")
+
+
+@pytest.mark.parametrize("suite", ["oracle_equiv", "plus_variant",
+                                   "gamma_lipschitz", "bhmv", "c1_identity"])
 def test_suites_see_nan_scan_values(monkeypatch, suite):
     def rewrite(out):
         for kind in ("little_below", "big_below", "nearest_scale_inf"):
