@@ -170,6 +170,11 @@ def check_frechet(A: LinearMapSpec, x0, resolution: float, name="frechet",
                    {"big_hat": big_hat, "operator_norm": norm})
 
 
+#: points per entry at which ``check_gamma_lipschitz`` compares the little
+#: functional with its definition
+LITTLE_PROBES = 7
+
+
 def check_gamma_lipschitz(f: SampledMap, gamma: float, grid: RadiusGrid,
                           name="gamma_lipschitz",
                           convex=True) -> CheckResult:
@@ -179,12 +184,18 @@ def check_gamma_lipschitz(f: SampledMap, gamma: float, grid: RadiusGrid,
     every scale (a finite-data identity, tolerance 0).  Backward: little
     functional <= gamma at the finest scale implies the pairwise bound up to
     a sub-resolution tolerance.
+
+    The scanned little functional must also equal its definition
+    (``_little_by_definition``) at ``LITTLE_PROBES`` evenly spaced points,
+    at every radius: a difference there is a gap, which the margin of the
+    two directions could hide.
     """
     if not convex:
         return CheckResult(name, "skipped", detail="domain not flagged convex")
     norm = lip_norm(f)
     diam, resolution = f.domain.diameter(), f.domain.resolution()
-    little = scan_field(f, grid.radii)["little_below"]
+    radii = grid.radii
+    little = scan_field(f, radii)["little_below"]
     # rounding allowance so e.g. exact-slope data is not pushed off the
     # hypothesis boundary by one ulp
     eps = 1e-12 * max(1.0, gamma, norm)
@@ -192,6 +203,13 @@ def check_gamma_lipschitz(f: SampledMap, gamma: float, grid: RadiusGrid,
     pair_tol = 2.0 * resolution / diam if diam > 0 else 0.0
     # a NaN on either side is a gap, not an unmet hypothesis
     gaps = [np.nan] if np.isnan(little).any() or np.isnan(norm) else []
+    for i in np.linspace(0, f.domain.n - 1, LITTLE_PROBES, dtype=int):
+        d, dv = f.domain.dist_row(i), f.value_dist_from(i)
+        want = [_little_by_definition(d, dv, r) for r in radii.tolist()]
+        with np.errstate(invalid="ignore"):
+            miss = np.abs(little[i] - want)
+        # only a difference counts, so a passing report keeps its bytes
+        gaps += miss[~(miss <= 0)].tolist()
     detail = []
     if norm <= gamma + eps:    # forward: exact up to the ulp allowance
         gaps.append(np.max(little) - gamma - eps)
@@ -616,17 +634,33 @@ def _brute_sweep(d, dv, rhos):
     return tops / rhos
 
 
+def _little_by_definition(d, dv, r):
+    """The little functional of a point from its distance row ``d`` and
+    value distances ``dv``: the smallest ``_brute_sweep`` over the distinct
+    neighbour distances in (d1, r) and r itself, d1 the nearest positive
+    distance; 0 when no neighbour lies below r."""
+    # the sweep reads no entry at distance r or more
+    inside = d < r
+    d, dv = d[inside], dv[inside]
+    below = np.unique(d[d > 0])
+    if below.size == 0:
+        return 0.0
+    return float(np.min(_brute_sweep(d, dv, np.append(below[1:], r))))
+
+
 def check_scale_oracles(space: FiniteMetricSpace, values, radii,
                         name="oracle_equiv") -> CheckResult:
     """Every scale functional vs direct-definition enumeration.
 
-    The little/big functionals are compared against min/max of the open-ball
-    functional over a dense scale grid enriched with the neighbor distances
-    (and points just above them), evaluated straight from the definition.
+    The little functional is compared with ``_little_by_definition``, the
+    min of the open-ball functional over the neighbor distances, where it
+    is reached; the big functional with the max over a dense scale grid
+    enriched with points just above the neighbor distances, evaluated
+    straight from the definition.
     The library side of the whole space is one ``scan_field`` call and one
     ``loc_field`` call per radius.
     """
-    tol, rho_grid = 1e-9, 2000
+    tol = 1e-9
     f = SampledMap.real(space, values)
     radii = np.asarray(radii, dtype=float)
     field = scan_field(f, radii)
@@ -648,24 +682,15 @@ def check_scale_oracles(space: FiniteMetricSpace, values, radii,
             mask = (d > 0) & (d < r)
             brute_big = float(np.max(dv[mask] / d[mask])) if np.any(mask) else 0.0
             checks["big_below"] = (scanned["big_below"][ri], brute_big)
+            checks["little_below"] = (scanned["little_below"][ri],
+                                      _little_by_definition(d, dv, r))
             inside = pos[pos < r]
             if inside.size:
-                d1 = float(inside[0])
-                cand = np.concatenate([
-                    np.linspace(d1, r, rho_grid)[1:],
-                    inside[inside > d1], [r]])
-                cand = cand[cand > d1]
-                sweep = _brute_sweep(d, dv, cand)
-                brute_little = float(np.min(sweep))
                 cand_up = np.concatenate([inside * (1 + 1e-12),
                                           np.linspace(1e-9, r, 200)])
                 cand_up = cand_up[(cand_up > 0) & (cand_up < r * (1 + 1e-12))]
                 brute_big_sweep = float(np.max(_brute_sweep(d, dv, cand_up)))
-                checks["little_below"] = (scanned["little_below"][ri],
-                                          brute_little)
                 checks["big_sweep"] = (scanned["big_below"][ri], brute_big_sweep)
-            else:
-                checks["little_below"] = (scanned["little_below"][ri], 0.0)
             idx = np.flatnonzero(d < r)
             brute_loc = 0.0
             for a, b in itertools.combinations(idx, 2):

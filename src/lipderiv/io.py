@@ -195,6 +195,26 @@ def embedded_space(path: str, ids, coords, metric: str) -> FiniteMetricSpace:
     return space
 
 
+#: smallest magnitude of a nonzero vector-value component: every nonzero
+#: difference of such components is then at least 2**-510, whose square is
+#: a normal float, so the Euclidean codomain norm loses no pair to underflow
+TINY_COMPONENT = 2.0 ** -458
+
+
+def _reject_tiny_components(path: str, ids, values):
+    """Vector values with a nonzero component below ``TINY_COMPONENT`` in
+    magnitude: two such values can lie closer than the squares in the
+    Euclidean norm resolve, so their distance would round to 0.  This is
+    sufficient, not necessary: it also rejects a lone tiny component."""
+    tiny = (values != 0) & (np.abs(values) < TINY_COMPONENT)
+    if tiny.any():
+        row, col = np.argwhere(tiny)[0]
+        raise InputError(f"{path}: component {col + 1} of the value of "
+                         f"point {ids[row]!r} is {float(values[row, col])!r}"
+                         f": nonzero values below 2**-458 in magnitude are "
+                         f"too small for the Euclidean norm of differences")
+
+
 def load_sampled_map(path: str, metric: str = "euclidean") -> SampledMap:
     """Point-cloud CSV with value columns, as a map on an embedded space."""
     ids, coords, values = load_point_cloud(path)
@@ -204,6 +224,7 @@ def load_sampled_map(path: str, metric: str = "euclidean") -> SampledMap:
     space = embedded_space(path, ids, coords, metric)
     if values.ndim == 1:
         return SampledMap.real(space, values)
+    _reject_tiny_components(path, ids, values)
     return SampledMap.vector(space, values, p=2.0)
 
 

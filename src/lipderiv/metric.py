@@ -133,6 +133,34 @@ class FiniteMetricSpace:
             return self.table[np.ix_(rows, cols)]
         return _block(self.coords[rows], self.coords[cols], self.p)
 
+    def pair_dist(self, rows, cols) -> np.ndarray:
+        """``cross`` entry by entry: the distance between ``rows[k]`` and
+        ``cols[k]`` over two index arrays of one shape, with the same floats
+        (``_block`` is ``_norm`` of the differences; see its docs)."""
+        if self.table is not None:
+            return self.table[rows, cols]
+        return _norm(self.coords[rows] - self.coords[cols], self.p)
+
+    def grid_cells(self, idx, side: float, cap: int) -> np.ndarray:
+        """A cell number per point index of ``idx`` on a coordinate-backed
+        space, 0 up to at most ``cap - 1``: the cells of a grid whose side
+        is ``side``, doubled until the points meet at most ``cap`` cells.
+        A key is clipped to +-2**52, so a coordinate over a side that
+        overflows still gives a cell, and a side of inf puts every point
+        in one."""
+        coords = self.coords[np.asarray(idx, dtype=int)]
+        side = max(float(side), float(np.finfo(float).smallest_subnormal))
+        while True:
+            with np.errstate(over="ignore"):
+                key = np.floor(np.clip(coords / side, -2.0 ** 52, 2.0 ** 52))
+            # + 0.0 makes a key of -0.0 the key 0.0
+            _, cell = np.unique(key + 0.0, axis=0, return_inverse=True)
+            # the inverse is 1-d or (n, 1), as numpy versions differ
+            cell = cell.reshape(-1)
+            if cell.max(initial=0) < cap:
+                return cell
+            side *= 2.0
+
     def ball_indices(self, i: int, r: float, closed: bool = False) -> np.ndarray:
         d = self.dist_row(i)
         mask = d <= r if closed else d < r

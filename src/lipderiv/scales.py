@@ -322,6 +322,126 @@ def _pair_sup(f: SampledMap, idx) -> float:
     return float(best)
 
 
+def _cell_pair_max(f: SampledMap, pts, cell, a, b, level, m):
+    """``m`` maxima of the quotients over the pairs of points ``pts``
+    (ascending by their ``cell``) with one point in cell ``a[k]`` and one
+    in cell ``b[k]`` for some k, pairs at distance 0 left out (0 over no
+    pair): the pair of positions u and v in ``pts`` counts in the first
+    ``min(level[u], level[v])`` of them.  The pairs go in blocks of at most
+    ``BLOCK_ELEMS`` elements per array."""
+    sp = f.domain
+    sa = np.searchsorted(cell, a)
+    na = np.searchsorted(cell, a, side="right") - sa
+    sb = np.searchsorted(cell, b)
+    nb = np.searchsorted(cell, b, side="right") - sb
+    size = na * nb
+    ends = np.cumsum(size)
+    width = max(sp.coords.shape[1],
+                f.values.shape[1] if f.values.ndim == 2 else 1)
+    step = max(1, BLOCK_ELEMS // width)
+    best = np.zeros(m)
+    for k0 in range(0, int(ends[-1]), step):
+        k = np.arange(k0, min(k0 + step, int(ends[-1])))
+        pair = np.searchsorted(ends, k, side="right")
+        local = k - (ends[pair] - size[pair])
+        u = sa[pair] + local // nb[pair]
+        v = sb[pair] + local % nb[pair]
+        both = np.minimum(level[u], level[v])
+        u, v = pts[u], pts[v]
+        D = sp.pair_dist(u, v)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            Q = np.divide(f.value_pairs(u, v), D)
+        for j in range(m):
+            best[j] = np.maximum(best[j], np.max(
+                Q, where=(D > 0) & (both > j), initial=0.0))
+    return best
+
+
+def _shared_table(f: SampledMap, centres, free, radii, out):
+    """Among the point indices ``centres[k]`` with ``free[k]``, find those
+    whose balls of radius ``max(radii)`` exceed ``isqrt(BLOCK_ELEMS)``
+    points, and join the balls that share a point into clusters.  For each
+    cluster of two or more balls, fill the ``_loc_table`` rows ``out[k]``
+    of every free centre whose ball lies in the union of the cluster from
+    one table T of cell-pair maxima over that union (see ``_loc_table``).
+    Returns the mask of the rows filled."""
+    sp = f.domain
+    reach = float(radii.max())
+    cap = isqrt(BLOCK_ELEMS)
+    clusters = []       # (union of the balls, number of balls); disjoint
+    for c in centres[free].tolist():
+        shared = sp.dist_row(c) < reach
+        if np.count_nonzero(shared) <= cap:
+            continue
+        balls = 1
+        for j in reversed([j for j, (u, _) in enumerate(clusters)
+                           if np.any(u & shared)]):
+            u, m = clusters.pop(j)
+            shared |= u
+            balls += m
+        clusters.append((shared, balls))
+    filled = np.zeros(len(centres), dtype=bool)
+    for shared, balls in clusters:
+        if balls > 1:
+            _table_rows(f, centres, free, shared, radii, out, filled)
+    return filled
+
+
+def _table_rows(f: SampledMap, centres, free, shared, radii, out, filled):
+    """Fill ``out[k]`` and set ``filled[k]`` for every free centre whose
+    ball of radius ``max(radii)`` lies in the points of the mask
+    ``shared``, from one table of cell-pair maxima over those points."""
+    sp = f.domain
+    reach = float(radii.max())
+    union = np.flatnonzero(shared)
+    cell = sp.grid_cells(union, 0.2 * reach, isqrt(BLOCK_ELEMS))
+    by_cell = np.argsort(cell, kind="stable")
+    U, cell = union[by_cell], cell[by_cell]
+    starts = np.flatnonzero(np.diff(cell, prepend=-1))
+    T = np.zeros((starts.size, starts.size))
+    for s, Q in _quotient_rows(f, U):
+        # row cells of the block, then column cells from s on
+        rc, cc = cell[s:s + Q.shape[0]], cell[s:]
+        rb = np.flatnonzero(np.diff(rc, prepend=-1))
+        cb = np.flatnonzero(np.diff(cc, prepend=-1))
+        M = np.maximum.reduceat(np.maximum.reduceat(Q, cb, axis=1), rb, axis=0)
+        at = np.ix_(rc[rb], cc[cb])
+        T[at] = np.maximum(T[at], M)
+    T = np.maximum(T, T.T)
+    # radii from the largest: a cell or a point inside the balls of the
+    # first m of them has level m
+    order = np.argsort(-radii, kind="stable")
+    desc = radii[order]
+    # a ball holds its centre, so only the centres in the union can lie in it
+    for k in np.flatnonzero(free & shared[centres]):
+        row = sp.dist_row(centres[k])
+        if np.any((row < reach) & ~shared):
+            continue
+        filled[k] = True
+        d = row[U]
+        near = np.minimum.reduceat(d, starts)
+        far = np.maximum.reduceat(d, starts)
+        # the cells that meet this centre's largest ball, and their table
+        cells = np.flatnonzero(near < reach)
+        Tc = T[np.ix_(cells, cells)]
+        inside = np.searchsorted(-desc, -far[cells])
+        meets = np.searchsorted(-desc, -near[cells])
+        both_in = np.minimum.outer(inside, inside)
+        both_meet = np.minimum.outer(meets, meets)
+        top = np.zeros(desc.size)
+        read = np.zeros(Tc.shape, dtype=bool)
+        for j in range(desc.size):
+            top[j] = np.max(Tc, where=both_in > j, initial=0.0)
+            read |= (both_meet > j) & (both_in <= j) & ~(Tc <= top[j])
+        if read.any():
+            a, b = np.nonzero(np.triu(read))
+            ball = d < reach
+            level = np.searchsorted(-desc, -d[ball])
+            top = np.maximum(top, _cell_pair_max(
+                f, U[ball], cell[ball], cells[a], cells[b], level, desc.size))
+        out[k, order] = top
+
+
 def _loc_table(f: SampledMap, idx, radii: np.ndarray) -> np.ndarray:
     """``loc_lip_r(f, x_i, r)`` at the point indices ``i`` of ``idx``
     (repeats allowed) and each of the positive ``radii``, as an
@@ -346,8 +466,32 @@ def _loc_table(f: SampledMap, idx, radii: np.ndarray) -> np.ndarray:
     reads the row of P with the largest bound, restricted to P, and then
     one gather of the rows of P whose bound is not at most that maximum.
     Its smaller balls come from one gather of the longest prefix of P that
-    a smaller ball holds.  Q and a gather hold at most ``BLOCK_ELEMS``
-    elements each.
+    a smaller ball holds.
+
+    On a space with coordinates, the first seed whose ball alone exceeds
+    the cap makes the call look, with one ``dist_row`` per centre, for
+    the other centres not yet read whose balls do, and join those balls
+    that share a point into clusters (``_shared_table``).  The centres of
+    a cluster of two or more balls, and every other centre not yet read
+    whose ball lies in the cluster's union, are read from one shared table
+    of that union; calls whose balls fit the groups never look.  The
+    union is bucketed into grid cells (``grid_cells``: the side
+    is a fifth of the reach, coarser when more than ``isqrt(BLOCK_ELEMS)``
+    cells meet the balls), and T[A, B] is the largest quotient over every
+    pair of points with one in cell A and one in cell B, from the
+    ``_quotient_rows`` of the union sorted by cell (0 over no pair; a pair
+    at distance 0 gives 0).  For a centre and a radius r, a cell whose
+    largest ``dist_row`` float from the centre is below r lies inside the
+    ball, and L, the largest T over pairs of inside cells, is the quotient
+    of a pair of the ball.  The other pairs of the ball lie in cell pairs
+    that meet the ball and have a cell not inside; of these, the cell
+    pairs with ``~(T <= L)`` at some radius are read point by point, once
+    for all radii (``_cell_pair_max``), and a pair counts at the radii
+    whose ball holds both its points.  The other centres form groups as
+    above.  A ball alone in its cluster and a one-point query never build
+    the table, nor does a distance table, which has no coordinates to
+    bucket.  Q, T, a gather and a block of point pairs hold at most
+    ``BLOCK_ELEMS`` elements each.
 
     Why this is exact: every quotient is the float ``_pair_sup`` takes
     (``cross`` and ``value_cross`` give a pair the same float in either
@@ -360,6 +504,20 @@ def _loc_table(f: SampledMap, idx, radii: np.ndarray) -> np.ndarray:
     entries in P, so a row whose bound is at most a maximum already read
     holds nothing larger there; a NaN in the row makes its bound NaN, and
     ``NaN <= x`` is false, so that row is read and the NaN kept.
+
+    The shared table is exact for the same reasons.  T[A, B] takes every
+    pair of its two cells, none dropped by a distance threshold such as
+    twice the reach (computed distances need not obey the triangle
+    inequality), so it bounds every pair between A and B, and a cell pair
+    with ``T <= L`` holds nothing above L.  The pairs read point by point
+    get their floats from ``pair_dist`` and ``value_pairs``, which are the
+    ``cross`` and ``value_cross`` floats entry by entry.  A NaN quotient
+    makes its T NaN: L is NaN when both its cells are inside, and
+    otherwise ``NaN <= L`` is false, so its cell pair is read and the NaN
+    kept.  Each pair read counts only at the radii whose ball holds both
+    its points, by the same ``dist_row`` floats, and every pair of a ball
+    that is neither under L nor in a cell pair with ``T <= L`` lies in a
+    cell pair read at that radius.
     """
     sp = f.domain
     centres, inverse = np.unique(np.asarray(idx, dtype=int),
@@ -368,15 +526,23 @@ def _loc_table(f: SampledMap, idx, radii: np.ndarray) -> np.ndarray:
     reach = float(radii.max())
     cap = isqrt(BLOCK_ELEMS)
     free = np.ones(centres.size, dtype=bool)
+    # the shared table is looked for once, at the first oversized seed
+    look = sp.table is None and centres.size > 1
     pos = np.empty(sp.n, dtype=np.intp)
     for seed in range(centres.size):
         if not free[seed]:
             continue
-        free[seed] = False
         d0 = sp.dist_row(centres[seed])
         union = d0 < reach
+        oversized = np.count_nonzero(union) > cap
+        if look and oversized:
+            look = False
+            free &= ~_shared_table(f, centres, free, radii, out)
+            if not free[seed]:
+                continue
+        free[seed] = False
         group = []
-        if np.count_nonzero(union) <= cap:
+        if not oversized:
             near = np.flatnonzero(free & (d0[centres] < 2 * reach))
             for k in near[np.argsort(d0[centres[near]], kind="stable")]:
                 d = sp.dist_row(centres[k])

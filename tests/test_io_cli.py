@@ -619,6 +619,33 @@ def test_cli_distance_overflow_exits_2(tmp_path, capsys, metric, argv):
     assert [p.name for p in tmp_path.iterdir()] == ["far.csv"]
 
 
+#: vector values whose Euclidean distance underflows: b is 1e-170 from a
+#: in each of two components, so its squares round to 0 and the slope of 1
+#: would read 0
+TINY_VALUES = "id,x1,val1,val2\na,0,0,0\nb,1e-170,1e-170,0\nc,1,1,0\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan", "chebyshev"])
+@pytest.mark.parametrize("argv", [
+    ["profile", "--rmax", "0.5", "--steps", "2", "--tail", "1"],
+    ["sets", "--rmax", "0.5", "--steps", "2", "--tail", "1", "--gamma", "1"],
+], ids=["profile", "sets"])
+def test_cli_tiny_vector_components_exit_2(tmp_path, capsys, metric, argv):
+    src = tmp_path / "tiny.csv"
+    src.write_text(TINY_VALUES)
+    out = ["--input", str(src), "--metric", metric,
+           "--out", str(tmp_path / "o.csv")]
+    assert main(argv + out) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "2**-458" in captured.err
+    assert captured.err.count("\n") == 1 and not captured.out
+    assert [p.name for p in tmp_path.iterdir()] == ["tiny.csv"]
+    # a component of exactly 2**-458 is accepted, and so are zeros
+    src.write_text(TINY_VALUES.replace("1e-170", repr(2.0 ** -458)))
+    assert main(argv + out) == 0
+
+
 @pytest.mark.parametrize("suite", [",", "", " , "])
 def test_cli_check_empty_suite_selection(tmp_path, capsys, suite):
     report = tmp_path / "rep.json"

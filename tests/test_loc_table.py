@@ -1,7 +1,8 @@
 """The grouped local-functional kernel against per-point triangles.
 
 ``_loc_table`` computes the pair quotients of a group of nearby centres
-once and reads every centre's balls from them.  Each entry must equal
+once and reads every centre's balls from them; centres whose balls exceed
+a group's cap share one table of cell-pair maxima.  Each entry must equal
 (``==``) ``_loc_radii``, one triangle per point and radius, and the
 largest quotient over the pairs of the ball written out pair by pair
 (``test_loc_column.loc_by_definition``), whatever the grouping:
@@ -13,7 +14,7 @@ from math import isqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lipderiv import (FiniteMetricSpace, RadiusGrid, SampledMap, loc_field,
@@ -26,18 +27,42 @@ from test_loc_column import loc_by_definition, radii_for
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
+#: block budgets: caps of isqrt(budget) = 1 to 6 points, and the default
+BUDGETS = (1, 4, 9, 16, 36, 1 << 18)
+
+#: factors of coordinates and of values: quotients from about 1e-300 to
+#: 1e300, and quotients that overflow to inf across the 1e-170 gaps
+SCALES = (1e-150, 1.0, 1e150)
+
+
 @st.composite
-def table_cases(draw):
-    """A map on a line, a plane or a table, radii in any order with
-    repeats, centres in any order with repeats, and a block budget small
-    enough to split the centres into groups of one to a few points."""
+def table_cases(draw, shared=False):
+    """A map on a line, a plane or a table, coordinates and values scaled
+    by ``SCALES``, radii in any order with repeats, centres in any order
+    with repeats, and a block budget small enough to split the centres into
+    groups of one to a few points.  With ``shared``, a radius above the
+    diameter joins the radii, and the budget leaves at least two centres
+    whose balls exceed the cap: those read one shared table."""
     space = draw(any_spaces())
+    if space.coords is not None:
+        scale = draw(st.sampled_from(SCALES))
+        space = FiniteMetricSpace(range(space.n), coords=space.coords * scale,
+                                  p=space.p)
     f = map_on(draw, space)
-    radii = np.array(radii_for(draw, space))
+    f = SampledMap(space, f.values * draw(st.sampled_from(SCALES)),
+                   f.codomain_p)
+    radii = radii_for(draw, space)
     idx = draw(st.lists(st.integers(0, space.n - 1), min_size=1,
                         max_size=2 * space.n))
-    budget = draw(st.sampled_from([1, 4, 9, 16, 36, 1 << 18]))
-    return f, idx, radii, budget
+    budgets = BUDGETS
+    if shared:
+        radii.append(2.0 * space.diameter() + 1.0)
+        idx += [0, space.n - 1]
+        sizes = [np.count_nonzero(space.dist_row(i) < max(radii))
+                 for i in set(idx)]
+        budgets = [b for b in BUDGETS if sum(s > isqrt(b) for s in sizes) > 1]
+        assume(budgets)
+    return f, idx, np.array(radii), draw(st.sampled_from(budgets))
 
 
 @given(table_cases())
@@ -52,6 +77,12 @@ def test_loc_table_equals_per_point_triangles(case):
         assert got[row].tolist() == scales._loc_radii(f, i, radii).tolist()
         assert got[row].tolist() == [loc_by_definition(f, i, r)
                                      for r in radii.tolist()]
+
+
+@given(table_cases(shared=True))
+@settings(max_examples=150, deadline=None)
+def test_shared_table_equals_per_point_triangles(case):
+    test_loc_table_equals_per_point_triangles.hypothesis.inner_test(case)
 
 
 def spy_groups(monkeypatch):
@@ -82,9 +113,21 @@ def test_groups_split_and_oversized_balls(monkeypatch, p):
     monkeypatch.setattr(scales, "BLOCK_ELEMS", 64)
     sizes = spy_groups(monkeypatch)
     got = scales._loc_table(f, idx, radii)
-    groups = len(sizes)
-    assert 1 < groups < 80
-    assert max(sizes) > isqrt(64)
+    # the balls that exceed the cap, joined while they share a point, form
+    # clusters; each cluster shares one table over the union of its balls,
+    # which the centres whose balls lie in it read too; the other centres
+    # form groups of at most the cap
+    balls = np.array([space.dist_row(i) < 0.3 for i in range(80)])
+    big = balls[balls.sum(axis=1) > isqrt(64)].astype(int)
+    meet = big @ big.T > 0
+    while not np.array_equal(meet, wider := meet.astype(int) @ meet > 0):
+        meet = wider
+    clusters = {tuple(row) for row in meet}
+    assert len(clusters) > 1 and all(sum(c) > 1 for c in clusters)
+    unions = [np.count_nonzero(big[list(c)].any(axis=0)) for c in clusters]
+    tables = [m for m in sizes if m > isqrt(64)]
+    assert sorted(tables) == sorted(unions)
+    assert 1 < len(sizes) - len(tables) < 80 - len(big)
     for row, i in enumerate(idx.tolist()):
         assert got[row].tolist() == scales._loc_radii(f, i, radii).tolist()
     monkeypatch.undo()
@@ -103,6 +146,26 @@ def count_cross(monkeypatch):
 
     monkeypatch.setattr(FiniteMetricSpace, "cross", spy)
     return elems
+
+
+def test_clusters_of_oversized_balls_share_a_table(monkeypatch):
+    # two clusters of 10 points, 100 apart, each inside every ball of
+    # radius 2 around its points, which exceeds the cap of 8: a ball alone
+    # in its cluster is its own triangle, and the balls of a cluster share
+    # one table, so each cluster's quotients are computed once
+    rng = np.random.default_rng(9)
+    coords = np.vstack([rng.random((10, 2)), rng.random((10, 2)) + 100.0])
+    f = SampledMap.real(FiniteMetricSpace(range(20), coords=coords),
+                        rng.standard_normal(20))
+    radii = np.array([2.0, 0.5])
+    monkeypatch.setattr(scales, "BLOCK_ELEMS", 64)
+    for idx, want in (([0, 10], [10, 10]), ([0, 1, 2, 10], [10, 10]),
+                      ([0, 1, 10, 11, 12], [10, 10])):
+        sizes = spy_groups(monkeypatch)
+        got = scales._loc_table(f, idx, radii)
+        assert sizes == want
+        for row, i in enumerate(idx):
+            assert got[row].tolist() == scales._loc_radii(f, i, radii).tolist()
 
 
 def test_loc_column_computes_fewer_quotients(monkeypatch):
@@ -140,6 +203,22 @@ def test_overflowed_quotient_reads_nan_on_every_path():
             want = scales._loc_radii(f, i, radii)
             assert np.isnan(got[row, 0]) and np.isnan(want[0])
             assert got[row, 1] == want[1] == loc_by_definition(f, i, 2.0)
+    # under a budget of 4, a cap of isqrt(4) = 2 points, every centre's
+    # ball exceeds the cap, so all three read the shared table.  Its cells
+    # are 2e154 wide: a point at 1.3e154 shares a cell with point 2 but
+    # lies outside the balls of radius 1.25e154, so there the NaN pair is
+    # read as a candidate; at 1e155 both cells are inside and L is NaN
+    space = FiniteMetricSpace(range(6), coords=np.vstack(
+        [coords, [[1.3e154, 0.0]]]))
+    f = SampledMap.real(space, np.append(vals, 0.0))
+    radii = np.array([1e155, 1.25e154, 2.0])
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
+        mp.setattr(scales, "BLOCK_ELEMS", 4)
+        got = scales._loc_table(f, [0, 3, 4], radii)
+        for row, i in enumerate([0, 3, 4]):
+            want = scales._loc_radii(f, i, radii)
+            assert np.isnan(got[row, :2]).all() and np.isnan(want[:2]).all()
+            assert got[row, 2] == want[2] == loc_by_definition(f, i, 2.0)
 
 
 def assert_planted(f, idx, radii):
@@ -223,3 +302,25 @@ def test_bounds_equal_to_the_running_maximum():
     f = SampledMap.vector(space, coords, p=2.0)
     got = assert_planted(f, list(range(12)), np.array([0.5, 0.2]))
     assert np.all(got[:, 0] == 1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
+def test_cells_of_huge_coordinates_raise_no_warning(p):
+    # coordinates up to +-1e300 in cells from 2e-301 to inf wide: each key
+    # is clipped or 0, and the cells stay within the cap
+    rng = np.random.default_rng(3)
+    coords = np.vstack([rng.choice([-1e300, -1.0, 0.0, 1e-300, 1e300],
+                                   size=(30, 2)), rng.random((30, 2))])
+    space = FiniteMetricSpace(range(60), coords=coords, p=p)
+    for side in (2e-301, 0.1, 2e299, np.inf):
+        for cap in (1, 4, 512):
+            cell = space.grid_cells(np.arange(60), side, cap)
+            assert cell.shape == (60,)
+            assert 0 <= cell.min() <= cell.max() < cap
+    # the unit part alone: every ball of radius 3 holds every point, so
+    # all 30 centres read one shared table
+    unit = FiniteMetricSpace(range(30), coords=coords[30:], p=p)
+    f = SampledMap.real(unit, rng.standard_normal(30))
+    got = assert_planted(f, list(range(30)), np.array([3.0, 0.25]))
+    assert np.all(got[:, 0] == got[0, 0])

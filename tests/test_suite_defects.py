@@ -117,6 +117,13 @@ def test_gamma_lipschitz_sees_an_inflated_lipschitz_norm(monkeypatch):
     assert failures("gamma_lipschitz")
 
 
+def test_gamma_lipschitz_sees_an_inflated_little_field(monkeypatch):
+    def rewrite(out):
+        out["little_below"][:] *= 1.0 + 1e-6
+    plant_in_scan(monkeypatch, rewrite)
+    assert failures("gamma_lipschitz")
+
+
 def test_lipnorm_sees_a_halved_lipschitz_norm(monkeypatch):
     plant(monkeypatch, "lip_norm", lambda real: scaled(real, 0.5), scales,
           harness)
