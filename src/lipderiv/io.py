@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import InputError
 from .envelopes import ScalarField
-from .metric import FiniteMetricSpace, _norm
-from .scales import PROFILE_COLUMNS, SampledMap, ScaleProfile
+from .metric import FiniteMetricSpace, _dist
+from .scales import PROFILE_COLUMNS, SampledMap, ScaleProfile, lip_norm
 
 
 def fmt_float(x) -> str:
@@ -181,17 +181,53 @@ def _reject_conflicting_duplicates(path: str, ids, coords, values):
                          f"coordinates but have different values")
 
 
+#: two distinct points at a computed Euclidean distance up to this are
+#: rejected: a coordinate difference below it squares to a subnormal or 0
+TINY_DISTANCE = 2.0 ** -511
+
+
+def _smallest_gap(coords) -> float:
+    """The smallest positive gap between the sorted distinct values of one
+    coordinate, inf if there is none, in O(n·d log n).  By monotone
+    rounding, no computed difference of two distinct values of a coordinate
+    is smaller."""
+    gaps = np.diff(np.sort(coords, axis=0), axis=0)
+    return float(np.min(gaps, where=gaps > 0, initial=np.inf))
+
+
 def embedded_space(path: str, ids, coords, metric: str) -> FiniteMetricSpace:
     """The points of ``path`` under ``metric``, rejected when a distance
-    between them could overflow.  The norm of the bounding box's sides is
-    at least every computed pair distance, by monotone rounding, so a finite
-    one rules overflow out in O(n·d)."""
+    between them could overflow, or when two distinct points lie closer
+    than the Euclidean norm resolves.
+
+    The norm of the bounding box's sides is at least every computed pair
+    distance, by monotone rounding, so a finite one rules overflow out in
+    O(n·d).  Under p = 2, two distinct points are resolved when they differ
+    by at least ``TINY_DISTANCE`` in some coordinate, whose square is then
+    a normal float.  So only when some coordinate's ``_smallest_gap`` is
+    below it are the closed balls of that radius read, and two points with
+    distinct coordinates at a computed distance up to it are rejected.  On
+    a line that happens exactly when the smallest gap is below it."""
     space = FiniteMetricSpace(ids, coords=coords, p=metric_order(metric))
     with np.errstate(over="ignore"):
-        box = _norm(space.coords.max(0) - space.coords.min(0), space.p)
+        box = _dist(space.coords.max(0), space.coords.min(0), space.p)
     if not np.isfinite(box):
         raise InputError(f"{path}: the points are too far apart: a distance "
                          f"between them overflows")
+    if space.p == 2 and _smallest_gap(space.coords) < TINY_DISTANCE:
+        c = space.coords
+        for rows, cols, D, valid in space.ball_rows(TINY_DISTANCE,
+                                                    closed=True):
+            centre = np.arange(space.n)[rows]
+            apart = valid & np.any(c[cols] != c[centre, None], axis=2)
+            if apart.any():
+                k, j = np.argwhere(apart)[0]
+                a, b = sorted((centre[k], cols[k, j]))
+                raise InputError(
+                    f"{path}: points {ids[a]!r} and {ids[b]!r} are too "
+                    f"close for the euclidean metric: their distance "
+                    f"{float(D[k, j])!r} is at most 2**-511, where the "
+                    f"squares of coordinate differences underflow")
     return space
 
 
@@ -221,11 +257,35 @@ def load_sampled_map(path: str, metric: str = "euclidean") -> SampledMap:
     if values is None:
         raise InputError(f"{path}: no value columns")
     _reject_conflicting_duplicates(path, ids, coords, values)
+    if values.ndim == 2:
+        _reject_tiny_components(path, ids, values)
     space = embedded_space(path, ids, coords, metric)
     if values.ndim == 1:
-        return SampledMap.real(space, values)
-    _reject_tiny_components(path, ids, values)
-    return SampledMap.vector(space, values, p=2.0)
+        f = SampledMap.real(space, values)
+    else:
+        f = SampledMap.vector(space, values, p=2.0)
+    _reject_quotient_overflow(path, f)
+    return f
+
+
+def _reject_quotient_overflow(path: str, f: SampledMap):
+    """A map whose largest pair quotient is not finite.
+
+    By monotone rounding no computed value distance exceeds the norm of
+    the sides of the values' bounding box, and no computed distance of
+    distinct points falls below ``_smallest_gap`` times 1 - 2**-50 (a
+    margin that covers the rounding of the p = 2 norm; ``embedded_space``
+    has rejected the pairs whose squares underflow).  So a finite quotient
+    of those two bounds every computed quotient in O(n·d log n), and only
+    when it overflows is ``lip_norm`` computed, over every pair."""
+    v = f._vectors
+    with np.errstate(over="ignore"):
+        span = _dist(v.max(0), v.min(0), f._vector_p)
+        bound = span / (_smallest_gap(f.domain.coords) * (1 - 2.0 ** -50))
+        if np.isfinite(bound) or np.isfinite(lip_norm(f)):
+            return
+    raise InputError(f"{path}: the values change too fast for the distances:"
+                     f" the largest difference quotient overflows")
 
 
 def save_scalar_field(path: str, field: ScalarField):

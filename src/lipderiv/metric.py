@@ -29,28 +29,43 @@ def _norm(diff: np.ndarray, p: float) -> np.ndarray:
     raise InputError(f"unsupported norm order {p!r}")
 
 
-def _block(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
-    """Block of p-norm distances between the rows of a and the rows of b.
+def _dist(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
+    """p-norm distances between the broadcast vectors (along the last axis)
+    of ``a`` and ``b``, p in {1, 2, inf}: the one place where a coordinate
+    or value difference is normed.
 
-    Equal bit for bit to ``_norm(a[:, None, :] - b[None, :, :], p)``: numpy
-    sums a last axis of fewer than 8 terms sequentially, so accumulating one
-    2-d block per coordinate in that order gives the same floats without the
-    3-d intermediate; a running maximum is exact in any order.  From 8
-    coordinates numpy switches to pairwise summation, so the broadcast is
-    kept there.
+    Equal bit for bit to ``_norm(a - b, p)``: numpy sums a last axis of
+    fewer than 8 terms sequentially, so adding the terms one coordinate at
+    a time, in that order and in place, gives the same floats without the
+    intermediate of every difference; a running maximum is exact in any
+    order.  From 8 coordinates numpy sums pairwise, so the broadcast is
+    kept there.  A difference and its negation have the same absolute value
+    and square, and each entry depends on its own pair only, so a row, a
+    block, an entry of either and a single pair give a pair one float, in
+    either orientation.
     """
-    if not 0 < a.shape[1] < 8 or p not in NORMS:
-        return _norm(a[:, None, :] - b[None, :, :], p)
-    acc = np.maximum if p == np.inf else np.add
-    out = None
-    for ak, bk in zip(a.T, b.T):
-        t = np.subtract.outer(ak, bk)
+    dim = a.shape[-1]
+    if not 0 < dim < 8 or p not in NORMS:
+        return _norm(a - b, p)
+    # the first term keeps its axis of one, so that a single pair is an
+    # array too and every later step can write in place
+    out = np.subtract(a[..., :1], b[..., :1])[..., 0]
+    t = np.empty_like(out) if dim > 1 else None
+    for k in range(dim):
+        term = out if k == 0 else np.subtract(a[..., k], b[..., k], out=t)
         if p == 2:
-            np.multiply(t, t, out=t)
+            np.multiply(term, term, out=term)
         else:
-            np.abs(t, out=t)
-        out = t if out is None else acc(out, t, out=out)
+            np.abs(term, out=term)
+        if k:
+            (np.maximum if p == np.inf else np.add)(out, t, out=out)
     return np.sqrt(out, out=out) if p == 2 else out
+
+
+def _gather(x: np.ndarray, index) -> np.ndarray:
+    """The rows ``index`` (an index array, or a slice) of ``x``: ``take``
+    gathers rows faster than fancy indexing does."""
+    return x[index] if isinstance(index, slice) else x.take(index, axis=0)
 
 
 class FiniteMetricSpace:
@@ -115,31 +130,22 @@ class FiniteMetricSpace:
         except KeyError:
             raise InputError(f"unknown point id {point!r}") from None
 
-    def dist_row(self, i: int) -> np.ndarray:
-        """Distances from point index i to every point: a row of the table,
-        or the one-row ``_block`` against every point.  That is, bit for
-        bit, ``_norm(coords - coords[i], p)`` (see ``_block``; a difference
-        and its negation have the same absolute value and square) and the
-        row ``cross([i], every)``."""
+    def pair_dist(self, rows, cols) -> np.ndarray:
+        """The distances between the points ``rows`` and ``cols``, two
+        broadcastable index arrays (or ``cols`` a slice): entries of the
+        table, or ``_dist`` of the coordinates, gathered once per index."""
         if self.table is not None:
-            return self.table[i]
-        return _block(self.coords[i:i + 1], self.coords, self.p)[0]
+            return self.table[rows, cols]
+        return _dist(_gather(self.coords, rows),
+                     _gather(self.coords, cols), self.p)
+
+    def dist_row(self, i: int) -> np.ndarray:
+        """Distances from point index i to every point."""
+        return self.pair_dist(i, slice(None))
 
     def cross(self, rows, cols) -> np.ndarray:
         """Distance block between two index lists."""
-        rows = np.asarray(rows, dtype=int)
-        cols = np.asarray(cols, dtype=int)
-        if self.table is not None:
-            return self.table[np.ix_(rows, cols)]
-        return _block(self.coords[rows], self.coords[cols], self.p)
-
-    def pair_dist(self, rows, cols) -> np.ndarray:
-        """``cross`` entry by entry: the distance between ``rows[k]`` and
-        ``cols[k]`` over two index arrays of one shape, with the same floats
-        (``_block`` is ``_norm`` of the differences; see its docs)."""
-        if self.table is not None:
-            return self.table[rows, cols]
-        return _norm(self.coords[rows] - self.coords[cols], self.p)
+        return self.pair_dist(np.asarray(rows, dtype=int)[:, None], cols)
 
     def grid_cells(self, idx, side: float, cap: int) -> np.ndarray:
         """A cell number per point index of ``idx`` on a coordinate-backed
@@ -185,8 +191,7 @@ class FiniteMetricSpace:
         order: ``|x_b - x_a|`` (p = 1, inf) or ``sqrt((x_b - x_a)**2)`` (p =
         2), each step rounded and monotone, so the distance never falls as
         ``b`` moves away from ``a``: each ball is a run of sorted positions."""
-        c = self._line_coord
-        return _norm((c[b] - c[a])[..., None], self.p)
+        return self.pair_dist(self.line_order[a], self.line_order[b])
 
     def line_windows(self, r, closed: bool = False, at=None):
         """Ball windows of the points of a ``line_order`` space.

@@ -12,7 +12,7 @@ from math import isqrt
 import numpy as np
 
 from .errors import InputError
-from .metric import BLOCK_ELEMS, NORMS, FiniteMetricSpace, _block, _norm
+from .metric import BLOCK_ELEMS, NORMS, FiniteMetricSpace, _dist, _gather
 
 #: total tail-growth factor driving the divergence flag (see RadiusGrid docs)
 DIVERGENCE_FACTOR = 2.0
@@ -39,6 +39,11 @@ class SampledMap:
         self.domain = domain
         self.values = values
         self.codomain_p = codomain_p
+        # the values as vectors, and their norm: a real value is a vector of
+        # one component, whose absolute difference every norm gives
+        real = values.ndim == 1
+        self._vectors = values[:, None] if real else values
+        self._vector_p = 1.0 if real else codomain_p
 
     @classmethod
     def real(cls, domain, values):
@@ -48,26 +53,20 @@ class SampledMap:
     def vector(cls, domain, values, p=2.0):
         return cls(domain, values=np.atleast_2d(values), codomain_p=p)
 
+    def value_pairs(self, rows, cols) -> np.ndarray:
+        """|f(u) - f(v)|_Y between the points ``rows`` and ``cols``, two
+        broadcastable index arrays (or ``cols`` a slice): ``_dist`` of the
+        value vectors, gathered once per index."""
+        v = self._vectors
+        return _dist(_gather(v, rows), _gather(v, cols), self._vector_p)
+
     def value_dist_from(self, i: int) -> np.ndarray:
         """|f(u) - f(x_i)|_Y for every sample point u."""
-        if self.values.ndim == 1:
-            return np.abs(self.values - self.values[i])
-        return _norm(self.values - self.values[i], self.codomain_p)
+        return self.value_pairs(i, slice(None))
 
     def value_cross(self, rows, cols) -> np.ndarray:
-        a = self.values[np.asarray(rows, dtype=int)]
-        b = self.values[np.asarray(cols, dtype=int)]
-        if self.values.ndim == 1:
-            return np.abs(a[:, None] - b[None, :])
-        return _block(a, b, self.codomain_p)
-
-    def value_pairs(self, rows, cols) -> np.ndarray:
-        """``value_cross`` entry by entry: |f(rows[k]) - f(cols[k])|_Y over
-        two index arrays of one shape, with the same floats."""
-        a, b = self.values[rows], self.values[cols]
-        if self.values.ndim == 1:
-            return np.abs(a - b)
-        return _norm(a - b, self.codomain_p)
+        """Value-distance block between two index lists."""
+        return self.value_pairs(np.asarray(rows, dtype=int)[:, None], cols)
 
 
 @dataclass(frozen=True)
@@ -179,11 +178,11 @@ def scan_field(f: SampledMap, radii, idx=None) -> dict:
     idx = np.arange(sp.n) if idx is None else np.asarray(idx, dtype=int)
     out = {kind: np.empty((idx.size, radii.size)) for kind in _FIELD_KINDS}
     out["d1"] = np.full(idx.size, np.inf)
-    cost = 8 * (f.values.shape[1] if f.values.ndim == 2 else 1)
+    cost = 8 * f._vectors.shape[1]
     for rows, cols, D, valid in sp.ball_rows(float(np.max(radii)), idx,
                                              closed=True, punctured=True,
                                              cost=cost):
-        V = f.value_pairs(np.broadcast_to(idx[rows, None], cols.shape), cols)
+        V = f.value_pairs(idx[rows, None], cols)
         _read_rows(np.where(valid, D, np.inf), V,
                    np.count_nonzero(valid, axis=1), radii,
                    {k: v[rows] for k, v in out.items()})
@@ -291,10 +290,20 @@ def _loc_radii(f: SampledMap, i: int, radii: np.ndarray) -> np.ndarray:
     return np.array([_pair_sup(f, ball[d[ball] < r]) for r in radii.tolist()])
 
 
+def _quotients(V: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """The pair quotients ``V / D`` of value distances and distances, in
+    place in ``V``: 0 for a pair at distance 0, which has no quotient, and
+    NaN kept for inf / inf (both floats overflowed)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Q = np.divide(V, D, out=V)
+    np.copyto(Q, 0.0, where=D == 0)
+    return Q
+
+
 def _quotient_rows(f: SampledMap, idx: np.ndarray):
     """Upper-triangle row blocks of the pair quotients of the points
-    ``idx``: yields ``(s, Q)`` where ``Q[a, b]`` is the quotient of the pair
-    ``(idx[s + a], idx[s + b])`` for ``b > a`` at positive distance, and 0
+    ``idx``: yields ``(s, Q)`` where ``Q[a, b]`` is the ``_quotients``
+    entry of the pair ``(idx[s + a], idx[s + b])`` for ``b > a``, and 0
     elsewhere.  Rows ``idx[s:s + step]`` meet the columns ``idx[s:]``, so
     each pair is computed once, and two arrays of a block's shape fit in
     ``BLOCK_ELEMS`` (one row when a row alone exceeds it)."""
@@ -302,14 +311,8 @@ def _quotient_rows(f: SampledMap, idx: np.ndarray):
     step = max(1, min(128, BLOCK_ELEMS // (2 * max(m, 1))))
     for s in range(0, m - 1, step):
         rows, cols = idx[s:s + step], idx[s:]
-        D = f.domain.cross(rows, cols)
-        V = f.value_cross(rows, cols)
-        # pairs at distance 0 divide to inf/NaN and are zeroed with the
-        # diagonal and the lower part
-        with np.errstate(divide="ignore", invalid="ignore"):
-            Q = np.divide(V, D, out=V)
-        lower = np.arange(cols.size)[None, :] <= np.arange(rows.size)[:, None]
-        np.copyto(Q, 0.0, where=lower | (D == 0))
+        Q = _quotients(f.value_cross(rows, cols), f.domain.cross(rows, cols))
+        np.copyto(Q, 0.0, where=np.tri(rows.size, cols.size, dtype=bool))
         yield s, Q
 
 
@@ -336,8 +339,7 @@ def _cell_pair_max(f: SampledMap, pts, cell, a, b, level, m):
     nb = np.searchsorted(cell, b, side="right") - sb
     size = na * nb
     ends = np.cumsum(size)
-    width = max(sp.coords.shape[1],
-                f.values.shape[1] if f.values.ndim == 2 else 1)
+    width = max(sp.coords.shape[1], f._vectors.shape[1])
     step = max(1, BLOCK_ELEMS // width)
     best = np.zeros(m)
     for k0 in range(0, int(ends[-1]), step):
@@ -348,12 +350,10 @@ def _cell_pair_max(f: SampledMap, pts, cell, a, b, level, m):
         v = sb[pair] + local % nb[pair]
         both = np.minimum(level[u], level[v])
         u, v = pts[u], pts[v]
-        D = sp.pair_dist(u, v)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            Q = np.divide(f.value_pairs(u, v), D)
+        Q = _quotients(f.value_pairs(u, v), sp.pair_dist(u, v))
         for j in range(m):
-            best[j] = np.maximum(best[j], np.max(
-                Q, where=(D > 0) & (both > j), initial=0.0))
+            best[j] = np.maximum(best[j], np.max(Q, where=both > j,
+                                                 initial=0.0))
     return best
 
 
@@ -493,14 +493,12 @@ def _loc_table(f: SampledMap, idx, radii: np.ndarray) -> np.ndarray:
     bucket.  Q, T, a gather and a block of point pairs hold at most
     ``BLOCK_ELEMS`` elements each.
 
-    Why this is exact: every quotient is the float ``_pair_sup`` takes
-    (``cross`` and ``value_cross`` give a pair the same float in either
-    orientation, and tables are symmetric by construction), every ball is
+    Why this is exact: a pair has one ``_quotients`` float on every path
+    (see ``_dist``; tables are symmetric by construction), every ball is
     the set ``ball_indices`` gives from the same ``dist_row`` floats, and
-    max does not depend on order; it keeps a NaN quotient (inf / inf, both
-    floats overflowed) on every path, as ``_pair_sup`` does.  ``Q + Q.T``
-    adds 0 to each quotient, which leaves a finite float, inf and NaN as
-    they are.  A row's bound is a maximum over a superset of the row's
+    max does not depend on order; it keeps a NaN quotient on every path, as
+    ``_pair_sup`` does.  ``Q + Q.T`` adds 0 to each quotient, which leaves
+    a finite float, inf and NaN as they are.  A row's bound is a maximum over a superset of the row's
     entries in P, so a row whose bound is at most a maximum already read
     holds nothing larger there; a NaN in the row makes its bound NaN, and
     ``NaN <= x`` is false, so that row is read and the NaN kept.
@@ -509,9 +507,7 @@ def _loc_table(f: SampledMap, idx, radii: np.ndarray) -> np.ndarray:
     pair of its two cells, none dropped by a distance threshold such as
     twice the reach (computed distances need not obey the triangle
     inequality), so it bounds every pair between A and B, and a cell pair
-    with ``T <= L`` holds nothing above L.  The pairs read point by point
-    get their floats from ``pair_dist`` and ``value_pairs``, which are the
-    ``cross`` and ``value_cross`` floats entry by entry.  A NaN quotient
+    with ``T <= L`` holds nothing above L.  A NaN quotient
     makes its T NaN: L is NaN when both its cells are inside, and
     otherwise ``NaN <= L`` is false, so its cell pair is read and the NaN
     kept.  Each pair read counts only at the radii whose ball holds both
@@ -645,14 +641,11 @@ def loc_field(f: SampledMap, r: float, idx=None) -> np.ndarray:
         s = rows[c0:c0 + step, None]
         c1 = c0 + s.shape[0]
         t = s + k
-        keep = t < n
+        past = t >= n
         np.minimum(t, n - 1, out=t)
-        D = sp.line_dist(s, t)
-        keep &= D > 0
-        V = f.value_pairs(order[s], order[t])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            Q = np.divide(V, D, out=V)
-        R = np.maximum.accumulate(np.where(keep, Q, 0.0), axis=1)
+        Q = _quotients(f.value_pairs(order[s], order[t]), sp.line_dist(s, t))
+        Q[past] = 0.0
+        R = np.maximum.accumulate(Q, axis=1)
         # the windows that meet rows c0 .. c1 - 1 of the run start before
         # c1 and at most width - 2 rows before c0; pos ascends, because lo
         # never decreases along the sorted order (see ``line_windows``)

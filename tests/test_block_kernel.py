@@ -1,7 +1,7 @@
-"""The distance-block kernel and the pair supremum against their definitions.
+"""The distance kernel and the pair supremum against their definitions.
 
-Every assertion is exact (``np.array_equal`` / ``==``): the kernel may only
-change how a block is computed, never a float in it.
+Every assertion is exact (``np.array_equal``, bytes or ``==``): the kernel
+``_dist`` may only change how a distance is computed, never a float of it.
 """
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from lipderiv import FiniteMetricSpace, InputError, SampledMap
 from lipderiv.cli import main
-from lipderiv.metric import _block, _norm
+from lipderiv.metric import _dist, _norm
 from lipderiv.scales import loc_lip_r
 
 NORMS = (1.0, 2.0, np.inf)
@@ -42,7 +42,8 @@ def test_blocks_match_definition(p, dim):
     coords[5] = coords[9]                      # a zero-distance pair
     rows, cols = np.arange(0, 40, 3), np.arange(1, 40, 2)
     a, b = coords[rows], coords[cols]
-    assert np.array_equal(_block(a, b, p), by_definition(a, b, p))
+    assert np.array_equal(_dist(a[:, None, :], b[None, :, :], p),
+                          by_definition(a, b, p))
 
     space = FiniteMetricSpace(range(40), coords=coords, p=p)
     assert np.array_equal(space.cross(rows, cols), by_definition(a, b, p))
@@ -77,19 +78,63 @@ def coordinate_sets(draw):
     return coords, draw(st.sampled_from(NORMS))
 
 
+def same_bytes(got, want):
+    """Equal shape and equal bytes, so -0.0 is not 0.0 and NaN is NaN."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def assert_reads_are_norms(dist, pairs, cross, row, n):
+    """Every read of the pair distances of ``n`` points equals their
+    definition ``dist(u, v)``, byte for byte: ``pairs(rows, cols)`` at
+    shapes (m,), (r, 1) x (c,) and 0-d, ``cross`` blocks and the row
+    ``row(i)`` of every point ``i``."""
+    every = np.arange(n)
+    rng = np.random.default_rng(n)
+    rows, cols = rng.integers(0, n, 7), rng.integers(0, n, 7)
+    assert same_bytes(pairs(rows, cols), dist(rows, cols))
+    assert same_bytes(pairs(rows[:, None], cols), dist(rows[:, None], cols))
+    assert same_bytes(cross(rows, cols), dist(rows[:, None], cols))
+    assert same_bytes(cross(every, every), dist(every[:, None], every))
+    for i in range(n):
+        assert same_bytes(row(i), dist(i, every))
+        assert same_bytes(pairs(i, n - 1 - i), dist(i, n - 1 - i))
+
+
 @settings(max_examples=300, deadline=None)
 @given(coordinate_sets())
 def test_dist_row_is_the_norm_of_the_differences(case):
     # bit for bit, also across the switch to pairwise summation at 8
-    # coordinates and where a difference overflows to inf
+    # coordinates and where a difference overflows to inf: every distance
+    # and value-distance read of embedded and table-backed spaces, and the
+    # sorted-position distances of a line
     coords, p = case
-    space = FiniteMetricSpace(range(len(coords)), coords=coords, p=p)
-    every = np.arange(space.n)
+    n = len(coords)
+
+    def norm_of(vectors, q):
+        return lambda u, v: _norm(vectors[u] - vectors[v], q)
+
+    space = FiniteMetricSpace(range(n), coords=coords, p=p)
+    real = SampledMap.real(space, coords[:, 0])
+    vector = SampledMap.vector(space, coords[::-1], p=p)
     with np.errstate(over="ignore", under="ignore"):
-        for i in range(space.n):
-            row = space.dist_row(i)
-            assert np.array_equal(row, _norm(coords - coords[i], p))
-            assert np.array_equal(row, space.cross([i], every)[0])
+        table = norm_of(coords, p)(np.arange(n)[:, None], np.arange(n))
+        tabled = FiniteMetricSpace(range(n), table=table)
+        for sp in (space, tabled):
+            assert_reads_are_norms(norm_of(coords, p), sp.pair_dist,
+                                   sp.cross, sp.dist_row, n)
+        x0 = real.values
+        for f, dist in ((real, lambda u, v: np.abs(x0[u] - x0[v])),
+                        (vector, norm_of(vector.values, p))):
+            assert_reads_are_norms(dist, f.value_pairs, f.value_cross,
+                                   f.value_dist_from, n)
+        if space.line_order is not None:
+            x = coords[space.line_order]
+            pos = np.arange(n)
+            assert same_bytes(space.line_dist(pos[:, None], pos),
+                              norm_of(x, p)(pos[:, None], pos))
+            assert same_bytes(space.line_dist(0, n - 1),
+                              norm_of(x, p)(0, n - 1))
 
 
 def test_table_backed_blocks_read_the_table():

@@ -646,6 +646,92 @@ def test_cli_tiny_vector_components_exit_2(tmp_path, capsys, metric, argv):
     assert main(argv + out) == 0
 
 
+#: points 1e-170 apart: under p = 2 the square of each coordinate gap
+#: underflows to 0, so a and b would read distance 0 and every point
+#: unresolved; under p = 1 and inf the gaps give the distance exactly
+UNDERFLOWING = {"line": "id,x1,val\na,0,0\nb,1e-170,1\nc,0.5,2\n",
+                "plane": "id,x1,x2,val\na,0,0,0\nb,1e-170,-1e-170,1\n"
+                         "c,0.5,0,2\n"}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan", "chebyshev"])
+@pytest.mark.parametrize("shape", sorted(UNDERFLOWING))
+def test_cli_domain_underflow_exits_2(tmp_path, capsys, metric, shape):
+    src, out = tmp_path / "close.csv", tmp_path / "o.csv"
+    src.write_text(UNDERFLOWING[shape])
+    code = main(["profile", "--input", str(src), "--metric", metric,
+                 "--rmax", "0.5", "--steps", "2", "--tail", "1",
+                 "--out", str(out)])
+    if metric == "euclidean":
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "'a' and 'b'" in captured.err and "2**-511" in captured.err
+        assert [p.name for p in tmp_path.iterdir()] == ["close.csv"]
+        return
+    # no p = 1 or inf distance between distinct points underflows: the
+    # steepest slope of a is its exact quotient
+    assert code == 0
+    d = 2e-170 if (metric, shape) == ("manhattan", "plane") else 1e-170
+    rows = list(csv.DictReader(out.open()))
+    assert float(rows[1]["big_below"]) == 1.0 / d
+    assert rows[1]["point"] == "a" and rows[1]["radius"] == "0.25"
+
+
+def test_a_tiny_gap_between_far_points_is_accepted(tmp_path):
+    # x1 differs by 1e-170 between a and b, but x2 keeps them 1 apart: the
+    # balls of radius 2**-511 hold no two distinct points
+    src = tmp_path / "far.csv"
+    src.write_text("id,x1,x2,val\na,0,0,0\nb,1e-170,1,1\nc,0.5,0,2\n")
+    assert main(["profile", "--input", str(src), "--rmax", "0.5",
+                 "--out", str(tmp_path / "o.csv")]) == 0
+
+
+@pytest.mark.parametrize("gap, ok", [
+    (2.0 ** -511, True), (np.nextafter(2.0 ** -511, 0.0), False),
+    (2.0 ** -510, True), (5e-324, False)])
+def test_a_line_is_rejected_exactly_below_the_tiny_distance(gap, ok):
+    # on a line the smallest gap decides: its square is normal from
+    # 2**-511 up, and below it the distance rounds to 2**-511 or less
+    coords = np.array([[0.0], [gap], [0.5]])
+    if ok:
+        assert lio.embedded_space("c", "abc", coords, "euclidean").n == 3
+    else:
+        with pytest.raises(InputError, match="'a' and 'b'"):
+            lio.embedded_space("c", "abc", coords, "euclidean")
+    for metric in ("manhattan", "chebyshev"):
+        assert lio.embedded_space("c", "abc", coords, metric).n == 3
+
+
+#: b is 1e-150 from a, whose square is still a normal float, and its value
+#: 1e160 from a's: the quotient 1e310 overflows under every norm
+STEEP = "id,x1,val\na,0,0\nb,1e-150,1e160\nc,1,0\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan", "chebyshev"])
+@pytest.mark.parametrize("argv", [
+    ["profile", "--rmax", "0.5", "--steps", "2", "--tail", "1"],
+    ["sets", "--rmax", "0.5", "--steps", "2", "--tail", "1", "--gamma", "1"],
+], ids=["profile", "sets"])
+def test_cli_quotient_overflow_exits_2(tmp_path, capsys, metric, argv):
+    src = tmp_path / "steep.csv"
+    src.write_text(STEEP)
+    out = ["--input", str(src), "--metric", metric,
+           "--out", str(tmp_path / "o.csv")]
+    assert main(argv + out) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "quotient overflows" in captured.err
+    assert captured.err.count("\n") == 1 and not captured.out
+    assert [p.name for p in tmp_path.iterdir()] == ["steep.csv"]
+    # the value range over the smallest gap overflows here too, but the
+    # steep rise lies between points 1 apart: lip_norm is 1e160
+    src.write_text("id,x1,val\na,0,0\nb,1e-150,0\nc,1,1e160\n")
+    assert main(argv + out) == 0
+
+
 @pytest.mark.parametrize("suite", [",", "", " , "])
 def test_cli_check_empty_suite_selection(tmp_path, capsys, suite):
     report = tmp_path / "rep.json"

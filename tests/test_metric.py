@@ -50,7 +50,7 @@ def test_validate_metric_on_embedding_is_clean():
 def metric_table(n=5, seed=0):
     """Distances between random vectors in R^3, and the vectors."""
     g = np.random.default_rng(seed).standard_normal((n, 3))
-    return metric._block(g, g, 2.0), g
+    return metric._dist(g[:, None], g, 2.0), g
 
 
 def test_table_rejected_one_ulp_from_symmetric():

@@ -96,10 +96,8 @@ def test_chain_sees_a_shrunk_local_table(monkeypatch):
 
 
 def test_frechet_sees_the_codomain_norm_read_as_the_sup_norm(monkeypatch):
-    plant(monkeypatch, "_block",
+    plant(monkeypatch, "_dist",
           lambda real: lambda a, b, p: real(a, b, np.inf), scales)
-    plant(monkeypatch, "_norm",
-          lambda real: lambda diff, p: real(diff, np.inf), scales)
     assert failures("frechet")
 
 
