@@ -13,10 +13,12 @@ fresh seed per pair (N, N + 1, ...; random unless given).  Only the
 benchmark's output is read: the last line of its stdout, one JSON object.
 The checkout gets nothing but the ignored ``.perfbench/`` results.
 
-Prints every run, then each side's median and quartiles for every
-end-to-end metric and the number of pairs whose ``wall_s`` the checkout
-won (lower; ties count for neither side).  Exits 1 if any run fails or
-reports ``correct: false``.
+Prints every run with its job count (the benchmark's ``jobs = N count``
+line), then each side's median and quartiles for every end-to-end metric
+and for the job count, and the number of pairs whose ``wall_s`` the
+checkout won (lower; ties count for neither side).  A ``peak_rss_mb``
+that moves with the job count moved with the runner, not the program.
+Exits 1 if any run fails or reports ``correct: false``.
 """
 from __future__ import annotations
 
@@ -41,19 +43,23 @@ def unpack(rev: str, into: str):
 
 
 def run(tree: str, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run in ``tree``: its JSON line, or
-    ``{"correct": False}`` when it exits without one."""
+    """One untraced benchmark run in ``tree``: its JSON line, with the
+    run's job count as ``jobs``, or ``{"correct": False}`` when it exits
+    without one."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     try:
-        return json.loads(lines[-1])
+        result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         print(f"run in {tree} (seed {seed}) gave no result: "
               f"{done.stderr.strip()}", file=sys.stderr)
         return {"correct": False}
+    jobs = [int(line.split()[2]) for line in lines
+            if line.startswith("jobs = ")]
+    return dict(result, jobs=jobs[0] if jobs else None)
 
 
 def spread(values: list) -> str:
@@ -87,10 +93,13 @@ def main(argv=None) -> int:
             for side in order:
                 runs[side].append(run(trees[side], args.workload, seed,
                                       args.seconds))
-            walls = {side: runs[side][-1].get("metrics", {})
-                     .get("wall_s", {}).get("value") for side in order}
+            got = {side: (runs[side][-1].get("metrics", {})
+                          .get("wall_s", {}).get("value"),
+                          runs[side][-1].get("jobs")) for side in order}
             print(f"pair {k}: seed {seed}, {order[0]} first, wall_s "
-                  f"parent {walls['parent']} change {walls['change']}",
+                  + ", ".join(f"{side} {wall} ({jobs} jobs)"
+                              for side, (wall, jobs) in sorted(
+                                  got.items(), reverse=True)),
                   flush=True)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
@@ -109,6 +118,10 @@ def main(argv=None) -> int:
             values = [r["metrics"][name]["value"] for r in runs[side]]
             unit = runs[side][0]["metrics"][name]["unit"]
             print(f"{name} ({unit}) {side}: {spread(values)}")
+    for side in ("parent", "change"):
+        jobs = [r["jobs"] for r in runs[side] if r["jobs"] is not None]
+        if jobs:
+            print(f"jobs (count) {side}: {spread(jobs)}")
     wall = {side: [r["metrics"]["wall_s"]["value"] for r in runs[side]]
             for side in runs}
     wins = sum(c < p for p, c in zip(wall["parent"], wall["change"]))

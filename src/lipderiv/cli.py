@@ -21,33 +21,60 @@ import time
 from . import io as lio, workers
 from .envelopes import ScalarField, baire_lower, baire_upper, check_scale
 from .errors import InputError
-from .harness import SuiteConfig, overall_ok, run_suite
+from .harness import FAULTS, SuiteConfig, overall_ok, run_suite
 from .scales import RadiusGrid, scale_profile, scale_summaries
 from .zoo import make_entry
 
 CONFIG_ENV = "LIPDERIV_CONFIG"
 
-_DEFAULTS = {
-    "metric": "euclidean",
-    "q": 0.5,
-    "steps": 8,
-    "tail": 3,
-    "seed": 7,
-    "zoo_resolution": 0.02,
-    "suite": "all",
-    "random_spaces": 50,
+
+def _path(text) -> str:
+    """A path: a string, where a number would name a file descriptor."""
+    if not isinstance(text, str):
+        raise TypeError("expected a path")
+    return text
+
+
+def _names(text) -> tuple:
+    """Comma-separated names, blanks dropped."""
+    if not isinstance(text, str):
+        raise TypeError("expected comma-separated names")
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
+#: every option of a subcommand, by ``dest`` (the flag is ``--`` and the
+#: dest with ``-`` for ``_``); its ``type`` also casts a config value
+_OPTIONS = {
+    "input": dict(type=_path, help="input CSV path"),
+    "metric": dict(help="euclidean | manhattan | chebyshev"),
+    "rmax": dict(type=float, help="largest radius of the scale grid"),
+    "q": dict(type=float, help="geometric radius ratio in (0,1)"),
+    "steps": dict(type=int, help="number of radii"),
+    "tail": dict(type=int, help="tail window for limit estimates"),
+    "h": dict(type=float, help="envelope/defect scale"),
+    "gamma": dict(type=float, help="level-set threshold"),
+    "seed": dict(type=int, help="random seed"),
+    "suite": dict(type=_names, help="comma-separated suite names or 'all'"),
+    "inject_fault": dict(choices=FAULTS,
+                         help="self-test: force a failure in the named suite"),
+    "zoo_resolution": dict(type=float),
+    "random_spaces": dict(type=int),
+    "entry": dict(help="entry name"),
+    "resolution": dict(type=float),
+    "out": dict(type=_path, help="output file path"),
+    "report": dict(type=_path, help="JSON report path"),
+    "timings": dict(action="store_true",
+                    help="print the wall time of each stage (check: each "
+                         "suite) and the total to stderr"),
 }
 
-#: the options that name files: a config value for one must be a string
-_PATHS = ("input", "out", "report")
-
-#: the suites ``check --inject-fault`` can force to fail
-_FAULTS = ("chain", "openness")
+#: the keys a config may set: every option that takes a value
+CONFIG_KEYS = frozenset(k for k, o in _OPTIONS.items() if "action" not in o)
 
 
 def _load_config(path):
-    if path is None:
-        path = os.environ.get(CONFIG_ENV)
+    """The JSON object of the config file ``path``, if any; a key that
+    names no option would set nothing, and is refused."""
     if path is None:
         return {}
     try:
@@ -59,43 +86,48 @@ def _load_config(path):
         raise InputError(f"malformed config {path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise InputError(f"config {path} must be a JSON object")
+    unknown = sorted(set(cfg) - CONFIG_KEYS)
+    if unknown:
+        raise InputError(f"config {path}: unknown key(s) {unknown}")
     return cfg
 
 
-def _resolve(args, key, cast=None):
-    """Flag value if given, else config file value, else built-in default.
+def _resolve(args, key, name=None) -> dict:
+    """``{name: value}`` (``name`` defaults to ``key``) from the flag if
+    given, else from the config; ``{}`` if neither gives it, so that the
+    library's default applies.
 
-    ``cast`` converts a number or a numeric string; a bool, and for ``int``
-    a number that is not integral, is refused rather than coerced.
+    A config value is cast by the option's ``type``, which converts a
+    number or a numeric string; null, a bool, and for ``int`` a number
+    that is not integral, are refused rather than coerced.
     """
-    val = getattr(args, key, None)
+    val = getattr(args, key)
     if val is None:
-        val = args._config.get(key, _DEFAULTS.get(key))
-    if val is not None and cast is not None:
+        if key not in args._config:
+            return {}
+        val, cast = args._config[key], _OPTIONS[key].get("type")
+        number = cast in (int, float)
         try:
-            if isinstance(val, bool) or (cast is int and isinstance(val, float)
-                                         and not val.is_integer()):
+            if number and (isinstance(val, bool) or cast is int and isinstance(
+                    val, float) and not val.is_integer()):
                 raise TypeError
-            val = cast(val)
-        except (TypeError, ValueError):
-            raise InputError(f"bad value for {key}: {val!r}") from None
-    if key in _PATHS and val is not None and not isinstance(val, str):
-        raise InputError(f"bad value for {key}: {val!r} (expected a path)")
-    return val
+            val = val if cast is None else cast(val)
+        except (TypeError, ValueError) as exc:
+            why = "" if number else f" ({exc})"
+            raise InputError(f"bad value for {key}: {val!r}{why}") from None
+    return {name or key: val}
 
 
-def _require(args, key, cast=None):
-    val = _resolve(args, key, cast)
-    if val is None:
-        raise InputError(f"missing required option --{key}")
-    return val
+def _require(args, key):
+    if given := _resolve(args, key):
+        return given[key]
+    raise InputError(f"missing required option --{key}")
 
 
 def _grid(args) -> RadiusGrid:
-    return RadiusGrid(_require(args, "rmax", float),
-                      _resolve(args, "q", float),
-                      _resolve(args, "steps", int),
-                      _resolve(args, "tail", int))
+    return RadiusGrid(_require(args, "rmax"), **_resolve(args, "q"),
+                      **_resolve(args, "steps"),
+                      **_resolve(args, "tail", "tail_window"))
 
 
 def _sibling(path: str, suffix: str) -> str:
@@ -134,7 +166,7 @@ def cmd_profile(args) -> int:
     t0 = time.perf_counter()
     out, grid = lio.check_writable(_require(args, "out")), _grid(args)
     f = lio.load_sampled_map(_require(args, "input"),
-                             _resolve(args, "metric"))
+                             **_resolve(args, "metric"))
     seconds = {"load": time.perf_counter() - t0}
     slabs = _slabs(f)
     if len(slabs) == 1:
@@ -192,22 +224,11 @@ def _log_stages(args, seconds, t0):
 
 
 def cmd_check(args) -> int:
-    suite = _resolve(args, "suite")
-    if not isinstance(suite, str):
-        raise InputError(f"bad value for suite: {suite!r} "
-                         "(expected comma-separated names)")
-    fault = _resolve(args, "inject_fault")
-    if fault is not None and fault not in _FAULTS:
-        raise InputError(f"bad value for inject_fault: {fault!r} "
-                         f"(expected one of {', '.join(_FAULTS)})")
-    cfg = SuiteConfig(
-        seed=_resolve(args, "seed", int),
-        suite=tuple(s.strip() for s in suite.split(",") if s.strip()),
-        inject_fault=fault,
-        zoo_resolution=_resolve(args, "zoo_resolution", float),
-        random_spaces=_resolve(args, "random_spaces", int))
-    report = _resolve(args, "report")
-    if report:
+    cfg = SuiteConfig(**_resolve(args, "seed"), **_resolve(args, "suite"),
+                      **_resolve(args, "inject_fault"),
+                      **_resolve(args, "zoo_resolution"),
+                      **_resolve(args, "random_spaces"))
+    if report := _resolve(args, "report").get("report"):
         lio.check_writable(report)
     with _info_to_stderr() if args.timings else contextlib.nullcontext():
         results = run_suite(cfg)
@@ -218,15 +239,12 @@ def cmd_check(args) -> int:
 
 
 def cmd_envelope(args) -> int:
-    h = check_scale(_require(args, "h", float))
+    h = check_scale(_require(args, "h"))
     out = lio.check_writable(_require(args, "out"))
-    path = _require(args, "input")
-    ids, coords, values = lio.load_point_cloud(path)
-    if values is None:
-        raise InputError("envelope input needs a val column")
+    space, values = lio.load_values(_require(args, "input"),
+                                    **_resolve(args, "metric"))
     if values.ndim != 1:
         raise InputError("envelope input must be a scalar field")
-    space = lio.embedded_space(path, ids, coords, _resolve(args, "metric"))
     if h <= space.resolution():
         raise InputError("envelope scale h must exceed the input resolution")
     g = ScalarField(space, values)
@@ -237,10 +255,10 @@ def cmd_envelope(args) -> int:
 
 def cmd_sets(args) -> int:
     t0 = time.perf_counter()
-    gamma = lio.check_gamma(_require(args, "gamma", float))
+    gamma = lio.check_gamma(_require(args, "gamma"))
     out, grid = lio.check_writable(_require(args, "out")), _grid(args)
     f = lio.load_sampled_map(_require(args, "input"),
-                             _resolve(args, "metric"))
+                             **_resolve(args, "metric"))
     seconds = {"load": time.perf_counter() - t0}
     summaries = scale_summaries(f, grid, seconds=seconds)
     t1 = time.perf_counter()
@@ -252,13 +270,12 @@ def cmd_sets(args) -> int:
 
 def cmd_zoo_export(args) -> int:
     out = lio.check_writable(_require(args, "out"))
-    res = _require(args, "resolution", float)
+    res = _require(args, "resolution")
     entry = make_entry(_require(args, "entry"), res)
-    f = entry.map
-    if f.domain.coords is None:
+    if entry.space.coords is None:
         raise InputError(f"entry {entry.name!r} has no coordinate embedding")
-    lio.save_point_cloud(out, f.domain.ids,
-                         f.domain.coords, f.values)
+    lio.save_point_cloud(out, entry.space.ids, entry.space.coords,
+                         entry.map.values)
     return 0
 
 
@@ -267,63 +284,31 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lipderiv",
         description="Scale-indexed Lipschitz derivative estimation and "
                     "verification on finite metric data.")
-    parser.add_argument("--config", help="JSON config file; flags override")
+    parser.add_argument("--config", default=os.environ.get(CONFIG_ENV),
+                        help=f"JSON config file (default ${CONFIG_ENV}); "
+                             "flags override")
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="print the traceback of an internal error")
+
+    def add(subparsers, name, func, text, options):
+        p = subparsers.add_parser(name, help=text)
+        for key in options.split():
+            p.add_argument("--" + key.replace("_", "-"), **_OPTIONS[key])
+        p.set_defaults(func=func)
+
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def shared(p, *names):
-        opts = {
-            "input": dict(help="input CSV path"),
-            "metric": dict(help="euclidean | manhattan | chebyshev"),
-            "rmax": dict(type=float, help="largest radius of the scale grid"),
-            "q": dict(type=float, help="geometric radius ratio in (0,1)"),
-            "steps": dict(type=int, help="number of radii"),
-            "tail": dict(type=int, help="tail window for limit estimates"),
-            "h": dict(type=float, help="envelope/defect scale"),
-            "gamma": dict(type=float, help="level-set threshold"),
-            "seed": dict(type=int, help="random seed"),
-            "out": dict(help="output file path"),
-            "report": dict(help="JSON report path"),
-            "timings": dict(action="store_true",
-                            help="print the wall time of each stage (check: "
-                                 "each suite) and the total to stderr"),
-        }
-        for name in names:
-            p.add_argument(f"--{name}", **opts[name])
-
-    p = sub.add_parser("profile", help="scale profile of a sampled map")
-    shared(p, "input", "metric", "rmax", "q", "steps", "tail", "out",
-           "timings")
-    p.set_defaults(func=cmd_profile)
-
-    p = sub.add_parser("check", help="run verification suites")
-    shared(p, "seed", "report", "timings")
-    p.add_argument("--suite", help="comma-separated suite names or 'all'")
-    p.add_argument("--inject-fault", dest="inject_fault",
-                   choices=_FAULTS,
-                   help="self-test: force a failure in the named suite")
-    p.add_argument("--zoo-resolution", dest="zoo_resolution", type=float)
-    p.add_argument("--random-spaces", dest="random_spaces", type=int)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("envelope", help="Baire envelopes of a scalar field")
-    shared(p, "input", "metric", "h", "out")
-    p.set_defaults(func=cmd_envelope)
-
-    p = sub.add_parser("sets", help="threshold membership flags per point")
-    shared(p, "input", "metric", "rmax", "q", "steps", "tail", "gamma", "out",
-           "timings")
-    p.set_defaults(func=cmd_sets)
-
-    p = sub.add_parser("zoo", help="built-in test functions")
-    zsub = p.add_subparsers(dest="zoo_command", required=True)
-    pz = zsub.add_parser("export", help="sample an entry to point-cloud CSV")
-    pz.add_argument("--entry", help="entry name")
-    pz.add_argument("--resolution", type=float)
-    shared(pz, "out")
-    pz.set_defaults(func=cmd_zoo_export)
-
+    add(sub, "profile", cmd_profile, "scale profile of a sampled map",
+        "input metric rmax q steps tail out timings")
+    add(sub, "check", cmd_check, "run verification suites",
+        "seed report timings suite inject_fault zoo_resolution random_spaces")
+    add(sub, "envelope", cmd_envelope, "Baire envelopes of a scalar field",
+        "input metric h out")
+    add(sub, "sets", cmd_sets, "threshold membership flags per point",
+        "input metric rmax q steps tail gamma out timings")
+    zoo = sub.add_parser("zoo", help="built-in test functions")
+    add(zoo.add_subparsers(dest="zoo_command", required=True), "export",
+        cmd_zoo_export, "sample an entry to point-cloud CSV",
+        "entry resolution out")
     return parser
 
 

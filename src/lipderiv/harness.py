@@ -715,13 +715,33 @@ def check_scale_oracles(space: FiniteMetricSpace, values, radii,
 # suite runner
 
 
-@dataclass
+#: the suites ``inject_fault`` can force to fail
+FAULTS = ("chain", "openness")
+
+
+@dataclass(frozen=True)
 class SuiteConfig:
+    """The settings of ``run_suite``: ``InputError`` for a bad one."""
     seed: int = 7
     suite: tuple = ("all",)
     inject_fault: str | None = None
     zoo_resolution: float = 0.02
     random_spaces: int = 50
+
+    def __post_init__(self):
+        if not self.suite:
+            raise InputError("no suite selected")
+        unknown = [n for n in self.suite if n != "all" and n not in _SUITES]
+        if unknown:
+            raise InputError(f"unknown suite(s): {unknown}")
+        if self.random_spaces < 0:
+            raise InputError("random_spaces must be >= 0")
+        if self.seed < 0:
+            raise InputError("seed must be >= 0")
+        if self.inject_fault is not None and self.inject_fault not in FAULTS:
+            raise InputError(f"bad value for inject_fault: "
+                             f"{self.inject_fault!r} (expected one of "
+                             f"{', '.join(FAULTS)})")
 
 
 def _entry_points(entry: ZooEntry, rng):
@@ -1003,20 +1023,9 @@ def run_suite(config: SuiteConfig) -> list:
     ran, and the total are logged at INFO.
     """
     t0 = time.perf_counter()
-    names = config.suite
-    if not names:
-        raise InputError("no suite selected")
-    unknown = [n for n in names if n != "all" and n not in _SUITES]
-    if unknown:
-        raise InputError(f"unknown suite(s): {unknown}")
-    if "all" in names:
-        names = SUITE_NAMES
-    if config.random_spaces < 0:
-        raise InputError("random_spaces must be >= 0")
-    if config.seed < 0:
-        raise InputError("seed must be >= 0")
     # SUITE_NAMES order puts the longest suite, chain, first
-    names = sorted(dict.fromkeys(names), key=SUITE_NAMES.index)
+    names = (SUITE_NAMES if "all" in config.suite
+             else sorted(set(config.suite), key=SUITE_NAMES.index))
     entries = make_zoo(config.zoo_resolution)
     # logging is imported here: at module level it would slow every import
     # of lipderiv

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import InputError
 from .envelopes import ScalarField
+from .harness import overall_ok
 from .metric import FiniteMetricSpace, _dist
 from .scales import PROFILE_COLUMNS, SampledMap, ScaleProfile, lip_norm
 
@@ -251,19 +252,25 @@ def _reject_tiny_components(path: str, ids, values):
                          f"too small for the Euclidean norm of differences")
 
 
-def load_sampled_map(path: str, metric: str = "euclidean") -> SampledMap:
-    """Point-cloud CSV with value columns, as a map on an embedded space."""
+def load_values(path: str, metric: str = "euclidean"):
+    """(space, values) of a point-cloud CSV with value columns, under the
+    rules of every command's input: no coincident points with different
+    values, no tiny vector components, ``embedded_space``'s checks."""
     ids, coords, values = load_point_cloud(path)
     if values is None:
         raise InputError(f"{path}: no value columns")
     _reject_conflicting_duplicates(path, ids, coords, values)
     if values.ndim == 2:
         _reject_tiny_components(path, ids, values)
-    space = embedded_space(path, ids, coords, metric)
-    if values.ndim == 1:
-        f = SampledMap.real(space, values)
-    else:
-        f = SampledMap.vector(space, values, p=2.0)
+    return embedded_space(path, ids, coords, metric), values
+
+
+def load_sampled_map(path: str, metric: str = "euclidean") -> SampledMap:
+    """Point-cloud CSV with value columns (``load_values``), as a map on an
+    embedded space whose largest pair quotient is finite."""
+    space, values = load_values(path, metric)
+    f = (SampledMap.real(space, values) if values.ndim == 1
+         else SampledMap.vector(space, values, p=2.0))
     _reject_quotient_overflow(path, f)
     return f
 
@@ -388,8 +395,7 @@ def save_set_flags(path: str, summaries, gamma: float):
 
 
 def report_document(results) -> dict:
-    ok = all(r.passed for r in results)
-    return {"overall": "pass" if ok else "fail",
+    return {"overall": "pass" if overall_ok(results) else "fail",
             "checks": [r.to_dict() for r in results]}
 
 
@@ -421,6 +427,5 @@ def summary_table(results) -> str:
     for r in results:
         lines.append(f"{r.name.ljust(width)}  {r.status:<8} "
                      f"{r.discrepancy:<13.6g}  {r.tolerance:.6g}")
-    ok = all(r.passed for r in results)
-    lines.append(f"overall: {'pass' if ok else 'fail'}")
+    lines.append(f"overall: {'pass' if overall_ok(results) else 'fail'}")
     return "\n".join(lines)

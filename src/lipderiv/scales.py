@@ -192,7 +192,8 @@ def scan_field(f: SampledMap, radii, idx=None) -> dict:
 def _read_rows(D, V, m, radii, out):
     """Fill ``out`` (views of ``scan_field``'s arrays) from padded rows of
     distances ``D`` and value distances ``V``; row p holds ``m[p]`` entries,
-    then distance inf."""
+    then distance inf.  A quotient that overflows reads inf, without a
+    warning."""
     rows = np.arange(D.shape[0])[:, None]
     # stable, so the padding stays after entries at distance inf
     ranked = np.argsort(D, axis=1, kind="stable")
@@ -205,7 +206,7 @@ def _read_rows(D, V, m, radii, out):
     # row (0 or inf for none); entries from m on are padding and never read
     run, big, near = np.zeros((3, D.shape[0], D.shape[1] + 1))
     gaps = np.full(run.shape, np.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         np.maximum.accumulate(V, axis=1, out=run[:, 1:])
         np.maximum.accumulate(V / D, axis=1, out=big[:, 1:])
         np.minimum.accumulate(np.where(last, run[:, 1:] / D, np.inf), axis=1,
@@ -292,9 +293,10 @@ def _loc_radii(f: SampledMap, i: int, radii: np.ndarray) -> np.ndarray:
 
 def _quotients(V: np.ndarray, D: np.ndarray) -> np.ndarray:
     """The pair quotients ``V / D`` of value distances and distances, in
-    place in ``V``: 0 for a pair at distance 0, which has no quotient, and
-    NaN kept for inf / inf (both floats overflowed)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    place in ``V``: 0 for a pair at distance 0, which has no quotient, inf
+    for a quotient that overflows, without a warning, and NaN kept for
+    inf / inf (both floats overflowed)."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         Q = np.divide(V, D, out=V)
     np.copyto(Q, 0.0, where=D == 0)
     return Q

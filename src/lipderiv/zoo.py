@@ -219,7 +219,7 @@ def make_zoo(resolution: float) -> list:
 def make_entry(name: str, resolution: float) -> ZooEntry:
     """Build one standard entry, equal to its ``make_zoo`` counterpart."""
     res = _resolution(resolution)
-    if name not in _BUILDERS:
+    if not isinstance(name, str) or name not in _BUILDERS:
         raise InputError(f"no zoo entry named {name!r}")
     return _BUILDERS[name](name, res)
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -243,6 +244,17 @@ def test_run_suite_unknown_and_empty():
     with pytest.raises(InputError, match="random_spaces"):
         run_suite(SuiteConfig(suite=("oracle_equiv",), random_spaces=-1))
     assert overall_ok([])
+
+
+@pytest.mark.parametrize("fault", ["chian", "Chain", "", 1])
+def test_run_suite_unknown_fault(fault):
+    """A fault name that names no fault would inject nothing, and every
+    check would pass."""
+    with pytest.raises(InputError, match=(
+            f"bad value for inject_fault: {re.escape(repr(fault))} "
+            r"\(expected one of chain, openness\)")):
+        run_suite(SuiteConfig(suite=("chain",), inject_fault=fault))
+    assert harness.FAULTS == ("chain", "openness")
 
 
 def test_run_suite_negative_seed():

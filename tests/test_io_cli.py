@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -568,6 +569,101 @@ def test_cli_config_integral_numbers_and_strings_accepted(tmp_path):
                              {"steps": steps, "tail": tail}) == want
 
 
+@pytest.mark.parametrize("key", ["q", "steps", "tail", "seed",
+                                 "zoo_resolution", "random_spaces"])
+def test_cli_config_null_number_exits_2(tmp_path, capsys, monkeypatch, key):
+    refuse_to_run(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: None}))
+    out = tmp_path / "o.csv"
+    argv = (["check", "--suite", "bhmv"]
+            if key in ("seed", "zoo_resolution", "random_spaces") else
+            ["profile", "--input", write_cloud(tmp_path), "--rmax", "0.5",
+             "--out", str(out)])
+    assert main(["--config", str(cfg)] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad value for {key}: None\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entry", [["sin"], {"sin": 1}, None, 1])
+def test_cli_config_entry_not_a_name_exits_2(tmp_path, capsys, entry):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"entry": entry}))
+    out = tmp_path / "o.csv"
+    assert main(["--config", str(cfg), "zoo", "export", "--resolution",
+                 "0.1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: no zoo entry named {entry!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["step", "rmaxx", "timings"])
+def test_cli_config_unknown_key_exits_2(tmp_path, capsys, monkeypatch, key):
+    """A key that names no option a config can set would set nothing;
+    ``timings`` is a flag, set on the command line only."""
+    refuse_to_run(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rmax": 0.5, key: 3}))
+    out = tmp_path / "o.csv"
+    assert main(["--config", str(cfg), "profile", "--input",
+                 write_cloud(tmp_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: config {cfg}: unknown key(s) "
+                            f"[{key!r}]\n")
+    assert not out.exists()
+
+
+def test_config_keys_are_the_parsers_options_that_take_a_value():
+    def valued(parser):
+        keys = set()
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    keys |= valued(sub)
+            elif action.option_strings and action.nargs != 0:
+                keys.add(action.dest)
+        return keys
+    assert cli.CONFIG_KEYS == valued(cli.build_parser()) - {"config"}
+    assert "timings" not in cli.CONFIG_KEYS
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "--input", "{src}", "--rmax", "0.5", "--out", "{out}"],
+    ["sets", "--input", "{src}", "--rmax", "0.5", "--gamma", "1", "--out",
+     "{out}"],
+    ["envelope", "--input", "{src}", "--h", "0.2", "--out", "{out}"],
+    ["check", "--suite", "bhmv"],
+], ids=["profile", "sets", "envelope", "check"])
+def test_cli_passes_no_setting_it_was_not_given(tmp_path, monkeypatch, argv):
+    """A setting given by neither a flag nor the config is left to the
+    library: the CLI names no default of ``RadiusGrid``, ``SuiteConfig``
+    or the loaders."""
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def call(*args, **kwargs):
+            calls.append((name, args, kwargs))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, call)
+
+    spy(cli, "RadiusGrid")
+    spy(cli, "SuiteConfig")
+    # load_sampled_map passes its own default on to load_values
+    spy(lio, "load_values" if argv[0] == "envelope" else "load_sampled_map")
+    src, out = write_cloud(tmp_path), tmp_path / "o.csv"
+    assert main([a.format(src=src, out=out) for a in argv]) == 0
+    want = {"profile": [("RadiusGrid", (0.5,), {}),
+                        ("load_sampled_map", (src,), {})],
+            "envelope": [("load_values", (src,), {})],
+            "check": [("SuiteConfig", (), {"suite": ("bhmv",)})]}
+    want["sets"] = want["profile"]
+    assert calls == want[argv[0]]
+
+
 def test_point_cloud_without_data_rows(tmp_path, capsys):
     p = tmp_path / "header_only.csv"
     p.write_text("id,x1,x2,val\n")
@@ -853,6 +949,24 @@ def test_coincident_points_with_different_values(tmp_path, capsys):
     v.write_text("id,x1,val1,val2\na,0,0,0\nb,0,0,1\n")
     with pytest.raises(InputError, match="'a' and 'b'"):
         lio.load_sampled_map(str(v))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_envelope_coincident_points_with_different_values(tmp_path,
+                                                               capsys):
+    p = tmp_path / "clash.csv"
+    p.write_text("id,x1,val\na,0,0\nb,0,5\nc,0.5,1\nd,1,2\n")
+    out = tmp_path / "env.csv"
+    assert main(["envelope", "--input", str(p), "--h", "0.6",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {p}: points 'a' and 'b' share "
+                            "coordinates but have different values\n")
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["clash.csv"]
+    # equal values there are one point, repeated
+    p.write_text("id,x1,val\na,0,0\nb,0,0\nc,0.5,1\nd,1,2\n")
+    assert main(["envelope", "--input", str(p), "--h", "0.6",
+                 "--out", str(out)]) == 0
 
 
 def test_coincident_points_with_equal_values(tmp_path):
